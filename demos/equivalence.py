@@ -1,6 +1,6 @@
 """Deciding whether two programs behave the same.
 
-The checker plays a game over canonical process states. The first pair
+The checker plays a game over canonical states of tail threads. The first pair
 here looks interchangeable at a glance but is not: one program reacts to
 s2 only when s1 stayed away, the other drops its branch regardless, and
 the game finds the separating experiment. The second pair shows a law

@@ -1,7 +1,7 @@
 """Canonical forms for multisets of terms with bound and generated names.
 
-The three term families (source threads, tail expressions, processes) share
-the same renaming discipline: interface names are fixed, every other name may
+The two term families (source threads and tail threads) share the same
+renaming discipline: interface names are fixed, every other name may
 be renamed by a bijection. A canonical form renames those names to %g0, %g1,
 ... so that two multisets are equal after canonicalization exactly when such
 a bijection between them exists.
@@ -68,10 +68,12 @@ def canonical_multiset(items, interface, ops, perm_cap=5040):
     supply = name_supply("%u", all_names)
     fresh_items = [ops.freshen(it, supply) for it in items]
 
+    occurrences = [list(ops.occurrences(it)) for it in fresh_items]
+
     keys = []
-    for it in fresh_items:
+    for it, names in zip(fresh_items, occurrences):
         m = {}
-        for name in ops.occurrences(it):
+        for name in names:
             if name not in interface and name not in m:
                 m[name] = f"%k{len(m)}"
         keys.append(ops.show(ops.rename(it, m)))
@@ -83,16 +85,16 @@ def canonical_multiset(items, interface, ops, perm_cap=5040):
     for arr in _arrangements(groups, perm_cap):
         m = {}
         for i in arr:
-            for name in ops.occurrences(fresh_items[i]):
+            for name in occurrences[i]:
                 if name not in interface and name not in m:
                     m[name] = f"%g{len(m)}"
         renamed = [ops.rename(fresh_items[i], m) for i in arr]
-        shown = sorted(ops.show(r) for r in renamed)
-        if best is None or shown < best[0]:
-            best = (shown, renamed, m)
-    shown, renamed, mapping = best
-    result = tuple(
-        r for _, _, r in sorted((ops.show(r), i, r) for i, r in enumerate(renamed))
-    )
+        shown = sorted(zip(map(ops.show, renamed), range(len(renamed)),
+                           renamed))
+        strings = [text for text, _, _ in shown]
+        if best is None or strings < best[0]:
+            best = (strings, shown, m)
+    _, shown, mapping = best
+    result = tuple(r for _, _, r in shown)
     free_map = {k: v for k, v in mapping.items() if not k.startswith("%u")}
     return result, free_map

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / equivalent / accepted; 1 usage or parse problems;
 2 analysis rejection or failed precondition; 3 distinguished; 4
-inconclusive; 5 runtime limits (fuel, state or index explosion).
+inconclusive; 5 runtime limits (fuel, state or index explosion, or a
+program nested deeper than the Python recursion limit).
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from .errors import (
 )
 from .semantics import DETERMINISTIC, RANDOM
 from .syntax import canonicalize, parse_program, print_program, print_thread
-from .tailcore import (
-    canonicalize_tail,
-    parse_tail_program,
-    print_tail,
-    print_tail_program,
-)
+from .tailcore import parse_tail_program, print_tail_program
 
 
 def _read(path):
@@ -376,6 +372,10 @@ def main(argv=None):
     except (FuelExhaustedError, StateExplosionError,
             IndexExplosionError) as e:
         print(f"limit: {e}", file=sys.stderr)
+        return 5
+    except RecursionError:
+        print(f"limit: program nested too deeply for the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 5
     except (HasSignalGenerationError, NotFiniteStateError,
             ArityTooLargeError) as e:

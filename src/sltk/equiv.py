@@ -1,11 +1,14 @@
-"""Program equivalence through a process calculus presentation.
+"""Program equivalence on tail threads.
 
-Tail programs are recast as parallel compositions of processes with four
-kinds of moves: a process may emit a signal (an output action that never
-consumes the emission), test a signal (an input action that fires the
-guard and re-emits the tested signal), synchronize an emitter with a test
-(an internal move), or unfold a definition call (also internal). Signal
-generation becomes a binder that blocks actions on the bound name.
+A state of a tail program is a multiset of threads in one lifted normal
+form: an emission becomes a marker `(emit! s 0)`, kept once; a spawned
+thread becomes a member of its own; and `new x` is lifted to the top level
+with `x` renamed to a name fresh for the program (scope extrusion). What
+remains is markers, `present` guards and pending calls. A call unfolds and
+a guard whose signal is marked fires, both as internal moves; a guard on a
+signal of the interface also fires on input, adding the marker; and the
+barbs of a state are its marked interface signals. Generated names never
+reach the interface, so no input or barb exists for them.
 
 On top of the transition system the module provides the end-of-instant
 rewrite, the three suspension predicates, an equivalence checker with
@@ -21,412 +24,57 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import _canon
+from .analysis import _find_cycle
 from .errors import (
     FuelExhaustedError,
     NotFiniteStateError,
     StateExplosionError,
 )
+from .mealy import _contains_new, shortest_separating_word
+from .semantics import subsets
 from .tailcore import (
-    BIte,
-    BLeaf,
-    TailProgram,
     TCall,
     TEmit,
     TNew,
+    TNIL,
     TNil,
     TPresent,
     TSpawn,
+    _TailOps,
+    print_tail,
+    select_branch,
+    tail_calls,
     tail_free_signals,
+    tail_rename_all,
+    tail_signal_occurrences,
     tail_substitute,
     PAUSE_SIGNAL,
 )
 
-
-class Proc:
-    __slots__ = ()
+TAU = ("tau", None)
 
 
-@dataclass(frozen=True)
-class PNil(Proc):
-    pass
-
-
-@dataclass(frozen=True)
-class PEmit(Proc):
-    signal: str
-
-
-@dataclass(frozen=True)
-class PPresent(Proc):
-    signal: str
-    then: Proc
-    branch: object
-
-
-@dataclass(frozen=True)
-class PPar(Proc):
-    left: Proc
-    right: Proc
-
-
-@dataclass(frozen=True)
-class PNu(Proc):
-    bound: str
-    body: Proc
-
-
-@dataclass(frozen=True)
-class PCall(Proc):
-    ident: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class PBLeaf:
-    proc: Proc
-
-
-@dataclass(frozen=True)
-class PBIte:
-    signal: str
-    then: object
-    other: object
-
-
-PNIL = PNil()
-
-
-# ---------------------------------------------------------------------------
-# conversion and structural helpers
-
-
-def tail_to_proc(t):
-    if isinstance(t, TNil):
-        return PNIL
-    if isinstance(t, TEmit):
-        return PPar(PEmit(t.signal), tail_to_proc(t.next))
-    if isinstance(t, TSpawn):
-        return PPar(tail_to_proc(t.spawned), tail_to_proc(t.next))
-    if isinstance(t, TNew):
-        return PNu(t.bound, tail_to_proc(t.body))
-    if isinstance(t, TPresent):
-        return PPresent(t.signal, tail_to_proc(t.then),
-                        _branch_to_proc(t.branch))
-    if isinstance(t, TCall):
-        return PCall(t.ident, t.args)
-    raise TypeError(f"not a tail thread: {t!r}")
-
-
-def _branch_to_proc(b):
-    if isinstance(b, BLeaf):
-        return PBLeaf(tail_to_proc(b.tail))
-    return PBIte(b.signal, _branch_to_proc(b.then), _branch_to_proc(b.other))
-
-
-def print_proc(p):
-    if isinstance(p, PNil):
-        return "0"
-    if isinstance(p, PEmit):
-        return f"(emit {p.signal})"
-    if isinstance(p, PPresent):
-        return f"(present {p.signal} {print_proc(p.then)} " \
-               f"{print_pbranch(p.branch)})"
-    if isinstance(p, PPar):
-        return f"(par {print_proc(p.left)} {print_proc(p.right)})"
-    if isinstance(p, PNu):
-        return f"(nu {p.bound} {print_proc(p.body)})"
-    if isinstance(p, PCall):
-        return "(call " + " ".join((p.ident,) + p.args) + ")"
-    raise TypeError(f"not a process: {p!r}")
-
-
-def print_pbranch(b):
-    if isinstance(b, PBLeaf):
-        return print_proc(b.proc)
-    return f"(ite {b.signal} {print_pbranch(b.then)} " \
-           f"{print_pbranch(b.other)})"
-
-
-def proc_occurrences(p):
-    out = []
-
-    def walk(p):
-        if isinstance(p, PNil):
+def _lift(t, members, marks, supply):
+    """Add t to a state in lifted normal form: markers go to `marks`,
+    guards and calls to `members`."""
+    while True:
+        if isinstance(t, TEmit):
+            marks.add(t.signal)
+            t = t.next
+        elif isinstance(t, TSpawn):
+            _lift(t.spawned, members, marks, supply)
+            t = t.next
+        elif isinstance(t, TNew):
+            t = tail_rename_all(t.body, {t.bound: next(supply)})
+        elif isinstance(t, TNil):
             return
-        if isinstance(p, PEmit):
-            out.append(p.signal)
-        elif isinstance(p, PPresent):
-            out.append(p.signal)
-            walk(p.then)
-            walkb(p.branch)
-        elif isinstance(p, PPar):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, PNu):
-            out.append(p.bound)
-            walk(p.body)
-        elif isinstance(p, PCall):
-            out.extend(p.args)
-
-    def walkb(b):
-        if isinstance(b, PBLeaf):
-            walk(b.proc)
         else:
-            out.append(b.signal)
-            walkb(b.then)
-            walkb(b.other)
-
-    walk(p)
-    return out
+            members.append(t)
+            return
 
 
-def proc_rename_all(p, mapping):
-    if isinstance(p, PNil):
-        return p
-    if isinstance(p, PEmit):
-        return PEmit(mapping.get(p.signal, p.signal))
-    if isinstance(p, PPresent):
-        return PPresent(mapping.get(p.signal, p.signal),
-                        proc_rename_all(p.then, mapping),
-                        _pbranch_rename(p.branch, mapping))
-    if isinstance(p, PPar):
-        return PPar(proc_rename_all(p.left, mapping),
-                    proc_rename_all(p.right, mapping))
-    if isinstance(p, PNu):
-        return PNu(mapping.get(p.bound, p.bound),
-                   proc_rename_all(p.body, mapping))
-    if isinstance(p, PCall):
-        return PCall(p.ident, tuple(mapping.get(a, a) for a in p.args))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _pbranch_rename(b, mapping):
-    if isinstance(b, PBLeaf):
-        return PBLeaf(proc_rename_all(b.proc, mapping))
-    return PBIte(mapping.get(b.signal, b.signal),
-                 _pbranch_rename(b.then, mapping),
-                 _pbranch_rename(b.other, mapping))
-
-
-def proc_substitute(p, mapping, fresh=None):
-    if fresh is None:
-        avoid = set(mapping.values()) | set(mapping)
-        fresh = _canon.name_supply("%r", avoid)
-    if isinstance(p, (PNil, PEmit, PCall)):
-        return proc_rename_all(p, mapping)
-    if isinstance(p, PPresent):
-        return PPresent(mapping.get(p.signal, p.signal),
-                        proc_substitute(p.then, mapping, fresh),
-                        _pbranch_substitute(p.branch, mapping, fresh))
-    if isinstance(p, PPar):
-        return PPar(proc_substitute(p.left, mapping, fresh),
-                    proc_substitute(p.right, mapping, fresh))
-    if isinstance(p, PNu):
-        bound, body = p.bound, p.body
-        clash = any(bound == v for k, v in mapping.items()
-                    if k != v and k in free_proc_signals(body))
-        if clash:
-            bound = next(fresh)
-            body = proc_substitute(body, {p.bound: bound}, fresh)
-        inner = {k: v for k, v in mapping.items() if k != bound}
-        return PNu(bound, proc_substitute(body, inner, fresh))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _pbranch_substitute(b, mapping, fresh):
-    if isinstance(b, PBLeaf):
-        return PBLeaf(proc_substitute(b.proc, mapping, fresh))
-    return PBIte(mapping.get(b.signal, b.signal),
-                 _pbranch_substitute(b.then, mapping, fresh),
-                 _pbranch_substitute(b.other, mapping, fresh))
-
-
-def free_proc_signals(p):
-    if isinstance(p, PNil):
-        return frozenset()
-    if isinstance(p, PEmit):
-        return frozenset((p.signal,))
-    if isinstance(p, PPresent):
-        return free_proc_signals(p.then) | _pbranch_free(p.branch) | \
-            {p.signal}
-    if isinstance(p, PPar):
-        return free_proc_signals(p.left) | free_proc_signals(p.right)
-    if isinstance(p, PNu):
-        return free_proc_signals(p.body) - {p.bound}
-    if isinstance(p, PCall):
-        return frozenset(p.args)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _pbranch_free(b):
-    if isinstance(b, PBLeaf):
-        return free_proc_signals(b.proc)
-    return _pbranch_free(b.then) | _pbranch_free(b.other) | {b.signal}
-
-
-def proc_freshen_apart(p, supply):
-    if isinstance(p, (PNil, PEmit, PCall)):
-        return p
-    if isinstance(p, PPresent):
-        return PPresent(p.signal, proc_freshen_apart(p.then, supply),
-                        _pbranch_freshen(p.branch, supply))
-    if isinstance(p, PPar):
-        return PPar(proc_freshen_apart(p.left, supply),
-                    proc_freshen_apart(p.right, supply))
-    if isinstance(p, PNu):
-        g = next(supply)
-        body = proc_substitute(p.body, {p.bound: g})
-        return PNu(g, proc_freshen_apart(body, supply))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _pbranch_freshen(b, supply):
-    if isinstance(b, PBLeaf):
-        return PBLeaf(proc_freshen_apart(b.proc, supply))
-    return PBIte(b.signal, _pbranch_freshen(b.then, supply),
-                 _pbranch_freshen(b.other, supply))
-
-
-class _ProcOps:
-    occurrences = staticmethod(proc_occurrences)
-    rename = staticmethod(proc_rename_all)
-    freshen = staticmethod(proc_freshen_apart)
-    show = staticmethod(print_proc)
-
-
-# ---------------------------------------------------------------------------
-# multiset states
-
-
-def flatten(p, out=None):
-    """Split a process into its top level parallel components, dropping
-    terminated ones."""
-    if out is None:
-        out = []
-    if isinstance(p, PPar):
-        flatten(p.left, out)
-        flatten(p.right, out)
-    elif not isinstance(p, PNil):
-        out.append(p)
-    return out
-
-
-def par_of(items):
-    if not items:
-        return PNIL
-    p = items[0]
-    for it in items[1:]:
-        p = PPar(p, it)
-    return p
-
-
-def _dedup_emits(items):
-    seen = set()
-    out = []
-    for p in items:
-        if isinstance(p, PEmit):
-            if p.signal in seen:
-                continue
-            seen.add(p.signal)
-        out.append(p)
-    return out
-
-
-def emitted_set(items):
-    """Signals whose emission is visible at the top level (rule out)."""
-    S = set()
-    for p in items:
-        if isinstance(p, PEmit):
-            S.add(p.signal)
-        elif isinstance(p, PNu):
-            S |= emitted_set(flatten(p.body)) - {p.bound}
-    return S
-
-
-def select_pbranch(b, S):
-    while isinstance(b, PBIte):
-        b = b.then if b.signal in S else b.other
-    return b.proc
-
-
-def floor_items(items, S):
-    """End of instant: drop emissions, fire no guard, pick branches by the
-    final emitted set, scoped under binders."""
-    out = []
-    for p in items:
-        out.extend(_floor_member(p, S))
-    return out
-
-
-def _floor_member(p, S):
-    if isinstance(p, (PEmit, PNil)):
-        return []
-    if isinstance(p, PPresent):
-        if p.signal in S:
-            raise ValueError(f"not suspended: present {p.signal} under "
-                             f"emitted {sorted(S)}")
-        return [select_pbranch(p.branch, S)]
-    if isinstance(p, PNu):
-        inner = flatten(p.body)
-        S2 = (S - {p.bound}) | ({p.bound} & emitted_set(inner))
-        floored = floor_items(inner, S2)
-        if not floored:
-            return []
-        return [PNu(p.bound, par_of(floored))]
-    raise ValueError(f"not suspended: {print_proc(p)}")
-
-
-# ---------------------------------------------------------------------------
-# transitions of a state
-
-
-def _member_steps(p, defs):
-    """Moves of one parallel component: (action, replacement items)."""
-    if isinstance(p, PEmit):
-        return [(("out", p.signal), [p])]
-    if isinstance(p, PPresent):
-        return [(("in", p.signal), flatten(p.then) + [PEmit(p.signal)])]
-    if isinstance(p, PCall):
-        dfn = defs[p.ident]
-        body = tail_substitute(dfn.body, dict(zip(dfn.params, p.args)))
-        return [(("tau", None), flatten(tail_to_proc(body)))]
-    if isinstance(p, PNu):
-        inner = flatten(p.body)
-        out = []
-        for action, items2 in _multiset_steps(inner, defs):
-            if action[1] == p.bound:
-                continue
-            out.append((action, [PNu(p.bound, par_of(items2))]))
-        return out
-    if isinstance(p, PNil):
-        return []
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _multiset_steps(items, defs):
-    per = [_member_steps(p, defs) for p in items]
-    out = []
-    for i, steps in enumerate(per):
-        for action, repl in steps:
-            out.append((action, items[:i] + repl + items[i + 1:]))
-    for i, si in enumerate(per):
-        for ai, ri in si:
-            if ai[0] != "out":
-                continue
-            for j, sj in enumerate(per):
-                if i == j:
-                    continue
-                for aj, rj in sj:
-                    if aj == ("in", ai[1]):
-                        new = list(items)
-                        new[i:i + 1] = ri
-                        if j > i:
-                            shift = j + len(ri) - 1
-                        else:
-                            shift = j
-                        new[shift:shift + 1] = rj
-                        out.append((("tau", None), new))
-    return out
+def _marked(items):
+    return {t.signal for t in items if isinstance(t, TEmit)}
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +82,24 @@ def _multiset_steps(items, defs):
 
 
 class Space:
-    """Canonical reachable states of one tail program viewed as processes.
+    """Canonical reachable states of one tail program.
 
-    States are interned canonical multisets; transitions, suspension,
-    barbs, instant boundaries and emission contexts are computed on demand
-    and cached by state id.
+    States are interned canonical multisets of lifted threads; transitions,
+    suspension, barbs, instant boundaries and emission contexts are
+    computed on demand and cached by state id.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
         self.defs = program.defs
         self.universe = tuple(sorted(universe))
+        self._universe = frozenset(universe)
         self.interface = set(universe) | {PAUSE_SIGNAL}
         self.state_limit = state_limit
+        self._taken = set(self.interface)
+        for t in program.all_tails():
+            self._taken.update(tail_signal_occurrences(t))
+        for d in program.defs.values():
+            self._taken.update(d.params)
         self._ids = {}
         self._items = []
         self._tau = {}
@@ -453,12 +107,13 @@ class Space:
         self._weak = {}
 
     def intern(self, items):
-        flat = []
-        for p in items:
-            flatten(p, flat)
-        flat = _dedup_emits(flat)
-        canonical, _ = _canon.canonical_multiset(flat, self.interface,
-                                                 _ProcOps)
+        members, marks = [], set()
+        supply = _canon.name_supply("%l", self._taken)
+        for t in items:
+            _lift(t, members, marks, supply)
+        members.extend(TEmit(s, TNIL) for s in marks)
+        canonical, _ = _canon.canonical_multiset(members, self.interface,
+                                                 _TailOps)
         sid = self._ids.get(canonical)
         if sid is None:
             if len(self._items) >= self.state_limit:
@@ -468,21 +123,38 @@ class Space:
             self._items.append(canonical)
         return sid
 
-    def items(self, sid):
-        return self._items[sid]
-
     def show(self, sid):
-        return " | ".join(print_proc(p) for p in self._items[sid]) or "0"
+        return " | ".join(print_tail(t) for t in self._items[sid]) or "0"
 
     def _steps(self, sid):
-        return _multiset_steps(list(self._items[sid]), self.defs)
+        """(action, replacement threads) for every move of a state."""
+        items = self._items[sid]
+        marked = _marked(items)
+        out = []
+        for i, t in enumerate(items):
+            # markers have no moves; equal members are adjacent and have
+            # the same moves
+            if isinstance(t, TEmit) or (i and t == items[i - 1]):
+                continue
+            rest = items[:i] + items[i + 1:]
+            if isinstance(t, TCall):
+                dfn = self.defs[t.ident]
+                body = tail_substitute(dfn.body, dict(zip(dfn.params, t.args)))
+                out.append((TAU, rest + (body,)))
+                continue
+            if t.signal in marked:
+                out.append((TAU, rest + (t.then,)))
+            if t.signal in self._universe:
+                out.append((("in", t.signal),
+                            rest + (t.then, TEmit(t.signal, TNIL))))
+        return out
 
     def tau(self, sid):
         hit = self._tau.get(sid)
         if hit is None:
             hit = tuple(sorted({self.intern(items)
                                 for a, items in self._steps(sid)
-                                if a[0] == "tau"}))
+                                if a is TAU}))
             self._tau[sid] = hit
         return hit
 
@@ -491,14 +163,14 @@ class Space:
         if hit is None:
             table = {}
             for a, items in self._steps(sid):
-                if a[0] == "in" and a[1] in self.universe:
+                if a is not TAU:
                     table.setdefault(a[1], set()).add(self.intern(items))
             hit = {s: tuple(sorted(v)) for s, v in table.items()}
             self._ins[sid] = hit
         return hit
 
     def barbs(self, sid):
-        return frozenset(emitted_set(list(self._items[sid])))
+        return frozenset(_marked(self._items[sid]) & self._universe)
 
     def suspended(self, sid):
         return not self.tau(sid)
@@ -539,15 +211,19 @@ class Space:
         return False
 
     def eoi(self, sid):
+        """End of instant: drop the markers and pick each guard's branch by
+        the marked set."""
         if not self.suspended(sid):
             raise ValueError("end of instant on a running state")
-        items = list(self._items[sid])
-        S = emitted_set(items)
-        return self.intern(floor_items(items, S))
+        items = self._items[sid]
+        S = _marked(items)
+        return self.intern([select_branch(t.branch, S.__contains__)
+                            for t in items
+                            if isinstance(t, TPresent)])
 
     def with_emits(self, sid, signals):
-        items = list(self._items[sid]) + [PEmit(s) for s in sorted(signals)]
-        return self.intern(items)
+        return self.intern(self._items[sid]
+                           + tuple(TEmit(s, TNIL) for s in sorted(signals)))
 
     def weak_in(self, sid, signal):
         out = set()
@@ -586,7 +262,7 @@ class SuspensionReport:
 
 def suspension(program, state_limit=50_000):
     sp = space_for(program, state_limit=state_limit)
-    seed = sp.intern([tail_to_proc(t) for t in program.initial])
+    seed = sp.intern(program.initial)
     return SuspensionReport(sp.suspended(seed), sp.converges(seed),
                             sp.l_converges(seed))
 
@@ -620,14 +296,6 @@ class Inconclusive:
         return False
 
 
-def _subsets(names):
-    names = sorted(names)
-    out = [frozenset()]
-    for s in names:
-        out = out + [x | {s} for x in out]
-    return sorted(out, key=lambda x: (len(x), sorted(x)))
-
-
 def _show_set(S):
     return "{" + ",".join(sorted(S)) + "}"
 
@@ -639,7 +307,7 @@ class _Refinement:
     def __init__(self, sp1, sp2, universe):
         self.sp1 = sp1
         self.sp2 = sp2
-        self.subsets = _subsets(universe)
+        self.subsets = subsets(universe)
 
     def close(self, space, seed):
         seen = {seed}
@@ -765,26 +433,19 @@ def _instant_step(space, sid, inputs, fuel=100_000, pick_last=False):
 
 
 def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
-    subsets = _subsets(universe)
-    start = (seed1, seed2)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (a, b), word = queue.popleft()
-        if depth is not None and len(word) >= depth:
-            continue
-        for I in subsets:
-            o1, n1 = _instant_step(sp1, a, I)
-            o2, n2 = _instant_step(sp2, b, I)
-            if o1 != o2:
-                labels = tuple(f"inputs {_show_set(X)}" for X in word)
-                labels += (f"inputs {_show_set(I)} emit "
-                           f"{_show_set(o1)} versus {_show_set(o2)}",)
-                return Distinguished(labels)
-            nxt = (n1, n2)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (I,)))
+    def step(pair, I):
+        o1, n1 = _instant_step(sp1, pair[0], I)
+        o2, n2 = _instant_step(sp2, pair[1], I)
+        return o1, o2, (n1, n2)
+
+    found = shortest_separating_word((seed1, seed2), subsets(universe),
+                                     step, depth)
+    if found is not None:
+        word, o1, o2 = found
+        labels = tuple(f"inputs {_show_set(X)}" for X in word[:-1])
+        labels += (f"inputs {_show_set(word[-1])} emit "
+                   f"{_show_set(o1)} versus {_show_set(o2)}",)
+        return Distinguished(labels)
     if depth is not None:
         return Inconclusive(depth)
     return Equivalent()
@@ -797,47 +458,12 @@ def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
 def _calls_cyclic(program):
     edges = {}
     for name, d in program.defs.items():
-        acc = set()
-
-        def walk(t):
-            if isinstance(t, TEmit):
-                walk(t.next)
-            elif isinstance(t, TNew):
-                walk(t.body)
-            elif isinstance(t, TSpawn):
-                walk(t.spawned)
-                walk(t.next)
-            elif isinstance(t, TPresent):
-                walk(t.then)
-                walkb(t.branch)
-            elif isinstance(t, TCall):
-                acc.add(t.ident)
-
-        def walkb(b):
-            if isinstance(b, BLeaf):
-                walk(b.tail)
-            else:
-                walkb(b.then)
-                walkb(b.other)
-
-        walk(d.body)
-        edges[name] = acc
-    color = {}
-
-    def visit(u):
-        color[u] = 1
-        for v in edges.get(u, ()):
-            c = color.get(v)
-            if c == 1 or (c is None and visit(v)):
-                return True
-        color[u] = 2
-        return False
-
-    return any(visit(u) for u in edges if u not in color)
+        edges[name] = set()
+        tail_calls(d.body, edges[name], branches=True)
+    return _find_cycle(edges) is not None
 
 
 def _has_new(program):
-    from .mealy import _contains_new
     return any(_contains_new(t) for t in program.all_tails())
 
 
@@ -859,8 +485,8 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     universe = sorted(program_universe(p1) | program_universe(p2))
     sp1 = Space(p1, universe, state_limit)
     sp2 = Space(p2, universe, state_limit)
-    seed1 = sp1.intern([tail_to_proc(t) for t in p1.initial])
-    seed2 = sp2.intern([tail_to_proc(t) for t in p2.initial])
+    seed1 = sp1.intern(p1.initial)
+    seed2 = sp2.intern(p2.initial)
     if mode == BOUNDED:
         return _trace_game(sp1, seed1, sp2, seed2, universe, depth=depth)
     if mode == TRACE:
@@ -900,53 +526,43 @@ class ConfluenceViolation:
 
 def confluence_check(program, depth=6, state_limit=50_000):
     """Explore the transition system and verify, at every visited state:
-    the one-step diamond for every pair of moves, that emissions are
-    self-loops, that barbs persist across moves, and that an input leaves
-    the received signal observable."""
-    universe = program_universe(program)
-    sp = Space(program, universe, state_limit)
-    seed = sp.intern([tail_to_proc(t) for t in program.initial])
+    the one-step diamond for every pair of moves, that barbs persist
+    across moves, and that an input leaves the received signal
+    observable. Emissions are markers with no moves of their own."""
+    sp = space_for(program, state_limit=state_limit)
+    seed = sp.intern(program.initial)
+
+    def moves(sid):
+        out = [(TAU, t) for t in sp.tau(sid)]
+        for s, targets in sorted(sp.ins(sid).items()):
+            out.extend((("in", s), t) for t in targets)
+        return out
+
     seen = {seed: 0}
     queue = deque([seed])
     while queue:
         sid = queue.popleft()
         level = seen[sid]
-        moves = []
-        for action, items in _multiset_steps(list(sp.items(sid)), sp.defs):
-            if action[0] == "in" and action[1] not in universe:
-                continue
-            tgt = sp.intern(items)
-            moves.append((action, tgt))
-            if action[0] == "out" and tgt != sid:
-                return ConfluenceViolation(
-                    sp.show(sid), f"emission moved the state: {action[1]}")
+        succ = moves(sid)
+        for action, tgt in succ:
             if not (sp.barbs(sid) <= sp.barbs(tgt)):
                 return ConfluenceViolation(
                     sp.show(sid), f"barb lost across {action}")
             if action[0] == "in" and action[1] not in sp.barbs(tgt):
                 return ConfluenceViolation(
                     sp.show(sid), f"input {action[1]} left no emission")
-        succ_map = {}
-        for action, tgt in moves:
-            succ_map.setdefault(action, set()).add(tgt)
-        for i in range(len(moves)):
-            for j in range(i + 1, len(moves)):
-                a1, t1 = moves[i]
-                a2, t2 = moves[j]
+        for i, (a1, t1) in enumerate(succ):
+            for a2, t2 in succ[i + 1:]:
                 if t1 == t2:
                     continue
-                rejoin1 = {sp.intern(items) for action, items
-                           in _multiset_steps(list(sp.items(t1)), sp.defs)
-                           if action == a2}
-                rejoin2 = {sp.intern(items) for action, items
-                           in _multiset_steps(list(sp.items(t2)), sp.defs)
-                           if action == a1}
+                rejoin1 = {t for a, t in moves(t1) if a == a2}
+                rejoin2 = {t for a, t in moves(t2) if a == a1}
                 if not (rejoin1 & rejoin2):
                     return ConfluenceViolation(
                         sp.show(sid),
                         f"no rejoin for {a1} and {a2}")
         if level < depth:
-            for _, tgt in moves:
+            for _, tgt in succ:
                 if tgt not in seen:
                     seen[tgt] = level + 1
                     queue.append(tgt)

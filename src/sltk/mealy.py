@@ -24,6 +24,7 @@ from .errors import (
     SLError,
     StateExplosionError,
 )
+from .semantics import subsets
 from .tailcore import (
     BIte,
     BLeaf,
@@ -63,10 +64,8 @@ class MonotonicityViolation:
 
 
 def input_subsets(n):
-    out = [frozenset()]
-    for x in range(1, n + 1):
-        out = [s for s in out] + [s | {x} for s in out]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """Every subset of the wires 1..n, smallest first."""
+    return subsets(range(1, n + 1))
 
 
 def validate_mealy(machine):
@@ -411,25 +410,46 @@ class MealyWitness:
                         for X in self.word)
 
 
+def shortest_separating_word(start, letters, step, depth=None):
+    """Breadth-first search over pairs of states of two instant machines.
+
+    `step(pair, letter)` gives the two output sets and the next pair.
+    Returns (word, out1, out2) for a shortest word on whose last letter the
+    outputs differ, or None when no word of at most `depth` letters (any
+    length when depth is None) separates the machines.
+    """
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        pair, word = queue.popleft()
+        if depth is not None and len(word) >= depth:
+            continue
+        for X in letters:
+            out1, out2, nxt = step(pair, X)
+            if out1 != out2:
+                return word + (X,), out1, out2
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (X,)))
+    return None
+
+
 def mealy_trace_equiv(m1, m2):
     """Product reachability; the witness, when any, is a shortest input word
     on which the two machines emit different output sets."""
     if (m1.n, m1.m) != (m2.n, m2.m):
         raise ValueError("machines have different interfaces")
-    subsets = input_subsets(m1.n)
-    start = (m1.init, m2.init)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (s1, s2), word = queue.popleft()
-        for X in subsets:
-            if m1.output[(s1, X)] != m2.output[(s2, X)]:
-                return MealyWitness(word + (X,))
-            nxt = (m1.next_state[(s1, X)], m2.next_state[(s2, X)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (X,)))
-    return MealyEquivalent()
+
+    def step(pair, X):
+        s1, s2 = pair
+        return (m1.output[(s1, X)], m2.output[(s2, X)],
+                (m1.next_state[(s1, X)], m2.next_state[(s2, X)]))
+
+    found = shortest_separating_word((m1.init, m2.init),
+                                     input_subsets(m1.n), step)
+    if found is None:
+        return MealyEquivalent()
+    return MealyWitness(found[0])
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,7 @@ def check_strong_confluence(program, max_states=5000, max_instants=2,
     number of states examined.
     """
     defs = program.defs
-    input_subsets = _subsets(program.inputs)
+    input_subsets = subsets(program.inputs)
     start_counter = next_gen_index(program)
 
     def boundary_states(threads, instants_left):
@@ -441,9 +441,9 @@ def _step_index(threads, env, defs, i):
     return tuple(nxt), env2
 
 
-def _subsets(names):
-    names = list(names)
+def subsets(names):
+    """Every subset of names, smallest first, equal sizes in sorted order."""
     out = [frozenset()]
     for n in names:
         out += [s | {n} for s in out]
-    return out
+    return sorted(out, key=lambda s: (len(s), sorted(s)))

@@ -241,6 +241,36 @@ def tail_signal_occurrences(t):
     return out
 
 
+def tail_rename_all(t, mapping):
+    """Apply a name map to every signal occurrence, binders included."""
+    if isinstance(t, TNil):
+        return t
+    if isinstance(t, TEmit):
+        return TEmit(mapping.get(t.signal, t.signal),
+                     tail_rename_all(t.next, mapping))
+    if isinstance(t, TNew):
+        return TNew(mapping.get(t.bound, t.bound),
+                    tail_rename_all(t.body, mapping))
+    if isinstance(t, TSpawn):
+        return TSpawn(tail_rename_all(t.spawned, mapping),
+                      tail_rename_all(t.next, mapping))
+    if isinstance(t, TPresent):
+        return TPresent(mapping.get(t.signal, t.signal),
+                        tail_rename_all(t.then, mapping),
+                        branch_rename_all(t.branch, mapping))
+    if isinstance(t, TCall):
+        return TCall(t.ident, tuple(mapping.get(a, a) for a in t.args))
+    raise TypeError(f"not a tail thread: {t!r}")
+
+
+def branch_rename_all(b, mapping):
+    if isinstance(b, BLeaf):
+        return BLeaf(tail_rename_all(b.tail, mapping))
+    return BIte(mapping.get(b.signal, b.signal),
+                branch_rename_all(b.then, mapping),
+                branch_rename_all(b.other, mapping))
+
+
 def tail_freshen_apart(t, supply):
     """Rename every bound signal to a fresh name from the supply."""
     if isinstance(t, (TNil, TCall)):
@@ -512,10 +542,11 @@ def can_step_tail(t, env, defs):
     return True
 
 
-def select_branch(b, env):
-    """Evaluate a conditional tree against the instant's final environment."""
+def select_branch(b, present):
+    """Evaluate a conditional tree by the instant's final emissions, given
+    as a predicate on signals."""
     while isinstance(b, BIte):
-        b = b.then if env.present(b.signal) else b.other
+        b = b.then if present(b.signal) else b.other
     return b.tail
 
 
@@ -525,7 +556,7 @@ def end_of_instant_tail(threads, env, defs=None):
         if isinstance(t, TNil):
             out.append(t)
         elif isinstance(t, TPresent) and not env.present(t.signal):
-            out.append(select_branch(t.branch, env))
+            out.append(select_branch(t.branch, env.present))
         else:
             raise NotSuspendedError(print_tail(t))
     return tuple(out)
@@ -608,21 +639,10 @@ def run_trace_tail(program, input_sets, policy=DETERMINISTIC, seed=0,
 
 
 class _TailOps:
-    @staticmethod
-    def occurrences(t):
-        return tail_signal_occurrences(t)
-
-    @staticmethod
-    def rename(t, mapping):
-        return tail_substitute(t, mapping)
-
-    @staticmethod
-    def freshen(t, supply):
-        return tail_freshen_apart(t, supply)
-
-    @staticmethod
-    def show(t):
-        return print_tail(t)
+    occurrences = staticmethod(tail_signal_occurrences)
+    rename = staticmethod(tail_rename_all)
+    freshen = staticmethod(tail_freshen_apart)
+    show = staticmethod(print_tail)
 
 
 def canonicalize_tail(threads, interface):
@@ -643,21 +663,30 @@ def tail_alpha_key(t):
 from .analysis import Accept, Reject, _find_cycle  # noqa: E402
 
 
-def _instant_calls(t, acc):
-    """Identifiers reachable from t without crossing an instant boundary."""
-    if isinstance(t, TNil):
-        return
+def tail_calls(t, acc, branches=False):
+    """Identifiers t calls. Without `branches`, only those reachable
+    without crossing an instant boundary."""
     if isinstance(t, TEmit):
-        _instant_calls(t.next, acc)
+        tail_calls(t.next, acc, branches)
     elif isinstance(t, TNew):
-        _instant_calls(t.body, acc)
+        tail_calls(t.body, acc, branches)
     elif isinstance(t, TSpawn):
-        _instant_calls(t.spawned, acc)
-        _instant_calls(t.next, acc)
+        tail_calls(t.spawned, acc, branches)
+        tail_calls(t.next, acc, branches)
     elif isinstance(t, TPresent):
-        _instant_calls(t.then, acc)
+        tail_calls(t.then, acc, branches)
+        if branches:
+            _branch_calls(t.branch, acc)
     elif isinstance(t, TCall):
         acc.add(t.ident)
+
+
+def _branch_calls(b, acc):
+    if isinstance(b, BLeaf):
+        tail_calls(b.tail, acc, True)
+    else:
+        _branch_calls(b.then, acc)
+        _branch_calls(b.other, acc)
 
 
 def check_reactivity_tail(program):
@@ -669,11 +698,11 @@ def check_reactivity_tail(program):
     edges = {}
     for name, d in program.defs.items():
         acc = set()
-        _instant_calls(d.body, acc)
+        tail_calls(d.body, acc)
         edges[name] = acc
     roots = set()
     for t in program.initial:
-        _instant_calls(t, roots)
+        tail_calls(t, roots)
     for r in roots - set(edges):
         edges[r] = set()
     cycle = _find_cycle(edges)

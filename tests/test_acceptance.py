@@ -32,7 +32,6 @@ from sltk.equiv import (
     _has_new,
     bisim_check,
     space_for,
-    tail_to_proc,
 )
 from sltk.mealy import mealy_to_program, mealy_trace_equiv, program_to_mealy
 from sltk.semantics import (
@@ -431,7 +430,7 @@ def test_criterion_7_bisimulation():
 
 def _sweep_states(p):
     sp = space_for(p)
-    seed = sp.intern([tail_to_proc(t) for t in p.initial])
+    seed = sp.intern(p.initial)
     seen = {seed}
     queue = [seed]
     while queue:

@@ -65,7 +65,8 @@ GEN_SLT = """
 NU_CYCLE_SLT = """
 (input s1 s2)
 (output s3)
-(def (G) (new x (emit! x (present x (present %pause 0 (call G)) 0))))
+(def (K x) (present x 0 (call K x)))
+(def (G) (new x (thread! (call K x) (present %pause 0 (call G)))))
 (run (call G))
 """
 
@@ -273,6 +274,25 @@ def test_equiv_mode_limits(tmp_path, capsys):
                           "--state-limit", "200")
     assert code == 5
     assert err.startswith("limit: state space exceeded")
+
+
+DEEP = 3000
+
+
+def test_run_reports_deep_nesting_as_a_limit(tmp_path, capsys):
+    prog = put(tmp_path, "deep.sl", "(input s1) (output o) (run (seq"
+               + " (emit o)" * DEEP + "))")
+    code, out, err = invoke(capsys, "run", prog)
+    assert (code, out) == (5, "")
+    assert err.startswith("limit: program nested too deeply")
+
+
+def test_equiv_reports_deep_nesting_as_a_limit(tmp_path, capsys):
+    prog = put(tmp_path, "deep.slt", "(input s1) (output o) (run"
+               + " (emit! o" * DEEP + " 0" + ")" * DEEP + ")")
+    code, out, err = invoke(capsys, "equiv", prog, prog)
+    assert (code, out) == (5, "")
+    assert err.startswith("limit: program nested too deeply")
 
 
 def test_encode_cm_writes_valid_source(tmp_path, capsys):

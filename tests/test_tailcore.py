@@ -158,6 +158,15 @@ def test_canonicalize_tail_identifies_alpha_variants():
         canonicalize_tail([TNIL, t2], interface)
 
 
+def test_canonicalize_tail_renames_binders_whatever_the_order():
+    a = parse_tail_program(
+        "(output o) (run (new x (emit! x (present x (emit! o 0) 0))))")
+    b = parse_tail_program("(output o) (run (new y (present y 0 (emit! o 0))))")
+    threads = [a.initial[0], b.initial[0]]
+    assert canonicalize_tail(threads, {"o"}) == \
+        canonicalize_tail(threads[::-1], {"o"})
+
+
 def test_end_of_instant_rejects_runnable_threads():
     env = Env({"s2": False, PAUSE_SIGNAL: False}, 0)
     with pytest.raises(NotSuspendedError):
