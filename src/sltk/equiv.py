@@ -28,6 +28,7 @@ from .analysis import _find_cycle
 from .errors import (
     FuelExhaustedError,
     NotFiniteStateError,
+    NotSuspendedError,
     StateExplosionError,
 )
 from .mealy import _contains_new, shortest_separating_word
@@ -84,9 +85,11 @@ def _marked(items):
 class Space:
     """Canonical reachable states of one tail program.
 
-    States are interned canonical multisets of lifted threads; transitions,
-    suspension, barbs, instant boundaries and emission contexts are
-    computed on demand and cached by state id.
+    States are interned canonical multisets of lifted threads. Transitions
+    and weak closures are computed on demand and cached by state id, and
+    so are the two moves of a context: `eoi(sid)` ends the instant and is
+    cached by state id; `with_emits(sid, S)` emits the signals S into the
+    instant and is cached by state id and signal set.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -105,6 +108,8 @@ class Space:
         self._tau = {}
         self._ins = {}
         self._weak = {}
+        self._eoi = {}
+        self._emits = {}
 
     def intern(self, items):
         members, marks = [], set()
@@ -213,17 +218,38 @@ class Space:
     def eoi(self, sid):
         """End of instant: drop the markers and pick each guard's branch by
         the marked set."""
-        if not self.suspended(sid):
-            raise ValueError("end of instant on a running state")
-        items = self._items[sid]
-        S = _marked(items)
-        return self.intern([select_branch(t.branch, S.__contains__)
-                            for t in items
-                            if isinstance(t, TPresent)])
+        hit = self._eoi.get(sid)
+        if hit is None:
+            if not self.suspended(sid):
+                raise NotSuspendedError(self.show(sid))
+            items = self._items[sid]
+            S = _marked(items)
+            hit = self.intern([select_branch(t.branch, S.__contains__)
+                               for t in items
+                               if isinstance(t, TPresent)])
+            self._eoi[sid] = hit
+        return hit
 
     def with_emits(self, sid, signals):
-        return self.intern(self._items[sid]
-                           + tuple(TEmit(s, TNIL) for s in sorted(signals)))
+        """The state after the context emits `signals` into the instant."""
+        signals = frozenset(signals)
+        hit = self._emits.get((sid, signals))
+        if hit is None:
+            items = self._items[sid]
+            new = signals - _marked(items)
+            if not new:
+                hit = sid
+            else:
+                markers = tuple(TEmit(s, TNIL) for s in sorted(new))
+                # Canonical tuples are sorted by printed form. The merge is
+                # the multiset intern would lift, so if it is interned
+                # already it is that state, whatever _canon makes of it.
+                hit = self._ids.get(tuple(sorted(items + markers,
+                                                 key=print_tail)))
+                if hit is None:
+                    hit = self.intern(items + markers)
+            self._emits[sid, signals] = hit
+        return hit
 
     def weak_in(self, sid, signal):
         out = set()
@@ -482,6 +508,8 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     instant machines directly. bounded plays the trace game for `depth`
     instants and never certifies equivalence.
     """
+    if mode not in (EXACT, TRACE, BOUNDED):
+        raise ValueError(f"unknown mode: {mode}")
     universe = sorted(program_universe(p1) | program_universe(p2))
     sp1 = Space(p1, universe, state_limit)
     sp2 = Space(p2, universe, state_limit)
@@ -491,8 +519,6 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
         return _trace_game(sp1, seed1, sp2, seed2, universe, depth=depth)
     if mode == TRACE:
         return _trace_game(sp1, seed1, sp2, seed2, universe)
-    if mode != EXACT:
-        raise ValueError(f"unknown mode: {mode}")
     acyclic = not _calls_cyclic(p1) and not _calls_cyclic(p2)
     if acyclic:
         return _Refinement(sp1, sp2, universe).run(seed1, seed2)

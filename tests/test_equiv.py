@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from sltk import equiv
 from sltk.equiv import (
     BOUNDED,
     EXACT,
@@ -17,7 +18,9 @@ from sltk.equiv import (
     space_for,
     suspension,
 )
-from sltk.tailcore import parse_tail_program
+from sltk.errors import NotSuspendedError
+from sltk.semantics import subsets
+from sltk.tailcore import TEmit, TNIL, parse_tail_program
 
 from .corpus import TAIL_TEXTS, finite_corpus, seeded, tail_corpus
 
@@ -290,3 +293,79 @@ def test_distinguishing_witness_replays():
     verdict = bisim_check(tp(REMARK_P), tp(REMARK_Q), mode=EXACT)
     steps = verdict.render().split(" then ")
     assert len(steps) >= 2
+
+
+@pytest.mark.parametrize("left, right, witness", [
+    ("f_both", "f_def_chain",
+     "input s1 then context emits {} then emitted s3 observable"),
+    ("f_chain_swap", "f_def_chain",
+     "context emits {s1} then emitted s3 observable"),
+    ("f_both", "f_pause_branch",
+     "context emits {s1}, instant ends then emitted s3 observable"),
+    ("f_chain_swap", "f_nil",
+     "context emits {s1,s2} then emitted s3 observable"),
+])
+def test_exact_witnesses_are_stable(left, right, witness):
+    programs = dict(finite_corpus())
+    verdict = bisim_check(programs[left], programs[right], mode=EXACT)
+    assert isinstance(verdict, Distinguished)
+    assert verdict.render() == witness
+
+
+def test_unknown_mode_is_rejected_before_any_state_is_built(monkeypatch):
+    def no_space(*args, **kwargs):
+        raise AssertionError("a state space was built")
+    monkeypatch.setattr(equiv, "Space", no_space)
+    with pytest.raises(ValueError, match="unknown mode"):
+        bisim_check(tp(REMARK_P), tp(REMARK_Q), mode="fuzzy")
+
+
+def test_end_of_instant_on_a_running_state_is_refused():
+    running = """
+(input s1 s2)
+(output s3)
+(def (F) (emit! s3 0))
+(run (call F))
+"""
+    p = tp(running)
+    space = space_for(p)
+    sid = space.intern(p.initial)
+    assert not space.suspended(sid)
+    for _ in range(2):
+        with pytest.raises(NotSuspendedError, match=r"\(call F\)"):
+            space.eoi(sid)
+
+
+def _closed_spaces():
+    programs = dict(finite_corpus())
+    for p in (tp(REMARK_P), tp(REMARK_Q), programs["f_both"],
+              programs["f_def_chain"]):
+        space = space_for(p)
+        universe = space.universe
+        seed = space.intern(p.initial)
+        states = equiv._Refinement(space, space, universe).close(space, seed)
+        yield space, sorted(states), subsets(universe)
+
+
+def test_context_moves_are_memoized_exactly(monkeypatch):
+    for space, states, inputs in _closed_spaces():
+        for sid in states:
+            for S in inputs:
+                markers = tuple(TEmit(s, TNIL) for s in sorted(S))
+                expected = space.intern(space._items[sid] + markers)
+                assert space.with_emits(sid, S) == expected
+                if S <= space.barbs(sid):
+                    assert space.with_emits(sid, S) == sid
+        calls = []
+        intern = space.intern
+
+        def counting_intern(items):
+            calls.append(items)
+            return intern(items)
+        monkeypatch.setattr(space, "intern", counting_intern)
+        for sid in states:
+            for S in inputs:
+                space.with_emits(sid, set(S))
+            if space.suspended(sid):
+                space.eoi(sid)
+        assert calls == []
