@@ -42,6 +42,8 @@ def main():
         if "halt" in outputs:
             print(f"encoding emitted halt at instant {k}")
             break
+        # threads= counts live threads only: terminated ones leave the
+        # residual at the end of each instant, so it stays small.
         if k < 14:
             print(f"instant {k:2d}: outputs={sorted(outputs)} "
                   f"threads={len(runner.threads)}")

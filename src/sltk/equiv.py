@@ -85,9 +85,9 @@ def _marked(items):
 class Space:
     """Canonical reachable states of one tail program.
 
-    States are interned canonical multisets of lifted threads. Transitions
-    and weak closures are computed on demand and cached by state id, and
-    so are the two moves of a context: `eoi(sid)` ends the instant and is
+    States are interned canonical multisets of lifted threads. Transitions,
+    weak closures and barbs are computed on demand and cached by state id,
+    and so are the two moves of a context: `eoi(sid)` ends the instant and is
     cached by state id; `with_emits(sid, S)` emits the signals S into the
     instant and is cached by state id and signal set.
     """
@@ -108,6 +108,7 @@ class Space:
         self._tau = {}
         self._ins = {}
         self._weak = {}
+        self._barbs = {}
         self._eoi = {}
         self._emits = {}
 
@@ -175,7 +176,11 @@ class Space:
         return hit
 
     def barbs(self, sid):
-        return frozenset(_marked(self._items[sid]) & self._universe)
+        hit = self._barbs.get(sid)
+        if hit is None:
+            hit = frozenset(_marked(self._items[sid]) & self._universe)
+            self._barbs[sid] = hit
+        return hit
 
     def suspended(self, sid):
         return not self.tau(sid)

@@ -9,6 +9,8 @@ rewrite turns the suspended multiset into the next instant's program.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -54,13 +56,18 @@ class Env:
     Names at or beyond the counter are undefined; fresh() moves one of them
     into the map (absent), which is how signal generation gets a name no
     other thread can mention.
+
+    `emitted` logs each signal that emit() turns from absent to present, once
+    per instant. The scheduler drains it after every step to wake the threads
+    parked on those signals; a copy starts with an empty log.
     """
 
-    __slots__ = ("defined", "counter")
+    __slots__ = ("defined", "counter", "emitted")
 
     def __init__(self, defined, counter):
         self.defined = dict(defined)
         self.counter = counter
+        self.emitted = []
 
     def fresh(self):
         name = f"%g{self.counter}"
@@ -78,9 +85,9 @@ class Env:
             raise UnboundSignalError(signal) from None
 
     def emit(self, signal):
-        if signal not in self.defined:
-            raise UnboundSignalError(signal)
-        self.defined[signal] = True
+        if not self.present(signal):
+            self.defined[signal] = True
+            self.emitted.append(signal)
 
     def copy(self):
         return Env(self.defined, self.counter)
@@ -198,6 +205,15 @@ def can_step(t, env, defs):
     return True
 
 
+def waits_on(t):
+    """The signal a suspended thread awaits, or None when it is paused or
+    terminated."""
+    d = decompose(t)
+    if d is not None and isinstance(d[1], Await):
+        return d[1].signal
+    return None
+
+
 def _floor(t, env):
     if isinstance(t, Nil):
         return NIL
@@ -223,48 +239,97 @@ def end_of_instant(threads, env, defs=None):
     return tuple(_floor(t, env) for t in threads)
 
 
-def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn):
+def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn,
+                waits_on_fn, env):
     """Drive a thread list to suspension under a scheduling policy.
 
     The deterministic policy always steps the lowest-index runnable thread;
     the random policy draws uniformly among runnable threads. Spawned
     threads append at the end of the list.
+
+    The driver is event-driven. A thread found unable to step is parked on
+    the signal `waits_on_fn` names, or set aside for the instant when that is
+    None (paused or terminated). After each step the signals `env.emitted`
+    logged are drained and the threads parked on them are woken. Presence
+    only grows within an instant, so the invariant holds: every runnable
+    thread is a candidate, every parked thread awaits an absent signal, and
+    every other thread is paused or terminated until the instant ends. An
+    instant thus costs a few probes per step and per thread, not a rescan of
+    every thread after every step.
     """
     threads = list(threads)
+    waiting = {}
     steps = 0
+
+    def park(i):
+        s = waits_on_fn(threads[i])
+        if s is not None:
+            waiting.setdefault(s, []).append(i)
+
+    def woken():
+        out = []
+        for s in env.emitted:
+            out.extend(waiting.pop(s, ()))
+        env.emitted.clear()
+        return out
+
     if policy == DETERMINISTIC:
-        while True:
-            out = None
-            for i, t in enumerate(threads):
-                out = try_step_fn(t)
-                if out is not None:
-                    break
-            if out is None:
-                return threads, steps
-            if steps >= fuel:
-                raise FuelExhaustedError(steps)
-            t2, spawned = out
-            threads[i] = t2
-            threads.extend(spawned)
-            steps += 1
-    if policy == RANDOM:
-        while True:
-            runnable = [i for i, t in enumerate(threads) if can_step_fn(t)]
-            if not runnable:
-                return threads, steps
-            if steps >= fuel:
-                raise FuelExhaustedError(steps)
-            i = runnable[rng.randrange(len(runnable))]
+        heap = list(range(len(threads)))
+        while heap:
+            i = heapq.heappop(heap)
             out = try_step_fn(threads[i])
+            if out is None:
+                park(i)
+                continue
+            if steps >= fuel:
+                raise FuelExhaustedError(steps)
             t2, spawned = out
             threads[i] = t2
-            threads.extend(spawned)
+            heapq.heappush(heap, i)
+            for t in spawned:
+                heapq.heappush(heap, len(threads))
+                threads.append(t)
+            for j in woken():
+                heapq.heappush(heap, j)
             steps += 1
+        return threads, steps
+    if policy == RANDOM:
+        runnable = []
+        for i, t in enumerate(threads):
+            if can_step_fn(t):
+                runnable.append(i)
+            else:
+                park(i)
+        while runnable:
+            if steps >= fuel:
+                raise FuelExhaustedError(steps)
+            k = rng.randrange(len(runnable))
+            i = runnable[k]
+            t2, spawned = try_step_fn(threads[i])
+            threads[i] = t2
+            if not can_step_fn(t2):
+                del runnable[k]
+                park(i)
+            for t in spawned:
+                threads.append(t)
+                if can_step_fn(t):
+                    runnable.append(len(threads) - 1)
+                else:
+                    park(len(threads) - 1)
+            for j in woken():
+                bisect.insort(runnable, j)
+            steps += 1
+        return threads, steps
     raise ValueError(f"unknown policy: {policy}")
 
 
 @dataclass(frozen=True)
 class InstantResult:
+    """One instant's outputs, the next instant's threads and the step count.
+
+    The residual omits terminated threads (`0 | P` is `P`).
+    """
+
     outputs: frozenset
     residual: tuple
     steps: int
@@ -281,7 +346,12 @@ def _env_domain(program, threads):
 
 
 class Runner:
-    """Runs a program instant by instant, carrying the fresh-name counter."""
+    """Runs a program instant by instant, carrying the fresh-name counter.
+
+    Each instant is driven by `run_threads`; the threads left after the
+    end-of-instant rewrite, less the terminated ones, are the next instant's
+    program.
+    """
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0, fuel=DEFAULT_FUEL):
         self.program = program
@@ -303,11 +373,13 @@ class Runner:
         threads, steps = run_threads(
             self.threads, self.policy, self.rng, self.fuel,
             lambda t: try_step(t, env, defs),
-            lambda t: can_step(t, env, defs))
+            lambda t: can_step(t, env, defs),
+            waits_on, env)
         self.gen_counter = env.counter
         outputs = frozenset(
             s for s in self.program.outputs if env.defined.get(s, False))
-        residual = end_of_instant(threads, env)
+        residual = tuple(t for t in end_of_instant(threads, env)
+                         if not isinstance(t, Nil))
         self.threads = list(residual)
         return InstantResult(outputs, residual, steps)
 

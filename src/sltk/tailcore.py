@@ -542,6 +542,12 @@ def can_step_tail(t, env, defs):
     return True
 
 
+def waits_on_tail(t):
+    """The signal a suspended tail thread tests (%pause when paused), or
+    None when it is terminated."""
+    return t.signal if isinstance(t, TPresent) else None
+
+
 def select_branch(b, present):
     """Evaluate a conditional tree by the instant's final emissions, given
     as a predicate on signals."""
@@ -588,7 +594,9 @@ def _tail_env_domain(program, threads):
 
 
 class TailRunner:
-    """Instant-by-instant execution of a tail program."""
+    """Instant-by-instant execution of a tail program, through the same
+    `run_threads` driver as `Runner`; the residual omits terminated
+    threads."""
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0,
                  fuel=DEFAULT_FUEL):
@@ -611,11 +619,13 @@ class TailRunner:
         threads, steps = run_threads(
             self.threads, self.policy, self.rng, self.fuel,
             lambda t: try_step_tail(t, env, defs),
-            lambda t: can_step_tail(t, env, defs))
+            lambda t: can_step_tail(t, env, defs),
+            waits_on_tail, env)
         self.gen_counter = env.counter
         outputs = frozenset(
             s for s in self.program.outputs if env.defined.get(s, False))
-        residual = end_of_instant_tail(threads, env)
+        residual = tuple(t for t in end_of_instant_tail(threads, env)
+                         if not isinstance(t, TNil))
         self.threads = list(residual)
         return InstantResult(outputs, residual, steps)
 

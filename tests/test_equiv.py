@@ -356,6 +356,7 @@ def test_context_moves_are_memoized_exactly(monkeypatch):
                 assert space.with_emits(sid, S) == expected
                 if S <= space.barbs(sid):
                     assert space.with_emits(sid, S) == sid
+            assert space.barbs(sid) is space.barbs(sid)
         calls = []
         intern = space.intern
 

@@ -1,19 +1,32 @@
 import itertools
+import random
 
 import pytest
 
-from sltk.errors import FuelExhaustedError, NotSuspendedError
+from sltk import semantics, tailcore
+from sltk.cps import cps_program
+from sltk.encodings import encode_counter_machine
+from sltk.errors import (
+    FuelExhaustedError,
+    NotSuspendedError,
+    UnboundSignalError,
+)
 from sltk.semantics import (
+    DEFAULT_FUEL,
     DETERMINISTIC,
     RANDOM,
     Env,
     Runner,
+    _env_domain,
+    can_step,
     canonical_residual,
     check_strong_confluence,
     decompose,
     end_of_instant,
     plug,
     run_trace,
+    subsets,
+    try_step,
 )
 from sltk.syntax import (
     NIL,
@@ -26,10 +39,22 @@ from sltk.syntax import (
     Seq,
     Spawn,
     Watch,
+    next_gen_index,
     parse_program,
+)
+from sltk.tailcore import (
+    TailRunner,
+    TNil,
+    _tail_env_domain,
+    can_step_tail,
+    end_of_instant_tail,
+    run_trace_tail,
+    tail_next_gen_index,
+    try_step_tail,
 )
 
 from .corpus import SOURCE_TEXTS, confluence_corpus, source_corpus
+from .test_encodings import LOOPING
 
 
 def prog(name):
@@ -143,6 +168,34 @@ def test_divergent_instant_exhausts_fuel():
 """)
     with pytest.raises(FuelExhaustedError):
         run_trace(p, [frozenset()], fuel=1000)
+    with pytest.raises(FuelExhaustedError):
+        run_trace(p, [frozenset()], policy=RANDOM, seed=3, fuel=1000)
+    image = cps_program(p).program
+    for policy in (DETERMINISTIC, RANDOM):
+        with pytest.raises(FuelExhaustedError):
+            run_trace_tail(image, [frozenset()], policy=policy, fuel=1000)
+
+
+def test_terminated_threads_leave_the_residual():
+    p = prog("emit_once")
+    for runner in (Runner(p), TailRunner(cps_program(p).program)):
+        res = runner.run_instant(frozenset())
+        assert res.outputs == frozenset({"s3"})
+        assert res.residual == () and runner.threads == []
+        for _ in range(2):
+            assert runner.run_instant(frozenset()) == \
+                semantics.InstantResult(frozenset(), (), 0)
+
+
+def test_emit_logs_a_signal_once_and_rejects_unbound_ones():
+    env = Env({"s1": False, "s2": True}, 0)
+    env.emit("s1")
+    env.emit("s1")
+    env.emit("s2")
+    assert env.emitted == ["s1"]
+    assert env.present("s1") and env.present("s2")
+    with pytest.raises(UnboundSignalError):
+        env.emit("s9")
 
 
 def test_end_of_instant_rejects_runnable_threads():
@@ -177,6 +230,163 @@ def test_confluence_explorer_covers_small_programs():
     for name, p in confluence_corpus()[:4]:
         count = check_strong_confluence(p, max_states=5000, max_instants=2)
         assert count >= 1, name
+
+
+# ---------------------------------------------------------------------------
+# the event-driven scheduler against a rescanning reference
+
+
+def _rescanning_run_threads(threads, policy, rng, fuel, try_step_fn,
+                            can_step_fn):
+    """Reference driver: after every step, rescan every thread."""
+    threads = list(threads)
+    steps = 0
+    if policy == DETERMINISTIC:
+        while True:
+            out = None
+            for i, t in enumerate(threads):
+                out = try_step_fn(t)
+                if out is not None:
+                    break
+            if out is None:
+                return threads, steps
+            if steps >= fuel:
+                raise FuelExhaustedError(steps)
+            t2, spawned = out
+            threads[i] = t2
+            threads.extend(spawned)
+            steps += 1
+    while True:
+        runnable = [i for i, t in enumerate(threads) if can_step_fn(t)]
+        if not runnable:
+            return threads, steps
+        if steps >= fuel:
+            raise FuelExhaustedError(steps)
+        i = runnable[rng.randrange(len(runnable))]
+        t2, spawned = try_step_fn(threads[i])
+        threads[i] = t2
+        threads.extend(spawned)
+        steps += 1
+
+
+SOURCE_ENGINE = (next_gen_index, _env_domain, try_step, can_step,
+                 end_of_instant, Nil)
+TAIL_ENGINE = (tail_next_gen_index, _tail_env_domain, try_step_tail,
+               can_step_tail, end_of_instant_tail, TNil)
+
+
+def _reference_records(program, engine, policy, seed, word):
+    """Per-instant (outputs, steps, gen counter, residual) of the rescanning
+    driver. Terminated threads are dropped between instants: that removes
+    threads no policy can pick and keeps the others in order, so it changes
+    no choice of either policy."""
+    gen_index, domain, step, can, floor, nil = engine
+    rng = random.Random(seed)
+    gen = gen_index(program)
+    threads = list(program.initial)
+    defs = program.defs
+    out = []
+    for inputs in word:
+        env = Env({s: s in inputs for s in domain(program, threads)}, gen)
+        threads, steps = _rescanning_run_threads(
+            threads, policy, rng, DEFAULT_FUEL,
+            lambda t: step(t, env, defs), lambda t: can(t, env, defs))
+        gen = env.counter
+        outputs = frozenset(s for s in program.outputs if env.defined[s])
+        threads = [t for t in floor(threads, env) if not isinstance(t, nil)]
+        out.append((outputs, steps, gen, tuple(threads)))
+    return out
+
+
+def _runner_records(runner, word, nil):
+    """Per-instant records of a runner, and the work it did: its steps plus
+    the threads present at the start of each instant."""
+    out = []
+    work = 0
+    for inputs in word:
+        work += len(runner.threads)
+        res = runner.run_instant(inputs)
+        work += res.steps
+        assert not any(isinstance(t, nil) for t in res.residual)
+        assert list(res.residual) == runner.threads
+        out.append((res.outputs, res.steps, runner.gen_counter,
+                    res.residual))
+    return out, work
+
+
+SCHEDULES = [(DETERMINISTIC, 0), (RANDOM, 3), (RANDOM, 17), (RANDOM, 42)]
+
+
+def _engines(p):
+    image = cps_program(p).program
+    return ((Runner, p, SOURCE_ENGINE, Nil),
+            (TailRunner, image, TAIL_ENGINE, TNil))
+
+
+# The probe bound is checked over 100 instants under one schedule of each
+# policy; the reference, whose cost grows with every instant, over 60.
+PROBED_SCHEDULES = SCHEDULES[:2]
+PROBED_INSTANTS = 100
+ORACLE_INSTANTS = 60
+
+
+@pytest.fixture(scope="module")
+def looping_runs():
+    """The looping machine under each runner and schedule: (program, engine,
+    records, probes, work) per run, counting calls of the step and
+    runnability probes."""
+    probes = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            probes[0] += 1
+            return fn(*args)
+        return wrapper
+
+    p = encode_counter_machine(LOOPING)
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((semantics, "try_step"),
+                             (semantics, "can_step"),
+                             (tailcore, "try_step_tail"),
+                             (tailcore, "can_step_tail")):
+            mp.setattr(module, name, counting(getattr(module, name)))
+        for runner_cls, program, engine, nil in _engines(p):
+            for policy, seed in SCHEDULES:
+                probed = (policy, seed) in PROBED_SCHEDULES
+                word = [frozenset()] * (PROBED_INSTANTS if probed
+                                        else ORACLE_INSTANTS)
+                probes[0] = 0
+                records, work = _runner_records(
+                    runner_cls(program, policy=policy, seed=seed), word, nil)
+                runs[runner_cls, policy, seed] = (program, engine, records,
+                                                  probes[0], work)
+    return runs
+
+
+def test_scheduler_matches_the_rescanning_reference(looping_runs):
+    for name, p in source_corpus():
+        inputs = subsets(p.inputs)
+        word = [inputs[k % len(inputs)] for k in range(6)]
+        for runner_cls, program, engine, nil in _engines(p):
+            for policy, seed in SCHEDULES:
+                got, _ = _runner_records(
+                    runner_cls(program, policy=policy, seed=seed), word, nil)
+                want = _reference_records(program, engine, policy, seed,
+                                          word)
+                assert got == want, (name, runner_cls.__name__, policy, seed)
+    word = [frozenset()] * ORACLE_INSTANTS
+    for key, (program, engine, records, _, _) in looping_runs.items():
+        _, policy, seed = key
+        want = _reference_records(program, engine, policy, seed, word)
+        assert records[:ORACLE_INSTANTS] == want, key
+
+
+def test_probes_stay_within_a_constant_of_the_work(looping_runs):
+    for key, (_, _, records, probes, work) in looping_runs.items():
+        if key[1:] in PROBED_SCHEDULES:
+            assert len(records) == PROBED_INSTANTS
+            assert probes <= 3 * work, (key, probes, work)
 
 
 # ---------------------------------------------------------------------------
