@@ -1,20 +1,35 @@
-"""Canonical forms for multisets of terms with bound and generated names.
+"""Generic walkers and canonical forms for the two term families.
 
-The two term families (source threads and tail threads) share the same
-renaming discipline: interface names are fixed, every other name may
-be renamed by a bijection. A canonical form renames those names to %g0, %g1,
-... so that two multisets are equal after canonicalization exactly when such
-a bijection between them exists.
+Source threads (`syntax.Thread`) and tail threads (`tailcore.Tail` and
+`tailcore.Branch`) describe every node class once, by a `SHAPE` class
+attribute: one kind per dataclass field, in constructor order. The walkers
+pair it with the field names in `__match_args__`, which a dataclass lists
+in that same order.
 
-Each family supplies an ops object with four functions:
+    SIG    one signal name
+    SIGS   a tuple of signal names (the arguments of a call)
+    BIND   a binder; it scopes over the SUB field right after it
+    SUB    a subterm
+    KEEP   a field no walker looks into (the identifier of a call)
 
-    occurrences(t)   yield every signal name in t in a fixed pre-order
-    rename(t, m)     apply a name map to every occurrence, bound or free
-    freshen(t, supply)  rename binders apart using names from the supply
-    show(t)          deterministic printed form
+Because constructor order is SHAPE order, a walker rebuilds a node as
+`type(t)(*fields)`. The six walkers below serve both families:
+`occurrences`, `free_signals`, `rename_all`, `substitute`, `freshen_apart`
+and `has_binder`. `substitute` and `freshen_apart` return a node itself
+when nothing below it changes.
+
+A canonical form fixes the interface names and renames every other name by
+a bijection, to %g0, %g1, ..., so that two multisets are equal after
+canonicalization exactly when such a bijection between them exists.
 """
 
 from itertools import permutations
+
+SIG = "sig"
+SIGS = "sigs"
+BIND = "bind"
+SUB = "sub"
+KEEP = "keep"
 
 
 def name_supply(prefix, avoid):
@@ -25,6 +40,160 @@ def name_supply(prefix, avoid):
         k += 1
         if name not in avoid:
             yield name
+
+
+class _FieldTable(dict):
+    """Maps a node class to its (field name, kind) pairs, built on first use
+    so that the walkers do not zip them again at every node they visit."""
+
+    def __missing__(self, cls):
+        pairs = self[cls] = tuple(zip(cls.__match_args__, cls.SHAPE))
+        return pairs
+
+
+_FIELDS = _FieldTable()
+
+
+# ---------------------------------------------------------------------------
+# walkers
+
+
+def occurrences(t):
+    """Every signal name in t, bound or free, in pre-order."""
+    out = []
+    _collect(t, out)
+    return out
+
+
+def _collect(t, out):
+    for name, kind in _FIELDS[type(t)]:
+        if kind is SUB:
+            _collect(getattr(t, name), out)
+        elif kind is SIGS:
+            out.extend(getattr(t, name))
+        elif kind is not KEEP:
+            out.append(getattr(t, name))
+
+
+def free_signals(t):
+    """The signal names free in t."""
+    out = set()
+    _free(t, frozenset(), out)
+    return frozenset(out)
+
+
+def _free(t, bound, out):
+    scope = bound
+    for name, kind in _FIELDS[type(t)]:
+        v = getattr(t, name)
+        if kind is SUB:
+            _free(v, scope, out)
+            scope = bound
+        elif kind is BIND:
+            scope = bound | {v}
+        elif kind is SIG:
+            if v not in scope:
+                out.add(v)
+        elif kind is SIGS:
+            out.update(a for a in v if a not in scope)
+
+
+def rename_all(t, m):
+    """Apply a name map to every occurrence in t, bound and free alike."""
+    if not m:
+        return t
+    out = []
+    for name, kind in _FIELDS[type(t)]:
+        v = getattr(t, name)
+        if kind is SUB:
+            v = rename_all(v, m)
+        elif kind is SIGS:
+            v = tuple(m.get(a, a) for a in v)
+        elif kind is not KEEP:
+            v = m.get(v, v)
+        out.append(v)
+    return type(t)(*out)
+
+
+def substitute(t, sub):
+    """Capture-avoiding substitution of names for the free names of t.
+
+    Under a binder only the keys free in its body count, and the node comes
+    back unchanged when there are none. A binder that would capture a value
+    is renamed to the smallest %rK that is neither a value, a key nor free
+    in its body.
+    """
+    if not sub:
+        return t
+    out = []
+    changed = False
+    fields = iter(_FIELDS[type(t)])
+    for name, kind in fields:
+        v = getattr(t, name)
+        if kind is BIND:
+            body_name, _ = next(fields)
+            body = getattr(t, body_name)
+            free = free_signals(body)
+            inner = {k: x for k, x in sub.items() if k != v and k in free}
+            if inner:
+                if v in inner.values():
+                    avoid = set(inner.values()) | free | set(inner)
+                    fresh = next(name_supply("%r", avoid))
+                    inner[v] = fresh
+                    v = fresh
+                out += (v, substitute(body, inner))
+                changed = True
+            else:
+                out += (v, body)
+            continue
+        if kind is SUB:
+            w = substitute(v, sub)
+        elif kind is SIG:
+            w = sub.get(v, v)
+        elif kind is SIGS:
+            w = tuple(sub.get(a, a) for a in v)
+            if w == v:
+                w = v
+        else:
+            w = v
+        changed = changed or w is not v
+        out.append(w)
+    return type(t)(*out) if changed else t
+
+
+def freshen_apart(t, supply):
+    """Rename every binder in t, in pre-order, to the next name of the
+    supply. A term without binders comes back as it is and takes no name."""
+    out = []
+    changed = False
+    fields = iter(_FIELDS[type(t)])
+    for name, kind in fields:
+        v = getattr(t, name)
+        if kind is BIND:
+            body_name, _ = next(fields)
+            fresh = next(supply)
+            body = substitute(getattr(t, body_name), {v: fresh})
+            out += (fresh, freshen_apart(body, supply))
+            changed = True
+            continue
+        if kind is SUB:
+            w = freshen_apart(v, supply)
+            changed = changed or w is not v
+            v = w
+        out.append(v)
+    return type(t)(*out) if changed else t
+
+
+def has_binder(t):
+    """Whether t contains a binder."""
+    for name, kind in _FIELDS[type(t)]:
+        if kind is BIND or (kind is SUB and has_binder(getattr(t, name))):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# canonical forms
 
 
 def _tie_groups(order, keys):
@@ -51,12 +220,12 @@ def _arrangements(groups, cap):
     return out
 
 
-def canonical_multiset(items, interface, ops, perm_cap=5040):
+def canonical_multiset(items, interface, show, perm_cap=5040):
     """Return (canonical tuple, renaming) for a multiset of terms.
 
-    The canonical tuple is sorted by printed form. The renaming maps the
-    original free non-interface names to their %gN replacements (binder
-    renamings are internal and omitted).
+    `show` is the family's printer. The canonical tuple is sorted by printed
+    form. The renaming maps the original free non-interface names to their
+    %gN replacements (binder renamings are internal and omitted).
     """
     items = list(items)
     if not items:
@@ -64,19 +233,18 @@ def canonical_multiset(items, interface, ops, perm_cap=5040):
     interface = set(interface)
     all_names = set()
     for it in items:
-        all_names.update(ops.occurrences(it))
+        all_names.update(occurrences(it))
     supply = name_supply("%u", all_names)
-    fresh_items = [ops.freshen(it, supply) for it in items]
-
-    occurrences = [list(ops.occurrences(it)) for it in fresh_items]
+    fresh_items = [freshen_apart(it, supply) for it in items]
+    occurrence_lists = [occurrences(it) for it in fresh_items]
 
     keys = []
-    for it, names in zip(fresh_items, occurrences):
+    for it, names in zip(fresh_items, occurrence_lists):
         m = {}
         for name in names:
             if name not in interface and name not in m:
                 m[name] = f"%k{len(m)}"
-        keys.append(ops.show(ops.rename(it, m)))
+        keys.append(show(rename_all(it, m)))
 
     order = sorted(range(len(items)), key=lambda i: keys[i])
     groups = _tie_groups(order, keys)
@@ -85,11 +253,11 @@ def canonical_multiset(items, interface, ops, perm_cap=5040):
     for arr in _arrangements(groups, perm_cap):
         m = {}
         for i in arr:
-            for name in occurrences[i]:
+            for name in occurrence_lists[i]:
                 if name not in interface and name not in m:
                     m[name] = f"%g{len(m)}"
-        renamed = [ops.rename(fresh_items[i], m) for i in arr]
-        shown = sorted(zip(map(ops.show, renamed), range(len(renamed)),
+        renamed = [rename_all(fresh_items[i], m) for i in arr]
+        shown = sorted(zip(map(show, renamed), range(len(renamed)),
                            renamed))
         strings = [text for text, _, _ in shown]
         if best is None or strings < best[0]:

@@ -35,7 +35,6 @@ from .syntax import (
     Spawn,
     Watch,
     expand_pause_table1,
-    signal_occurrences,
     substitute,
 )
 from .tailcore import (
@@ -53,7 +52,6 @@ from .tailcore import (
     pause_prefix,
     print_tail,
     tail_alpha_key,
-    tail_free_signals,
 )
 
 OPTIMIZED = "optimized"
@@ -62,10 +60,10 @@ DEFAULT_INDEX_LIMIT = 10_000
 
 
 def _pair_signals(t, tau):
-    names = set(tail_free_signals(t))
+    names = set(_canon.free_signals(t))
     for s, ti in tau:
         names.add(s)
-        names |= tail_free_signals(ti)
+        names |= _canon.free_signals(ti)
     names.discard(PAUSE_SIGNAL)
     return names
 
@@ -96,7 +94,7 @@ class CpsTranslator:
         self._id_counters = {}
         used = set(program.interface)
         for t in program.all_threads():
-            used.update(signal_occurrences(t))
+            used.update(_canon.occurrences(t))
         for d in program.defs.values():
             used.update(d.params)
         self._sig_supply = _canon.name_supply("%n", used)

@@ -31,7 +31,7 @@ from .errors import (
     NotSuspendedError,
     StateExplosionError,
 )
-from .mealy import _contains_new, shortest_separating_word
+from .mealy import shortest_separating_word
 from .semantics import subsets
 from .tailcore import (
     TCall,
@@ -41,13 +41,9 @@ from .tailcore import (
     TNil,
     TPresent,
     TSpawn,
-    _TailOps,
     print_tail,
     select_branch,
     tail_calls,
-    tail_free_signals,
-    tail_rename_all,
-    tail_signal_occurrences,
     tail_substitute,
     PAUSE_SIGNAL,
 )
@@ -66,7 +62,7 @@ def _lift(t, members, marks, supply):
             _lift(t.spawned, members, marks, supply)
             t = t.next
         elif isinstance(t, TNew):
-            t = tail_rename_all(t.body, {t.bound: next(supply)})
+            t = _canon.rename_all(t.body, {t.bound: next(supply)})
         elif isinstance(t, TNil):
             return
         else:
@@ -100,7 +96,7 @@ class Space:
         self.state_limit = state_limit
         self._taken = set(self.interface)
         for t in program.all_tails():
-            self._taken.update(tail_signal_occurrences(t))
+            self._taken.update(_canon.occurrences(t))
         for d in program.defs.values():
             self._taken.update(d.params)
         self._ids = {}
@@ -119,7 +115,7 @@ class Space:
             _lift(t, members, marks, supply)
         members.extend(TEmit(s, TNIL) for s in marks)
         canonical, _ = _canon.canonical_multiset(members, self.interface,
-                                                 _TailOps)
+                                                 print_tail)
         sid = self._ids.get(canonical)
         if sid is None:
             if len(self._items) >= self.state_limit:
@@ -273,9 +269,9 @@ def space_for(program, universe=None, state_limit=50_000):
 def program_universe(program):
     names = set(program.inputs) | set(program.outputs)
     for t in program.initial:
-        names |= tail_free_signals(t)
+        names |= _canon.free_signals(t)
     for d in program.defs.values():
-        names |= tail_free_signals(d.body) - set(d.params)
+        names |= _canon.free_signals(d.body) - set(d.params)
     names.discard(PAUSE_SIGNAL)
     return frozenset(n for n in names if not n.startswith("%"))
 
@@ -495,7 +491,7 @@ def _calls_cyclic(program):
 
 
 def _has_new(program):
-    return any(_contains_new(t) for t in program.all_tails())
+    return any(_canon.has_binder(t) for t in program.all_tails())
 
 
 EXACT = "exact"

@@ -17,6 +17,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
+from . import _canon
 from .errors import (
     ArityTooLargeError,
     HasSignalGenerationError,
@@ -174,24 +175,6 @@ class NormalProgram:
     initial: tuple
 
 
-def _contains_new(t):
-    if isinstance(t, TNew):
-        return True
-    if isinstance(t, TEmit):
-        return _contains_new(t.next)
-    if isinstance(t, TSpawn):
-        return _contains_new(t.spawned) or _contains_new(t.next)
-    if isinstance(t, TPresent):
-        return _contains_new(t.then) or _branch_contains_new(t.branch)
-    return False
-
-
-def _branch_contains_new(b):
-    if isinstance(b, BLeaf):
-        return _contains_new(b.tail)
-    return _branch_contains_new(b.then) or _branch_contains_new(b.other)
-
-
 class _Normalizer:
     def __init__(self, program):
         self.program = program
@@ -299,7 +282,7 @@ def normalize_tail(program):
     """Instantiate parameters lazily and split every equation into one of
     the four normal shapes, sharing structurally identical pieces."""
     for t in program.all_tails():
-        if _contains_new(t):
+        if _canon.has_binder(t):
             raise HasSignalGenerationError()
     nz = _Normalizer(program)
     initial = tuple(nz.norm(t) for t in program.initial)

@@ -14,6 +14,7 @@ import heapq
 import random
 from dataclasses import dataclass
 
+from . import _canon
 from .errors import (
     ArityMismatchError,
     ConfluenceViolationError,
@@ -38,7 +39,6 @@ from .syntax import (
     Watch,
     canonicalize,
     canonicalize_with_renaming,
-    free_signals,
     next_gen_index,
     print_thread,
     seq_of,
@@ -338,9 +338,9 @@ class InstantResult:
 def _env_domain(program, threads):
     dom = set(program.inputs) | set(program.outputs)
     for t in threads:
-        dom |= free_signals(t)
+        dom |= _canon.free_signals(t)
     for d in program.defs.values():
-        dom |= {s for s in free_signals(d.body) - set(d.params)
+        dom |= {s for s in _canon.free_signals(d.body) - set(d.params)
                 if s.startswith("%")}
     return dom
 
@@ -411,7 +411,7 @@ def _state_key(program, threads, env):
     canon, m = canonicalize_with_renaming(threads, program.interface)
     live = set(program.interface)
     for t in threads:
-        live |= free_signals(t)
+        live |= _canon.free_signals(t)
     items = tuple(sorted(
         (m.get(s, s), v) for s, v in env.defined.items() if s in live))
     return tuple(print_thread(t) for t in canon), items

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _canon
+from ._canon import BIND, KEEP, SIG, SIGS, SUB
 from .errors import (
     ArityMismatchError,
     ParseError,
@@ -39,6 +40,8 @@ class Thread:
 
 @dataclass(frozen=True)
 class Nil(Thread):
+    SHAPE = ()
+
     def __repr__(self):
         return "Nil()"
 
@@ -47,12 +50,14 @@ class Nil(Thread):
 class Seq(Thread):
     """T1;T2. Invariant: first is never itself a Seq (right association)."""
 
+    SHAPE = (SUB, SUB)
     first: Thread
     rest: Thread
 
 
 @dataclass(frozen=True)
 class Emit(Thread):
+    SHAPE = (SIG,)
     signal: str
 
 
@@ -60,6 +65,7 @@ class Emit(Thread):
 class New(Thread):
     """Signal generation: nu s T."""
 
+    SHAPE = (BIND, SUB)
     bound: str
     body: Thread
 
@@ -68,11 +74,13 @@ class New(Thread):
 class Spawn(Thread):
     """thread T: run T as a separate thread of the program."""
 
+    SHAPE = (SUB,)
     body: Thread
 
 
 @dataclass(frozen=True)
 class Await(Thread):
+    SHAPE = (SIG,)
     signal: str
 
 
@@ -80,19 +88,21 @@ class Await(Thread):
 class Watch(Thread):
     """watch s T: abort the residual of T if s is present at instant end."""
 
+    SHAPE = (SIG, SUB)
     signal: str
     body: Thread
 
 
 @dataclass(frozen=True)
 class Call(Thread):
+    SHAPE = (KEEP, SIGS)
     ident: str
     args: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class Pause(Thread):
-    pass
+    SHAPE = ()
 
 
 NIL = Nil()
@@ -116,119 +126,9 @@ def seq_all(threads):
     return acc
 
 
-def free_signals(t):
-    if isinstance(t, (Nil, Pause)):
-        return frozenset()
-    if isinstance(t, (Emit, Await)):
-        return frozenset((t.signal,))
-    if isinstance(t, Seq):
-        return free_signals(t.first) | free_signals(t.rest)
-    if isinstance(t, New):
-        return free_signals(t.body) - {t.bound}
-    if isinstance(t, Spawn):
-        return free_signals(t.body)
-    if isinstance(t, Watch):
-        return free_signals(t.body) | {t.signal}
-    if isinstance(t, Call):
-        return frozenset(t.args)
-    raise TypeError(f"not a thread: {t!r}")
-
-
-def signal_occurrences(t):
-    """Yield every signal name in t, bound or free, in pre-order."""
-    if isinstance(t, (Nil, Pause)):
-        return
-    elif isinstance(t, (Emit, Await)):
-        yield t.signal
-    elif isinstance(t, Seq):
-        yield from signal_occurrences(t.first)
-        yield from signal_occurrences(t.rest)
-    elif isinstance(t, New):
-        yield t.bound
-        yield from signal_occurrences(t.body)
-    elif isinstance(t, Spawn):
-        yield from signal_occurrences(t.body)
-    elif isinstance(t, Watch):
-        yield t.signal
-        yield from signal_occurrences(t.body)
-    elif isinstance(t, Call):
-        yield from t.args
-    else:
-        raise TypeError(f"not a thread: {t!r}")
-
-
-def rename_all(t, m):
-    """Apply a name map to every occurrence, bound and free alike."""
-    if not m or isinstance(t, (Nil, Pause)):
-        return t
-    if isinstance(t, Emit):
-        return Emit(m.get(t.signal, t.signal))
-    if isinstance(t, Await):
-        return Await(m.get(t.signal, t.signal))
-    if isinstance(t, Seq):
-        return Seq(rename_all(t.first, m), rename_all(t.rest, m))
-    if isinstance(t, New):
-        return New(m.get(t.bound, t.bound), rename_all(t.body, m))
-    if isinstance(t, Spawn):
-        return Spawn(rename_all(t.body, m))
-    if isinstance(t, Watch):
-        return Watch(m.get(t.signal, t.signal), rename_all(t.body, m))
-    if isinstance(t, Call):
-        return Call(t.ident, tuple(m.get(a, a) for a in t.args))
-    raise TypeError(f"not a thread: {t!r}")
-
-
-def _pick_fresh(avoid):
-    k = 0
-    while f"%r{k}" in avoid:
-        k += 1
-    return f"%r{k}"
-
-
 def substitute(t, sub):
     """Capture-avoiding substitution of signal names for free signal names."""
-    if not sub or isinstance(t, (Nil, Pause)):
-        return t
-    if isinstance(t, Emit):
-        return Emit(sub.get(t.signal, t.signal))
-    if isinstance(t, Await):
-        return Await(sub.get(t.signal, t.signal))
-    if isinstance(t, Seq):
-        return Seq(substitute(t.first, sub), substitute(t.rest, sub))
-    if isinstance(t, Spawn):
-        return Spawn(substitute(t.body, sub))
-    if isinstance(t, Watch):
-        return Watch(sub.get(t.signal, t.signal), substitute(t.body, sub))
-    if isinstance(t, Call):
-        return Call(t.ident, tuple(sub.get(a, a) for a in t.args))
-    if isinstance(t, New):
-        inner = {k: v for k, v in sub.items() if k != t.bound}
-        relevant = {k: v for k, v in inner.items() if k in free_signals(t.body)}
-        if not relevant:
-            return t
-        if t.bound in relevant.values():
-            avoid = set(relevant.values()) | free_signals(t.body) | set(relevant)
-            fresh = _pick_fresh(avoid)
-            return New(fresh, substitute(t.body, {**relevant, t.bound: fresh}))
-        return New(t.bound, substitute(t.body, relevant))
-    raise TypeError(f"not a thread: {t!r}")
-
-
-def freshen_apart(t, supply):
-    """Rename every binder to a fresh name from the supply."""
-    if isinstance(t, (Nil, Pause, Emit, Await, Call)):
-        return t
-    if isinstance(t, Seq):
-        return Seq(freshen_apart(t.first, supply), freshen_apart(t.rest, supply))
-    if isinstance(t, Spawn):
-        return Spawn(freshen_apart(t.body, supply))
-    if isinstance(t, Watch):
-        return Watch(t.signal, freshen_apart(t.body, supply))
-    if isinstance(t, New):
-        fresh = next(supply)
-        body = substitute(t.body, {t.bound: fresh})
-        return New(fresh, freshen_apart(body, supply))
-    raise TypeError(f"not a thread: {t!r}")
+    return _canon.substitute(t, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +217,7 @@ def next_gen_index(p):
     best = 0
     names = set()
     for t in p.all_threads():
-        names.update(signal_occurrences(t))
+        names.update(_canon.occurrences(t))
     for name in names:
         if name.startswith(GENERATED_PREFIX):
             tail = name[len(GENERATED_PREFIX):]
@@ -330,23 +230,16 @@ def next_gen_index(p):
 # canonical forms
 
 
-class _ThreadOps:
-    occurrences = staticmethod(signal_occurrences)
-    rename = staticmethod(rename_all)
-    freshen = staticmethod(freshen_apart)
-    show = staticmethod(print_thread)
-
-
 def canonicalize(threads, interface):
     """Canonical form of a thread multiset: generated and local names become
     %g0, %g1, ... while interface names stay fixed. Two multisets get equal
     canonical forms exactly when one is a renaming of the other."""
-    result, _ = _canon.canonical_multiset(threads, interface, _ThreadOps)
+    result, _ = _canon.canonical_multiset(threads, interface, print_thread)
     return result
 
 
 def canonicalize_with_renaming(threads, interface):
-    return _canon.canonical_multiset(threads, interface, _ThreadOps)
+    return _canon.canonical_multiset(threads, interface, print_thread)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +402,7 @@ class _ProgramBuilder:
         return name
 
     def define_loop(self, body):
-        params = tuple(sorted(free_signals(body)))
+        params = tuple(sorted(_canon.free_signals(body)))
         name = self.fresh_def_name("L")
         self.defs[name] = Definition(name, params, None)
         self.defs[name].body = seq_of(body, Call(name, params))
@@ -671,7 +564,7 @@ def parse_program(text, pause_mode="primitive"):
     defs = dict(parsed_defs)
     defs.update(builder.defs)
     for d in defs.values():
-        extra = free_signals(d.body) - set(d.params)
+        extra = _canon.free_signals(d.body) - set(d.params)
         if extra:
             raise UndeclaredSignalError(
                 f"definition {d.name} uses undeclared signals: "

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 
 from . import _canon
+from ._canon import BIND, KEEP, SIG, SIGS, SUB
 from .errors import (
     ArityMismatchError,
     FuelExhaustedError,
@@ -64,6 +65,7 @@ class Tail:
 @dataclass(frozen=True)
 class TNil(Tail):
     __slots__ = ()
+    SHAPE = ()
 
     def __repr__(self):
         return "TNil()"
@@ -71,24 +73,28 @@ class TNil(Tail):
 
 @dataclass(frozen=True)
 class TEmit(Tail):
+    SHAPE = (SIG, SUB)
     signal: str
     next: Tail
 
 
 @dataclass(frozen=True)
 class TNew(Tail):
+    SHAPE = (BIND, SUB)
     bound: str
     body: Tail
 
 
 @dataclass(frozen=True)
 class TSpawn(Tail):
+    SHAPE = (SUB, SUB)
     spawned: Tail
     next: Tail
 
 
 @dataclass(frozen=True)
 class TPresent(Tail):
+    SHAPE = (SIG, SUB, SUB)
     signal: str
     then: Tail
     branch: "Branch"
@@ -96,6 +102,7 @@ class TPresent(Tail):
 
 @dataclass(frozen=True)
 class TCall(Tail):
+    SHAPE = (KEEP, SIGS)
     ident: str
     args: tuple
 
@@ -106,11 +113,13 @@ class Branch:
 
 @dataclass(frozen=True)
 class BLeaf(Branch):
+    SHAPE = (SUB,)
     tail: Tail
 
 
 @dataclass(frozen=True)
 class BIte(Branch):
+    SHAPE = (SIG, SUB, SUB)
     signal: str
     then: Branch
     other: Branch
@@ -130,7 +139,7 @@ def await_prefix(signal, cont, fresh_ident, define):
     Emits one definition through `define(name, params, body)` and returns
     the call that enters it.
     """
-    params = tuple(sorted((tail_free_signals(cont) | {signal})
+    params = tuple(sorted((_canon.free_signals(cont) | {signal})
                           - {PAUSE_SIGNAL}))
     name = fresh_ident()
     body = TPresent(signal, cont, BLeaf(TCall(name, params)))
@@ -138,163 +147,9 @@ def await_prefix(signal, cont, fresh_ident, define):
     return TCall(name, params)
 
 
-# ---------------------------------------------------------------------------
-# structural helpers
-
-
-def tail_free_signals(t):
-    if isinstance(t, TNil):
-        return frozenset()
-    if isinstance(t, TEmit):
-        return tail_free_signals(t.next) | {t.signal}
-    if isinstance(t, TNew):
-        return tail_free_signals(t.body) - {t.bound}
-    if isinstance(t, TSpawn):
-        return tail_free_signals(t.spawned) | tail_free_signals(t.next)
-    if isinstance(t, TPresent):
-        return branch_free_signals(t.branch) | tail_free_signals(t.then) | {t.signal}
-    if isinstance(t, TCall):
-        return frozenset(t.args)
-    raise TypeError(f"not a tail thread: {t!r}")
-
-
-def branch_free_signals(b):
-    if isinstance(b, BLeaf):
-        return tail_free_signals(b.tail)
-    return branch_free_signals(b.then) | branch_free_signals(b.other) | {b.signal}
-
-
-def tail_substitute(t, mapping, fresh=None):
+def tail_substitute(t, mapping):
     """Capture-avoiding signal substitution."""
-    if fresh is None:
-        avoid = set(mapping.values()) | set(mapping)
-        fresh = _canon.name_supply("%r", avoid)
-    if isinstance(t, TNil):
-        return t
-    if isinstance(t, TEmit):
-        return TEmit(mapping.get(t.signal, t.signal),
-                     tail_substitute(t.next, mapping, fresh))
-    if isinstance(t, TNew):
-        clash = any(t.bound == v for k, v in mapping.items()
-                    if k != v and k in tail_free_signals(t.body))
-        bound, body = t.bound, t.body
-        if clash:
-            bound = next(fresh)
-            body = tail_substitute(body, {t.bound: bound}, fresh)
-        inner = {k: v for k, v in mapping.items() if k != bound}
-        return TNew(bound, tail_substitute(body, inner, fresh))
-    if isinstance(t, TSpawn):
-        return TSpawn(tail_substitute(t.spawned, mapping, fresh),
-                      tail_substitute(t.next, mapping, fresh))
-    if isinstance(t, TPresent):
-        return TPresent(mapping.get(t.signal, t.signal),
-                        tail_substitute(t.then, mapping, fresh),
-                        branch_substitute(t.branch, mapping, fresh))
-    if isinstance(t, TCall):
-        return TCall(t.ident, tuple(mapping.get(a, a) for a in t.args))
-    raise TypeError(f"not a tail thread: {t!r}")
-
-
-def branch_substitute(b, mapping, fresh=None):
-    if fresh is None:
-        avoid = set(mapping.values()) | set(mapping)
-        fresh = _canon.name_supply("%r", avoid)
-    if isinstance(b, BLeaf):
-        return BLeaf(tail_substitute(b.tail, mapping, fresh))
-    return BIte(mapping.get(b.signal, b.signal),
-                branch_substitute(b.then, mapping, fresh),
-                branch_substitute(b.other, mapping, fresh))
-
-
-def tail_signal_occurrences(t):
-    """Every signal occurrence in pre-order, binders included."""
-    out = []
-
-    def walk_t(t):
-        if isinstance(t, TNil):
-            return
-        if isinstance(t, TEmit):
-            out.append(t.signal)
-            walk_t(t.next)
-        elif isinstance(t, TNew):
-            out.append(t.bound)
-            walk_t(t.body)
-        elif isinstance(t, TSpawn):
-            walk_t(t.spawned)
-            walk_t(t.next)
-        elif isinstance(t, TPresent):
-            out.append(t.signal)
-            walk_t(t.then)
-            walk_b(t.branch)
-        elif isinstance(t, TCall):
-            out.extend(t.args)
-
-    def walk_b(b):
-        if isinstance(b, BLeaf):
-            walk_t(b.tail)
-        else:
-            out.append(b.signal)
-            walk_b(b.then)
-            walk_b(b.other)
-
-    walk_t(t)
-    return out
-
-
-def tail_rename_all(t, mapping):
-    """Apply a name map to every signal occurrence, binders included."""
-    if isinstance(t, TNil):
-        return t
-    if isinstance(t, TEmit):
-        return TEmit(mapping.get(t.signal, t.signal),
-                     tail_rename_all(t.next, mapping))
-    if isinstance(t, TNew):
-        return TNew(mapping.get(t.bound, t.bound),
-                    tail_rename_all(t.body, mapping))
-    if isinstance(t, TSpawn):
-        return TSpawn(tail_rename_all(t.spawned, mapping),
-                      tail_rename_all(t.next, mapping))
-    if isinstance(t, TPresent):
-        return TPresent(mapping.get(t.signal, t.signal),
-                        tail_rename_all(t.then, mapping),
-                        branch_rename_all(t.branch, mapping))
-    if isinstance(t, TCall):
-        return TCall(t.ident, tuple(mapping.get(a, a) for a in t.args))
-    raise TypeError(f"not a tail thread: {t!r}")
-
-
-def branch_rename_all(b, mapping):
-    if isinstance(b, BLeaf):
-        return BLeaf(tail_rename_all(b.tail, mapping))
-    return BIte(mapping.get(b.signal, b.signal),
-                branch_rename_all(b.then, mapping),
-                branch_rename_all(b.other, mapping))
-
-
-def tail_freshen_apart(t, supply):
-    """Rename every bound signal to a fresh name from the supply."""
-    if isinstance(t, (TNil, TCall)):
-        return t
-    if isinstance(t, TEmit):
-        return TEmit(t.signal, tail_freshen_apart(t.next, supply))
-    if isinstance(t, TNew):
-        g = next(supply)
-        body = tail_substitute(t.body, {t.bound: g})
-        return TNew(g, tail_freshen_apart(body, supply))
-    if isinstance(t, TSpawn):
-        return TSpawn(tail_freshen_apart(t.spawned, supply),
-                      tail_freshen_apart(t.next, supply))
-    if isinstance(t, TPresent):
-        return TPresent(t.signal, tail_freshen_apart(t.then, supply),
-                        branch_freshen_apart(t.branch, supply))
-    raise TypeError(f"not a tail thread: {t!r}")
-
-
-def branch_freshen_apart(b, supply):
-    if isinstance(b, BLeaf):
-        return BLeaf(tail_freshen_apart(b.tail, supply))
-    return BIte(b.signal, branch_freshen_apart(b.then, supply),
-                branch_freshen_apart(b.other, supply))
+    return _canon.substitute(t, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +349,11 @@ def parse_tail_program(text):
         def_arities[name] = len(params)
         headers.append((name, params, form.items[2]))
     defs = {}
+    initial = []
     for name, params, body_form in headers:
         scope = set(params) | interface
         defs[name] = TailDef(name, params,
                              _parse_tail(body_form, scope, def_arities))
-    initial = []
     for form in run_forms:
         if len(form.items) != 2:
             raise ParseError("run takes one thread", form.line, form.col)
@@ -572,7 +427,7 @@ def tail_next_gen_index(p):
     best = 0
     names = set(p.interface)
     for t in p.all_tails():
-        names.update(tail_signal_occurrences(t))
+        names.update(_canon.occurrences(t))
     for d in p.defs.values():
         names.update(d.params)
     for name in names:
@@ -586,9 +441,9 @@ def tail_next_gen_index(p):
 def _tail_env_domain(program, threads):
     dom = set(program.inputs) | set(program.outputs) | {PAUSE_SIGNAL}
     for t in threads:
-        dom |= tail_free_signals(t)
+        dom |= _canon.free_signals(t)
     for d in program.defs.values():
-        dom |= {s for s in tail_free_signals(d.body) - set(d.params)
+        dom |= {s for s in _canon.free_signals(d.body) - set(d.params)
                 if s.startswith("%")}
     return dom
 
@@ -648,23 +503,16 @@ def run_trace_tail(program, input_sets, policy=DETERMINISTIC, seed=0,
 # canonical forms
 
 
-class _TailOps:
-    occurrences = staticmethod(tail_signal_occurrences)
-    rename = staticmethod(tail_rename_all)
-    freshen = staticmethod(tail_freshen_apart)
-    show = staticmethod(print_tail)
-
-
 def canonicalize_tail(threads, interface):
     canonical, _ = _canon.canonical_multiset(list(threads), interface,
-                                             _TailOps)
+                                             print_tail)
     return canonical
 
 
 def tail_alpha_key(t):
     """A string identifying t up to renaming of bound signals."""
     supply = _canon.name_supply("%k", set())
-    return print_tail(tail_freshen_apart(t, supply))
+    return print_tail(_canon.freshen_apart(t, supply))
 
 
 # ---------------------------------------------------------------------------

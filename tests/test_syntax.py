@@ -1,5 +1,6 @@
 import pytest
 
+from sltk._canon import free_signals
 from sltk.errors import ArityMismatchError, ParseError, UndeclaredSignalError
 from sltk.syntax import (
     NIL,
@@ -16,7 +17,6 @@ from sltk.syntax import (
     canonicalize,
     canonicalize_with_renaming,
     expand_present,
-    free_signals,
     parse_program,
     print_program,
     print_thread,

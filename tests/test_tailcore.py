@@ -1,5 +1,6 @@
 import pytest
 
+from sltk._canon import free_signals
 from sltk.errors import NotSuspendedError, ParseError
 from sltk.semantics import Env
 from sltk.tailcore import (
@@ -22,7 +23,6 @@ from sltk.tailcore import (
     print_tail,
     print_tail_program,
     run_trace_tail,
-    tail_free_signals,
     tail_substitute,
 )
 
@@ -117,7 +117,7 @@ def test_beat_alternation():
 
 def test_tail_free_signals_respects_new():
     t = TNew("x", TEmit("x", TPresent("s1", TNIL, BLeaf(TNIL))))
-    assert tail_free_signals(t) == {"s1"}
+    assert free_signals(t) == {"s1"}
 
 
 def test_tail_substitute_avoids_capture():
@@ -125,7 +125,21 @@ def test_tail_substitute_avoids_capture():
     out = tail_substitute(t, {"y": "x"})
     assert isinstance(out, TNew)
     assert out.bound != "x"
-    assert tail_free_signals(out) == {"x"}
+    assert free_signals(out) == {"x"}
+
+
+def test_tail_substitute_renames_a_binder_past_free_reserved_names():
+    t = TNew("y", TEmit("x", TEmit("%r0", TNIL)))
+    out = tail_substitute(t, {"x": "y"})
+    assert free_signals(out) == {"y", "%r0"}
+
+
+def test_call_unfolding_keeps_a_free_reserved_name_free():
+    p = parse_tail_program(
+        "(input y) (output o)"
+        " (def (A x) (new y (emit! x (present %r0 (emit! o 0) 0))))"
+        " (run (thread! (emit! %r0 0) (call A y)))")
+    assert run_trace_tail(p, [frozenset()]) == [(frozenset(), {"o"})]
 
 
 def test_await_prefix_builds_a_retry_definition():
