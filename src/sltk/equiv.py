@@ -15,7 +15,8 @@ rewrite, the three suspension predicates, an equivalence checker with
 three modes (exact greatest-fixed-point refinement, trace comparison which
 is equal to the exact relation for this confluent language, and a bounded
 game that can only distinguish), and a diamond-property check for the
-transition system itself.
+transition system itself. Trace mode relies on confluence: it runs each
+instant on raw lifted threads and interns only instant boundaries.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ def _lift(t, members, marks, supply):
             return
 
 
+def _lifted(items, supply):
+    """The items in lifted normal form, each marker once."""
+    members, marks = [], set()
+    for t in items:
+        _lift(t, members, marks, supply)
+    return members + [TEmit(s, TNIL) for s in marks]
+
+
 def _marked(items):
     return {t.signal for t in items if isinstance(t, TEmit)}
 
@@ -85,7 +94,8 @@ class Space:
     weak closures and barbs are computed on demand and cached by state id,
     and so are the two moves of a context: `eoi(sid)` ends the instant and is
     cached by state id; `with_emits(sid, S)` emits the signals S into the
-    instant and is cached by state id and signal set.
+    instant and is cached by state id and signal set. Trace mode uses none
+    of these: `instant(sid, S)` interns instant boundaries only.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -107,13 +117,10 @@ class Space:
         self._barbs = {}
         self._eoi = {}
         self._emits = {}
+        self._bodies = {}
 
     def intern(self, items):
-        members, marks = [], set()
-        supply = _canon.name_supply("%l", self._taken)
-        for t in items:
-            _lift(t, members, marks, supply)
-        members.extend(TEmit(s, TNIL) for s in marks)
+        members = _lifted(items, _canon.name_supply("%l", self._taken))
         canonical, _ = _canon.canonical_multiset(members, self.interface,
                                                  print_tail)
         sid = self._ids.get(canonical)
@@ -251,6 +258,50 @@ class Space:
                     hit = self.intern(items + markers)
             self._emits[sid, signals] = hit
         return hit
+
+    def instant(self, sid, inputs, fuel=100_000):
+        """(outputs, next state) of the instant from state sid under the
+        context's `inputs`. By confluence any order of moves suspends in the
+        same state, so the instant runs on a worklist of raw lifted threads,
+        parks each guard until its signal is marked and interns only the
+        state where the next instant starts."""
+        # a prefix of its own: intern restarts its %l supply at every call
+        supply = _canon.name_supply("%i", self._taken)
+        work, marks, waiting, steps = [], set(inputs), {}, 0
+        for t in self._items[sid]:
+            _lift(t, work, marks, supply)
+        while work:
+            t = work.pop()
+            if isinstance(t, TCall):
+                body = self._bodies.get(t)
+                if body is None:
+                    dfn = self.defs[t.ident]
+                    body = self._bodies[t] = tail_substitute(
+                        dfn.body, dict(zip(dfn.params, t.args)))
+                t = body
+            elif t.signal in marks:
+                t = t.then
+            else:
+                waiting.setdefault(t.signal, []).append(t)
+                continue
+            steps += 1
+            if steps > fuel:
+                raise FuelExhaustedError(steps)
+            known = len(marks)
+            _lift(t, work, marks, supply)
+            if len(marks) > known:
+                for s in marks & waiting.keys():
+                    work.extend(waiting.pop(s))
+        # eoi; an else-branch that emits at once leaves a marker
+        members = _lifted((select_branch(t.branch, marks.__contains__)
+                           for guards in waiting.values() for t in guards),
+                          supply)
+        # as in with_emits, and a miss becomes another key of its state
+        key = tuple(sorted(members, key=print_tail))
+        nxt = self._ids.get(key)
+        if nxt is None:
+            nxt = self._ids[key] = self.intern(members)
+        return frozenset(marks & self._universe), nxt
 
     def weak_in(self, sid, signal):
         out = set()
@@ -446,23 +497,10 @@ class _Refinement:
 # trace mode
 
 
-def _instant_step(space, sid, inputs, fuel=100_000, pick_last=False):
-    cur = space.with_emits(sid, inputs)
-    steps = 0
-    while not space.suspended(cur):
-        succ = space.tau(cur)
-        cur = succ[-1] if pick_last else succ[0]
-        steps += 1
-        if steps > fuel:
-            raise FuelExhaustedError(steps)
-    outputs = space.barbs(cur)
-    return outputs, space.eoi(cur)
-
-
 def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
     def step(pair, I):
-        o1, n1 = _instant_step(sp1, pair[0], I)
-        o2, n2 = _instant_step(sp2, pair[1], I)
+        o1, n1 = sp1.instant(pair[0], I)
+        o2, n2 = sp2.instant(pair[1], I)
         return o1, o2, (n1, n2)
 
     found = shortest_separating_word((seed1, seed2), subsets(universe),

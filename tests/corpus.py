@@ -413,6 +413,40 @@ def random_tail_program(rng, n_defs=2, depth=3):
     return parse_tail_program("\n".join(lines))
 
 
+def random_ring_programs(rng, n_defs=3):
+    """Two tail programs over s1 s2 / s3 on one recursive ring of
+    definitions. Each definition spawns a guard and then, in the next
+    instant, moves along the ring or stays, depending on an input. A guard
+    tests an input, may emit s3 at once, and otherwise decides on an input
+    at the end of the instant whether to emit s3 in the next one. The
+    second program draws the guard of one definition afresh, so the pair
+    may or may not be equivalent. Guards test only inputs and emit only
+    s3, so their instant machines are the same whether or not the context
+    may emit s3 too."""
+    inputs = ("s1", "s2")
+    emits = ("0", "(emit! s3 0)")
+
+    def guard():
+        return f"(present {rng.choice(inputs)} {rng.choice(emits)} " \
+               f"(ite {rng.choice(inputs)} {rng.choice(emits)} 0))"
+
+    steps = [f"(present %pause 0 (ite {rng.choice(inputs)} "
+             f"(call W{(j + 1) % n_defs}) (call W{j})))"
+             for j in range(n_defs)]
+    guards = [guard() for _ in range(n_defs)]
+    sibling = list(guards)
+    sibling[rng.randrange(n_defs)] = guard()
+
+    def program(gs):
+        lines = ["(input s1 s2)", "(output s3)"]
+        lines += [f"(def (W{j}) (thread! {g} {step}))"
+                  for j, (g, step) in enumerate(zip(gs, steps))]
+        lines.append("(run (call W0))")
+        return parse_tail_program("\n".join(lines))
+
+    return program(guards), program(sibling)
+
+
 def random_input_word(rng, alphabet, length):
     subsets = [frozenset(), frozenset(alphabet[:1]), frozenset(alphabet[1:]),
                frozenset(alphabet)]

@@ -70,6 +70,13 @@ NU_CYCLE_SLT = """
 (run (call G))
 """
 
+# the call loops within the first instant in which s1 is present
+DIVERGE_SLT = """
+(input s1)
+(def (F) (call F))
+(run (present s1 (call F) 0))
+"""
+
 MACHINE_CM = """
 init q0
 halt qh
@@ -274,6 +281,13 @@ def test_equiv_mode_limits(tmp_path, capsys):
                           "--state-limit", "200")
     assert code == 5
     assert err.startswith("limit: state space exceeded")
+
+
+def test_equiv_trace_mode_reports_fuel_as_a_limit(tmp_path, capsys):
+    prog = put(tmp_path, "diverge.slt", DIVERGE_SLT)
+    code, out, err = invoke(capsys, "equiv", prog, prog, "--mode", "trace")
+    assert (code, out) == (5, "")
+    assert err.startswith("limit: fuel exhausted")
 
 
 DEEP = 3000

@@ -18,11 +18,18 @@ from sltk.equiv import (
     space_for,
     suspension,
 )
-from sltk.errors import NotSuspendedError
+from sltk.errors import FuelExhaustedError, NotSuspendedError
+from sltk.mealy import mealy_trace_equiv, program_to_mealy
 from sltk.semantics import subsets
 from sltk.tailcore import TEmit, TNIL, parse_tail_program
 
-from .corpus import TAIL_TEXTS, finite_corpus, seeded, tail_corpus
+from .corpus import (
+    TAIL_TEXTS,
+    finite_corpus,
+    random_ring_programs,
+    seeded,
+    tail_corpus,
+)
 
 
 REMARK_P = """
@@ -370,3 +377,124 @@ def test_context_moves_are_memoized_exactly(monkeypatch):
             if space.suspended(sid):
                 space.eoi(sid)
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# trace mode: one instant on raw lifted threads
+
+
+def _interned_instant(space, sid, inputs):
+    """One instant the way the interned transition system runs it: emit
+    the inputs, follow tau moves until the state suspends, then read the
+    barbs and end the instant."""
+    cur = space.with_emits(sid, inputs)
+    while not space.suspended(cur):
+        cur = space.tau(cur)[0]
+    return space.barbs(cur), space.eoi(cur)
+
+
+# a `new` lifted in mid-instant (G unfolds) whose name is still live when
+# an else-branch lifts another `new` at the end of the instant
+FRESH_NAMES = """
+(input s1 s2)
+(output s3)
+(def (G) (new x (present x 0 (new y (emit! y (present x (emit! s3 0) 0))))))
+(run (call G))
+"""
+
+
+def _instant_programs():
+    programs = [p for _, p in finite_corpus()]
+    programs += [p for p in map(tp, TAIL_TEXTS.values()) if equiv._has_new(p)]
+    return programs + [tp(FRESH_NAMES)]
+
+
+def test_instant_equals_the_interned_instant():
+    # the oracle and Space.instant run in spaces of their own, so that
+    # Space.instant interns its boundary states itself; states compare by
+    # their canonical printed form
+    for p in _instant_programs():
+        oracle, raw = space_for(p), space_for(p)
+        inputs = subsets(oracle.universe)
+        start = (oracle.intern(p.initial), raw.intern(p.initial))
+        seen = {start}
+        queue = [start]
+        while queue:
+            a, b = queue.pop()
+            assert oracle.show(a) == raw.show(b)
+            for S in inputs:
+                out, a2 = _interned_instant(oracle, a, S)
+                raw_out, b2 = raw.instant(b, S)
+                assert raw_out == out, (oracle.show(a), S)
+                if (a2, b2) not in seen:
+                    seen.add((a2, b2))
+                    queue.append((a2, b2))
+        assert len({a for a, _ in seen}) == len({b for _, b in seen})
+
+
+def test_fresh_names_stay_apart_across_the_instant_boundary():
+    for mode in (TRACE, EXACT):
+        assert bisim_check(tp(FRESH_NAMES), tprog("t_nil"), mode=mode)
+
+
+@pytest.mark.parametrize("left, right, witness", [
+    ("f_nil", "f_pause_twice",
+     "inputs {} then inputs {} then inputs {} emit {} versus {s3}"),
+    ("f_nil", "f_present_ite",
+     "inputs {s2} then inputs {} emit {} versus {s3}"),
+    ("f_both", "f_def_chain", "inputs {s1} emit {s1} versus {s1,s3}"),
+    ("f_both", "f_nil", "inputs {s1,s2} emit {s1,s2,s3} versus {s1,s2}"),
+])
+def test_trace_witnesses_are_stable(left, right, witness):
+    programs = dict(finite_corpus())
+    verdict = bisim_check(programs[left], programs[right], mode=TRACE)
+    assert isinstance(verdict, Distinguished)
+    assert verdict.render() == witness
+
+
+def guard_loop(n):
+    """n parallel guards respawned by a pause loop: 2**n orders of firing
+    within an instant, one state at its boundary."""
+    body = "(present %pause 0 (call L))"
+    for k in range(n, 0, -1):
+        body = f"(thread! (present i{k} (emit! o1 0) 0) {body})"
+    inputs = " ".join(f"i{k}" for k in range(1, n + 1))
+    return tp(f"(input {inputs})\n(output o1)\n(def (L) {body})\n"
+              "(run (call L))")
+
+
+def test_trace_mode_interns_only_instant_boundaries(monkeypatch):
+    spaces = []
+
+    class Recorded(equiv.Space):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    monkeypatch.setattr(equiv, "Space", Recorded)
+    p = guard_loop(8)
+    assert isinstance(bisim_check(p, p, mode=TRACE), Equivalent)
+    assert len(spaces) == 2
+    assert all(len(sp._items) <= 2 for sp in spaces)
+
+
+def test_trace_mode_reports_a_divergent_instant():
+    diverging = """
+(input s1)
+(def (F) (call F))
+(run (present s1 (call F) 0))
+"""
+    with pytest.raises(FuelExhaustedError):
+        bisim_check(tp(diverging), tp(diverging), mode=TRACE)
+
+
+def test_trace_mode_agrees_with_mealy_extraction_on_rings():
+    verdicts = set()
+    for seed in range(30):
+        a, b = random_ring_programs(seeded(seed))
+        trace = bool(bisim_check(a, b, mode=TRACE))
+        mealy = bool(mealy_trace_equiv(program_to_mealy(a),
+                                       program_to_mealy(b)))
+        assert trace == mealy, seed
+        verdicts.add(trace)
+    assert verdicts == {True, False}
