@@ -63,7 +63,6 @@ from .mealy import (
     mealy_to_program,
     mealy_trace_equiv,
     MonotonicMealy,
-    normalize_tail,
     parse_mealy,
     print_mealy,
     program_to_mealy,

@@ -140,30 +140,30 @@ def _unfold(t, defs, depth):
 
 
 def _find_cycle(edges):
-    """Return one cycle in a directed graph as a node list, or None."""
-    color = {}
-    stack = []
+    """Return one cycle in a directed graph as a node list, or None.
 
-    def visit(u):
-        color[u] = 1
-        stack.append(u)
-        for v in sorted(edges.get(u, ())):
+    Depth-first in sorted order, with an explicit stack so that long call
+    chains do not exhaust the interpreter's recursion limit."""
+    color = {}
+    for root in sorted(edges):
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        succs = [iter(sorted(edges.get(root, ())))]
+        while path:
+            v = next(succs[-1], None)
+            if v is None:
+                color[path.pop()] = 2
+                succs.pop()
+                continue
             c = color.get(v)
             if c == 1:
-                return stack[stack.index(v):]
+                return path[path.index(v):]
             if c is None:
-                found = visit(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
-
-    for u in sorted(edges):
-        if u not in color:
-            found = visit(u)
-            if found:
-                return found
+                color[v] = 1
+                path.append(v)
+                succs.append(iter(sorted(edges.get(v, ()))))
     return None
 
 

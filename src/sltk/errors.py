@@ -63,7 +63,7 @@ class IndexExplosionError(SLError):
 
 
 class HasSignalGenerationError(SLError):
-    """Normalization rejected a tail program containing signal generation."""
+    """Mealy extraction refused a tail program that generates signals."""
 
 
 class StateExplosionError(SLError):

@@ -5,10 +5,14 @@ A machine reads a subset of n input wires each instant and produces a
 subset of m output wires, with the requirement that more input never yields
 less output. Compilation realizes each state as a definition that spawns
 one watcher per (input subset, fired output) pair and chooses the next
-state through a conditional tree once the instant ends. Extraction works
-over parameter-free normal form equations and replaces multiset execution
-by a saturation over sets of equation names and emitted signals, which is
-exact for that fragment.
+state through a conditional tree once the instant ends. Extraction runs
+the tail threads themselves: each instant is a saturation over a set of
+threads, with calls unfolded through a memo of instantiated bodies. For
+programs without signal generation a set emits the same signals and leaves
+the same guards as multiset execution, so the reachable states are finite.
+Extraction keeps this instant loop of its own, apart from
+`equiv.Space.instant`, so that it stays an independent reference for the
+trace mode of the equivalence checker.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from .tailcore import (
     TEmit,
     TNew,
     TNIL,
-    TNil,
     TPresent,
     TSpawn,
     pause_prefix,
+    select_branch,
     tail_substitute,
 )
 
@@ -133,242 +137,130 @@ def mealy_to_program(machine):
 
 
 # ---------------------------------------------------------------------------
-# normal form
+# machine extraction
 
 
-@dataclass(frozen=True)
-class NZero:
-    pass
+def _call_bodies(defs):
+    """Unfold calls through a memo: one instantiated body per call, shared
+    by every occurrence of that call.
 
+    A chain of bare calls resolves to the body it ends in; a chain that
+    closes on itself has no productive body at all and is rejected.
+    """
+    memo = {}
 
-@dataclass(frozen=True)
-class NEmit:
-    signal: str
-    next: str
-
-
-@dataclass(frozen=True)
-class NPresent:
-    signal: str
-    then: str
-    branch: object
-
-
-@dataclass(frozen=True)
-class NSpawn:
-    spawned: str
-    next: str
-
-
-@dataclass(frozen=True)
-class NBIte:
-    signal: str
-    then: object
-    other: object
-
-
-@dataclass
-class NormalProgram:
-    inputs: tuple
-    outputs: tuple
-    ids: dict
-    initial: tuple
-
-
-class _Normalizer:
-    def __init__(self, program):
-        self.program = program
-        self.ids = {}
-        self.memo = {}
-        self.name_of = {}
-        self.pending = deque()
-        self.aux_count = 0
-
-    def _mangle(self, ident, args):
-        name = f"{ident}[{','.join(args)}]" if args else ident
-        while name in self.ids or \
-                (name in self.program.defs and name != ident):
-            name += "'"
-        return name
-
-    def _instantiate(self, key):
-        ident, args = key
-        dfn = self.program.defs[ident]
-        if len(args) != len(dfn.params):
-            raise SLError(f"arity mismatch instantiating {ident}")
-        return tail_substitute(dfn.body, dict(zip(dfn.params, args)))
-
-    def instance(self, ident, args):
-        """The equation name for a definition applied to concrete signals.
-
-        Chains of equations that are bare calls collapse onto the equation
-        they end in; a chain that closes on itself has no productive body
-        at all and is rejected.
-        """
-        key = (ident, tuple(args))
-        hit = self.name_of.get(key)
-        if hit is not None:
-            return hit
-        chain = []
-        seen = set()
-        cur = key
-        while True:
-            if cur in seen:
-                shown = " = ".join(f"{i}({','.join(a)})" for i, a in
-                                   chain + [cur])
+    def unfold(call):
+        body = memo.get(call)
+        chain = {}
+        while body is None:
+            if call in chain:
+                shown = " = ".join(f"{c.ident}({','.join(c.args)})"
+                                   for c in [*chain, call])
                 raise SLError(f"unguarded call cycle: {shown}")
-            seen.add(cur)
-            chain.append(cur)
-            body = self._instantiate(cur)
+            chain[call] = None
+            dfn = defs[call.ident]
+            if len(call.args) != len(dfn.params):
+                raise SLError(f"arity mismatch instantiating {call.ident}")
+            body = tail_substitute(dfn.body, dict(zip(dfn.params, call.args)))
             if isinstance(body, TCall):
-                nxt = (body.ident, tuple(body.args))
-                known = self.name_of.get(nxt)
-                if known is not None:
-                    name = known
-                    break
-                cur = nxt
-                continue
-            name = self._mangle(*cur)
-            self.name_of[cur] = name
-            self.ids[name] = None
-            self.pending.append((name, body))
-            break
-        for k in chain:
-            self.name_of[k] = name
-        return name
-
-    def norm(self, t):
-        """The equation name describing an arbitrary tail term."""
-        if isinstance(t, TCall):
-            return self.instance(t.ident, t.args)
-        built = self._build(t)
-        key = built
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        name = f"N{self.aux_count}"
-        self.aux_count += 1
-        self.memo[key] = name
-        self.ids[name] = built
-        return name
-
-    def drain(self):
-        while self.pending:
-            name, body = self.pending.popleft()
-            self.ids[name] = self._build(body)
-
-    def _build(self, t):
-        if isinstance(t, TNil):
-            return NZero()
-        if isinstance(t, TEmit):
-            return NEmit(t.signal, self.norm(t.next))
-        if isinstance(t, TSpawn):
-            return NSpawn(self.norm(t.spawned), self.norm(t.next))
-        if isinstance(t, TPresent):
-            return NPresent(t.signal, self.norm(t.then),
-                            self._build_branch(t.branch))
-        if isinstance(t, TNew):
-            raise HasSignalGenerationError()
-        raise TypeError(f"not a tail thread: {t!r}")
-
-    def _build_branch(self, b):
-        if isinstance(b, BLeaf):
-            return self.norm(b.tail)
-        return NBIte(b.signal, self._build_branch(b.then),
-                     self._build_branch(b.other))
+                call, body = body, memo.get(body)
+        for c in chain:
+            memo[c] = body
+        return body
+    return unfold
 
 
-def normalize_tail(program):
-    """Instantiate parameters lazily and split every equation into one of
-    the four normal shapes, sharing structurally identical pieces."""
-    for t in program.all_tails():
-        if _canon.has_binder(t):
-            raise HasSignalGenerationError()
-    nz = _Normalizer(program)
-    initial = tuple(nz.norm(t) for t in program.initial)
-    nz.drain()
-    return NormalProgram(tuple(program.inputs), tuple(program.outputs),
-                         nz.ids, initial)
+def closure(threads, emitted, unfold):
+    """Saturate one instant over a set of tail threads, given the signals
+    present so far, inputs included. Returns the guards still waiting at
+    the end and the emitted signals.
 
-
-# ---------------------------------------------------------------------------
-# set saturation
-
-
-def select_normal(branch, emitted):
-    while isinstance(branch, NBIte):
-        branch = branch.then if branch.signal in emitted else branch.other
-    return branch
-
-
-def closure(q, emitted, normal):
-    """Saturate (equation set, emitted set) to the end of the instant, then
-    apply the instant boundary. Exact for parameter-free equations: running
-    the same ids as a multiset emits the same signals and leaves the same
-    set of residual equations."""
-    q = set(q)
+    Emissions and spawns are lifted, calls unfold, and a guard parks on its
+    signal until that signal is emitted. A thread counts once, by identity:
+    every thread is a subterm of the program or of a memoized call body, so
+    one that comes back within the instant is the same object. Exact for
+    programs without signal generation: running the threads as a multiset
+    emits the same signals and leaves the same guards, up to copies.
+    """
     emitted = set(emitted)
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(q):
-            b = normal.ids[name]
-            if isinstance(b, NEmit):
-                if b.next not in q or b.signal not in emitted:
-                    q.add(b.next)
-                    emitted.add(b.signal)
-                    changed = True
-            elif isinstance(b, NPresent):
-                if b.signal in emitted and b.then not in q:
-                    q.add(b.then)
-                    changed = True
-            elif isinstance(b, NSpawn):
-                if b.spawned not in q or b.next not in q:
-                    q.add(b.spawned)
-                    q.add(b.next)
-                    changed = True
-    nq = set()
-    for name in q:
-        b = normal.ids[name]
-        if isinstance(b, NZero):
-            nq.add(name)
-        elif isinstance(b, NPresent) and b.signal not in emitted:
-            nq.add(select_normal(b.branch, emitted))
-    return frozenset(nq), frozenset(emitted)
+    seen = {}
+    waiting = {}
+    work = list(threads)
+    while work:
+        t = work.pop()
+        if id(t) in seen:
+            continue
+        seen[id(t)] = t
+        if isinstance(t, TPresent):
+            if t.signal in emitted:
+                work.append(t.then)
+            else:
+                waiting.setdefault(t.signal, []).append(t)
+        elif isinstance(t, TCall):
+            work.append(unfold(t))
+        elif isinstance(t, TEmit):
+            if t.signal not in emitted:
+                emitted.add(t.signal)
+                work.extend(g.then for g in waiting.pop(t.signal, ()))
+            work.append(t.next)
+        elif isinstance(t, TSpawn):
+            work.append(t.spawned)
+            work.append(t.next)
+        elif isinstance(t, TNew):
+            raise HasSignalGenerationError()
+    return [g for gs in waiting.values() for g in gs], emitted
 
 
 def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
     """Explore the reachable saturation states of a generator-free tail
-    program and tabulate them as a monotonic Mealy machine."""
-    normal = normalize_tail(program)
+    program and tabulate them as a monotonic Mealy machine.
+
+    A state is where an instant stands once its input-free part has run:
+    the guards that the threads of the instant boundary leave when
+    saturated with no input, and the signals they emit. It is computed
+    once per boundary.
+    """
+    if any(_canon.has_binder(t) for t in program.all_tails()):
+        raise HasSignalGenerationError()
+    unfold = _call_bodies(program.defs)
     n = len(program.inputs)
-    m = len(program.outputs)
     in_name = {x: s for x, s in enumerate(program.inputs, start=1)}
     out_index = {s: j for j, s in enumerate(program.outputs, start=1)}
     subsets = input_subsets(n)
-    q0 = frozenset(normal.initial)
+    entered, guards_of = {}, {}
+
+    def enter(threads):
+        key = frozenset(map(id, threads))
+        q = entered.get(key)
+        if q is None:
+            guards, emitted = closure(threads, (), unfold)
+            q = entered[key] = (frozenset(map(id, guards)),
+                                frozenset(emitted))
+            guards_of[q] = guards
+        return q
+
+    q0 = enter(program.initial)
     names = {q0: "q0"}
-    order = [q0]
     queue = deque([q0])
-    next_state = {}
-    output = {}
+    next_state, output = {}, {}
     while queue:
         q = queue.popleft()
         for X in subsets:
-            base = {in_name[x] for x in X}
-            q2, emitted = closure(q, base, normal)
+            left, emitted = closure(guards_of[q],
+                                    q[1].union(in_name[x] for x in X), unfold)
+            q2 = enter([select_branch(g.branch, emitted.__contains__)
+                        for g in left])
             if q2 not in names:
                 if len(names) >= state_limit:
                     raise StateExplosionError(state_limit)
                 names[q2] = f"q{len(names)}"
-                order.append(q2)
                 queue.append(q2)
             key = (names[q], X)
             next_state[key] = names[q2]
             output[key] = frozenset(out_index[s] for s in emitted
                                     if s in out_index)
-    return MonotonicMealy(tuple(names[q] for q in order), "q0", n, m,
-                          next_state, output)
+    return MonotonicMealy(tuple(names.values()), "q0", n,
+                          len(program.outputs), next_state, output)
 
 
 # ---------------------------------------------------------------------------

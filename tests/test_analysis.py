@@ -12,6 +12,7 @@ from sltk.analysis import (
     check_reactivity,
 )
 from sltk.cps import cps_program
+from sltk.equiv import EXACT, bisim_check
 from sltk.semantics import decompose, plug, run_trace
 from sltk.syntax import (
     Await,
@@ -24,6 +25,7 @@ from sltk.syntax import (
     parse_program,
     seq_of,
 )
+from sltk.tailcore import check_reactivity_tail, parse_tail_program
 
 from .corpus import SOURCE_TEXTS, source_corpus
 
@@ -232,3 +234,23 @@ def test_strict_cycle_needs_the_nonempty_label():
 (run (call A s1))
 """)
     assert check_bounded(fixed)
+
+
+def test_cycle_search_walks_a_chain_deeper_than_the_recursion_limit():
+    n = 3000
+    header = "(input s1)\n(output s2)\n"
+    chain = "".join(f"(def (A{k}) (call A{k + 1}))\n" for k in range(n))
+    source = f"{header}{chain}(def (A{n}) pause)\n(run (call A0))\n"
+    assert check_reactivity(parse_program(source))
+
+    def tail(last):
+        return parse_tail_program(
+            f"{header}{chain}(def (A{n}) {last})\n(run (call A0))\n")
+
+    assert check_reactivity_tail(tail("(emit! s2 0)"))
+    verdict = check_reactivity_tail(tail("(call A0)"))
+    assert verdict.cycle == tuple(f"A{k}" for k in range(n + 1))
+    # closed behind a pause, the chain is call-cyclic: exact mode finds
+    # the cycle and plays the trace game instead of the refinement
+    ring = tail("(emit! s2 (present %pause 0 (call A0)))")
+    assert bisim_check(ring, ring, mode=EXACT)

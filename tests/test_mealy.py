@@ -3,6 +3,7 @@ import pytest
 from sltk.errors import (
     HasSignalGenerationError,
     ParseError,
+    SLError,
     StateExplosionError,
 )
 from sltk.mealy import (
@@ -13,19 +14,25 @@ from sltk.mealy import (
     input_subsets,
     mealy_to_program,
     mealy_trace_equiv,
-    normalize_tail,
     parse_mealy,
     print_mealy,
     program_to_mealy,
     validate_mealy,
 )
-from sltk.tailcore import parse_tail_program, run_trace_tail
+from sltk.cps import cps_program
+from sltk.equiv import _has_new
+from sltk.tailcore import (
+    parse_tail_program,
+    print_tail_program,
+    run_trace_tail,
+)
 
 from .corpus import (
     TAIL_TEXTS,
     random_monotone_mealy,
     random_tail_program,
     seeded,
+    source_corpus,
 )
 
 
@@ -147,18 +154,28 @@ def test_round_trip_small_family():
 
 def test_extraction_agrees_with_the_interpreter():
     rng = seeded(101)
+    checks = []
     for _ in range(15):
         p = random_tail_program(rng)
+        checks.append((p, [frozenset(x for x in (1, 2) if rng.random() < 0.4)
+                           for _ in range(8)]))
+    # CPS images also call definitions with signal parameters
+    images = [cps_program(p).program for _, p in source_corpus()]
+    images = [p for p in images if not _has_new(p)]
+    assert len(images) == 17
+    rng = seeded(17)
+    for p in images:
+        checks += [(p, [frozenset(x for x in (1, 2) if rng.random() < 0.4)
+                        for _ in range(12)]) for _ in range(3)]
+    for p, word in checks:
         machine = program_to_mealy(p)
         in_name = {x: s for x, s in enumerate(p.inputs, start=1)}
         out_name = {j: s for j, s in enumerate(p.outputs, start=1)}
-        word = [frozenset(x for x in (1, 2) if rng.random() < 0.4)
-                for _ in range(8)]
         named = [frozenset(in_name[x] for x in X) for X in word]
         direct = [o for _, o in run_trace_tail(p, named)]
         via_machine = [frozenset(out_name[j] for j in O)
                        for O in drive(machine, word)]
-        assert direct == via_machine
+        assert direct == via_machine, print_tail_program(p)
 
 
 def test_trace_equiv_finds_a_separating_word():
@@ -208,16 +225,25 @@ trans q0 {1} -> q0 {1}
         parse_mealy(text)
 
 
-def test_normalization_shares_identical_pieces():
+def test_twin_guards_extract_the_table_of_one():
+    header = "(input s1)\n(output s2)\n"
+    guard = "(present s1 (emit! s2 0) 0)"
+    single = program_to_mealy(parse_tail_program(
+        header + f"(run {guard})"))
+    twin = program_to_mealy(parse_tail_program(
+        header + f"(run (thread! {guard} {guard}))"))
+    assert twin == single
+    assert len(single.states) == 2
+
+
+def test_extraction_names_an_unguarded_call_cycle():
     p = parse_tail_program("""
 (input s1)
 (output s2)
-(run (thread! (present s1 (emit! s2 0) 0) (present s1 (emit! s2 0) 0)))
+(def (A) (call B))
+(def (B) (call A))
+(run (call A))
 """)
-    normal = normalize_tail(p)
-    assert len(normal.initial) == 1
-    # the two spawned copies collapse onto one equation id
-    spawn_ids = [b for b in normal.ids.values()
-                 if type(b).__name__ == "NSpawn"]
-    assert len(spawn_ids) == 1
-    assert spawn_ids[0].spawned == spawn_ids[0].next
+    chain = r"unguarded call cycle: A\(\) = B\(\) = A\(\)"
+    with pytest.raises(SLError, match=chain):
+        program_to_mealy(p)
