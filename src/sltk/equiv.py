@@ -12,11 +12,12 @@ reach the interface, so no input or barb exists for them.
 
 On top of the transition system the module provides the end-of-instant
 rewrite, the three suspension predicates, an equivalence checker with
-three modes (exact greatest-fixed-point refinement, trace comparison which
-is equal to the exact relation for this confluent language, and a bounded
-game that can only distinguish), and a diamond-property check for the
-transition system itself. Trace mode relies on confluence: it runs each
-instant on raw lifted threads and interns only instant boundaries.
+three modes (exact labelled bisimilarity by signature refinement over the
+disjoint union of both state spaces, trace comparison which is equal to the
+exact relation for this confluent language, and a bounded game that can
+only distinguish), and a diamond-property check for the transition system
+itself. Trace mode relies on confluence: it runs each instant on raw lifted
+threads and interns only instant boundaries.
 """
 
 from __future__ import annotations
@@ -379,12 +380,32 @@ def _show_set(S):
 
 
 class _Refinement:
-    """Greatest fixed point of the bisimulation conditions over the cross
-    product of two reachable state spaces."""
+    """Labelled bisimilarity of two reachable state spaces, decided by
+    signature refinement over their disjoint union.
+
+    The partition starts as one block. Each round gives every state a
+    signature built from the previous partition, each part saturated
+    through internal moves: its own block; the blocks it reaches by
+    internal moves; (s, block) for each convergent state so reached that
+    has barb s; for each context set S, (block(y), block(eoi(y))) for each
+    suspended y that internal moves reach once S is emitted; and for each
+    input s, the blocks reached by a weak input move on s or by emitting s
+    after internal moves. States with equal signatures share the next
+    block, and the rounds stop when the number of blocks stops growing.
+
+    A pair first split in round k differs in a part of its round-k
+    signature. In round 1 that part is an observable fact: a barb, or no
+    suspension under a context. Later it names a pair split in an earlier
+    round. The witness is the chain of such steps from the two seeds whose
+    labels come first in a fixed order of label kinds, signals and context
+    sets, so it does not depend on the order in which states were
+    numbered, and it has fewer steps than the refinement has rounds.
+    """
 
     def __init__(self, sp1, sp2, universe):
         self.sp1 = sp1
         self.sp2 = sp2
+        self.universe = tuple(sorted(universe))
         self.subsets = subsets(universe)
 
     def close(self, space, seed):
@@ -406,91 +427,143 @@ class _Refinement:
         return seen
 
     def run(self, seed1, seed2):
-        states1 = sorted(self.close(self.sp1, seed1))
-        states2 = sorted(self.close(self.sp2, seed2))
-        alive = {(a, b) for a in states1 for b in states2}
-        self.reasons = {}
-        changed = True
-        while changed:
-            changed = False
-            for pair in sorted(alive):
-                reason = self._violation(pair, alive)
-                if reason is not None:
-                    alive.discard(pair)
-                    self.reasons[pair] = reason
-                    changed = True
-        if (seed1, seed2) in alive:
-            return Equivalent()
-        return Distinguished(self._witness((seed1, seed2)))
-
-    def _violation(self, pair, alive):
-        r = self._directional(pair, alive, forward=True)
-        if r is not None:
-            return r
-        return self._directional(pair, alive, forward=False)
-
-    def _directional(self, pair, alive, forward):
-        a, b = pair
-        spP, spQ = (self.sp1, self.sp2) if forward else (self.sp2, self.sp1)
-        p, q = (a, b) if forward else (b, a)
-
-        def live(x, y):
-            return ((x, y) if forward else (y, x)) in alive
-
-        def dead_pair(x, y):
-            return (x, y) if forward else (y, x)
-
-        for p2 in spP.tau(p):
-            if not any(live(p2, q2) for q2 in spQ.weak_tau(q)):
-                return ("internal step", dead_pair(p2, q))
-        if spP.converges(p):
-            for s in sorted(spP.barbs(p)):
-                if not any(s in spQ.barbs(q2) and live(p, q2)
-                           for q2 in spQ.weak_tau(q)):
-                    return (f"emitted {s} observable", None)
-        for S in self.subsets:
-            pS = spP.with_emits(p, S)
-            if not spP.suspended(pS):
-                continue
-            qS = spQ.with_emits(q, S)
-            candidates = [q2 for q2 in spQ.weak_tau(qS)
-                          if spQ.suspended(q2)]
-            if not candidates:
-                return (f"context emits {_show_set(S)}, no suspension",
-                        None)
-            pE = spP.eoi(pS)
-            ok = any(live(pS, q2) and live(pE, spQ.eoi(q2))
-                     for q2 in candidates)
-            if not ok:
-                q2 = candidates[0]
-                if not live(pS, q2):
-                    return (f"context emits {_show_set(S)}",
-                            dead_pair(pS, q2))
-                return (f"context emits {_show_set(S)}, instant ends",
-                        dead_pair(pE, spQ.eoi(q2)))
-        for s, targets in sorted(spP.ins(p).items()):
-            for p2 in targets:
-                matched = any(live(p2, q2) for q2 in spQ.weak_in(q, s))
-                if not matched:
-                    matched = any(
-                        live(p2, spQ.with_emits(q2, {s}))
-                        for q2 in spQ.weak_tau(q))
-                if not matched:
-                    return (f"input {s}",
-                            dead_pair(p2, spQ.with_emits(q, {s})))
-        return None
-
-    def _witness(self, pair):
-        chain = []
-        seen = set()
-        while pair in self.reasons and pair not in seen:
-            seen.add(pair)
-            label, nxt = self.reasons[pair]
-            chain.append(label)
-            if nxt is None:
+        u, v = self._union(seed1, seed2)
+        block = [0] * len(self.states)
+        self.partitions = [block]
+        self.rounds = 0
+        while True:
+            self.rounds += 1
+            ids = {}
+            nxt = [ids.setdefault(
+                (block[x],
+                 frozenset(map(block.__getitem__, weak)),
+                 frozenset([(s, block[y]) for s, y in barbed]),
+                 frozenset([(i, block[y], block[e]) for i, y, e in contexts]),
+                 frozenset([(s, block[y]) for s, y in inputs])),
+                len(ids))
+                for x, (weak, barbed, contexts, inputs)
+                in enumerate(self.moves)]
+            if len(ids) == len(set(block)):
                 break
-            pair = nxt
-        return tuple(chain)
+            block = nxt
+            self.partitions.append(block)
+        if block[u] == block[v]:
+            return Equivalent()
+        return Distinguished(tuple(label for label, _ in self.explain(u, v)))
+
+    def _union(self, seed1, seed2):
+        """Number the closed states of both spaces apart, as `states`, and
+        saturate per state the moves that the signature parts read, as
+        `moves`: (weak, barbed, contexts, inputs) with elements y, (s, y),
+        (i, y, eoi(y)) for the i-th context set, and (s, y). Returns the
+        numbers of the two seeds."""
+        spaces = (self.sp1, self.sp2)
+        self.states = []
+        self.number = number = {}
+        for k, seed in enumerate((seed1, seed2)):
+            for sid in sorted(self.close(spaces[k], seed)):
+                number[k, sid] = len(self.states)
+                self.states.append((k, sid))
+        weak, ins, barbs, suspended, eoi, self.emits = [], [], [], [], [], []
+        for k, sid in self.states:
+            sp = spaces[k]
+            weak.append([number[k, y] for y in sp.weak_tau(sid)])
+            ins.append([(s, number[k, y]) for s, ys in sp.ins(sid).items()
+                        for y in ys])
+            barbs.append(sorted(sp.barbs(sid)))
+            suspended.append(sp.suspended(sid))
+            eoi.append(number[k, sp.eoi(sid)] if suspended[-1] else None)
+            self.emits.append([number[k, sp.with_emits(sid, S)]
+                               for S in self.subsets])
+        settled = [[y for y in w if suspended[y]] for w in weak]
+        single = [(s, self.subsets.index(frozenset([s])))
+                  for s in self.universe]
+        self.moves = []
+        for x in range(len(self.states)):
+            inputs = set()
+            for y in weak[x]:
+                inputs.update((s, z) for s, t in ins[y] for z in weak[t])
+                inputs.update((s, self.emits[y][i]) for s, i in single)
+            self.moves.append((
+                weak[x],
+                [(s, y) for y in weak[x] if settled[y] for s in barbs[y]],
+                [(i, y, eoi[y]) for i, e in enumerate(self.emits[x])
+                 for y in settled[e]],
+                list(inputs)))
+        return number[0, seed1], number[1, seed2]
+
+    def explain(self, u, v):
+        """The chain of (label, pair) steps that explains why the states
+        u and v are split and whose ranks come first in lexicographic
+        order."""
+        reasons = {}
+        best = {}
+        stack = [(u, v)]
+        while stack:
+            pair = stack[-1]
+            if pair in best:
+                stack.pop()
+                continue
+            if pair not in reasons:
+                reasons[pair] = self._reasons(*pair)
+            todo = [nxt for _, _, nxt in reasons[pair]
+                    if nxt is not None and nxt not in best]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            best[pair] = min(
+                (((rank, label, pair),) + (best[nxt] if nxt else ())
+                 for rank, label, nxt in reasons[pair]),
+                key=lambda chain: [rank for rank, _, _ in chain])
+        return tuple((label, pair) for _, label, pair in best[u, v])
+
+    def _reasons(self, u, v):
+        """Every (rank, label, next pair) in which the signatures of u and
+        v differ in the round that first splits them. The next pair is None
+        for an observable fact; the rank orders labels by kind, then by
+        signal or by context set, smallest first."""
+        k = next(k for k, block in enumerate(self.partitions)
+                 if block[u] != block[v])
+        block = self.partitions[k - 1]
+        out = set()
+        for a, b in ((u, v), (v, u)):
+            def pair(x, y, a=a):
+                return (x, y) if a == u else (y, x)
+
+            weak_a, barbed_a, contexts_a, inputs_a = self.moves[a]
+            weak_b, barbed_b, contexts_b, inputs_b = self.moves[b]
+            reach = {block[y] for y in weak_b}
+            out.update(((0,), "internal step", pair(x, b))
+                       for x in weak_a if block[x] not in reach)
+            shown = {(s, block[y]) for s, y in barbed_b}
+            for s, x in barbed_a:
+                if (s, block[x]) not in shown:
+                    label = ((1, s), f"emitted {s} observable")
+                    others = [(*label, pair(x, y)) for t, y in barbed_b
+                              if t == s]
+                    out.update(others or [(*label, None)])
+            ends = {(i, block[y], block[e]) for i, y, e in contexts_b}
+            for i, x, ex in contexts_a:
+                if (i, block[x], block[ex]) in ends:
+                    continue
+                label = f"context emits {_show_set(self.subsets[i])}"
+                others = [(y, ey) for j, y, ey in contexts_b if j == i]
+                if not others:
+                    out.add(((2, i, 2), f"{label}, no suspension", None))
+                for y, ey in others:
+                    if block[x] != block[y]:
+                        out.add(((2, i, 0), label, pair(x, y)))
+                    else:
+                        out.add(((2, i, 1), f"{label}, instant ends",
+                                 pair(ex, ey)))
+            reach = {(s, block[y]) for s, y in inputs_b}
+            for s, x in inputs_a:
+                if (s, block[x]) not in reach:
+                    emitted = self.emits[b][self.subsets.index(
+                        frozenset([s]))]
+                    out.add(((3, s), f"input {s}", pair(x, emitted)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +613,14 @@ BOUNDED = "bounded"
 def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     """Decide equivalence of two tail programs.
 
-    exact runs the greatest-fixed-point refinement when the definition
-    tables are call-acyclic; with recursion but no signal generation it
-    falls back to trace comparison, which coincides with the labelled
-    relation for this language; with both it refuses. trace compares
-    instant machines directly. bounded plays the trace game for `depth`
-    instants and never certifies equivalence.
+    exact refines a partition of the union of both state spaces by
+    signatures when the definition tables are call-acyclic, and explains a
+    split by the shortest chain of refinement rounds that leads to an
+    observable fact; with recursion but no signal generation it falls back
+    to trace comparison, which coincides with the labelled relation for
+    this language; with both it refuses. trace compares instant machines
+    directly. bounded plays the trace game for `depth` instants and never
+    certifies equivalence.
     """
     if mode not in (EXACT, TRACE, BOUNDED):
         raise ValueError(f"unknown mode: {mode}")

@@ -413,6 +413,43 @@ def random_tail_program(rng, n_defs=2, depth=3):
     return parse_tail_program("\n".join(lines))
 
 
+def random_finite_program(rng, n_defs=2, depth=3):
+    """A small call-acyclic, generation-free tail program over s1 s2 / s3.
+    A definition calls only the definitions after it, so every pair of
+    these programs has finite state spaces that both the exact refinement
+    and the trace game decide."""
+    signals = ("s1", "s2", "s3")
+    names = [f"D{k}" for k in range(n_defs)]
+
+    def tail(d, callees):
+        roll = rng.random()
+        if d <= 0 or roll < 0.15:
+            return "0"
+        if roll < 0.35:
+            return f"(emit! {rng.choice(signals)} {tail(d - 1, callees)})"
+        if roll < 0.5:
+            return f"(thread! {tail(d - 1, callees)} {tail(d - 1, callees)})"
+        if roll < 0.8:
+            s = rng.choice(signals + ("%pause",))
+            return f"(present {s} {tail(d - 1, callees)} " \
+                   f"{branch(d - 1, callees)})"
+        if callees:
+            return f"(call {rng.choice(callees)})"
+        return f"(emit! {rng.choice(signals)} 0)"
+
+    def branch(d, callees):
+        if d <= 0 or rng.random() < 0.5:
+            return tail(d, callees)
+        return f"(ite {rng.choice(signals)} {branch(d - 1, callees)} " \
+               f"{branch(d - 1, callees)})"
+
+    lines = ["(input s1 s2)", "(output s3)"]
+    lines += [f"(def ({name}) {tail(depth, names[k + 1:])})"
+              for k, name in enumerate(names)]
+    lines.append(f"(run {tail(depth, names)})")
+    return parse_tail_program("\n".join(lines))
+
+
 def random_ring_programs(rng, n_defs=3):
     """Two tail programs over s1 s2 / s3 on one recursive ring of
     definitions. Each definition spawns a guard and then, in the next

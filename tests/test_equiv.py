@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from sltk.tailcore import TEmit, TNIL, parse_tail_program
 from .corpus import (
     TAIL_TEXTS,
     finite_corpus,
+    random_finite_program,
     random_ring_programs,
     seeded,
     tail_corpus,
@@ -303,8 +305,7 @@ def test_distinguishing_witness_replays():
 
 
 @pytest.mark.parametrize("left, right, witness", [
-    ("f_both", "f_def_chain",
-     "input s1 then context emits {} then emitted s3 observable"),
+    ("f_both", "f_def_chain", "context emits {s1} then emitted s3 observable"),
     ("f_chain_swap", "f_def_chain",
      "context emits {s1} then emitted s3 observable"),
     ("f_both", "f_pause_branch",
@@ -377,6 +378,204 @@ def test_context_moves_are_memoized_exactly(monkeypatch):
             if space.suspended(sid):
                 space.eoi(sid)
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# exact mode: signature refinement against the pair-by-pair fixpoint
+
+
+def _kleene_verdict(sp1, seed1, sp2, seed2):
+    """Exact mode's verdict as the pair-by-pair Kleene loop computed it
+    before signature refinement: every pair of closed states starts alive,
+    and each round drops the pairs that break a clause against the pairs
+    still alive, until no pair drops or the seed pair has."""
+    inputs = subsets(sp1.universe)
+    close = equiv._Refinement(sp1, sp2, sp1.universe).close
+    states2 = close(sp2, seed2)
+    alive = {(a, b) for a in close(sp1, seed1) for b in states2}
+    contexts = {}
+
+    def context(sp, p):
+        """Per context set: p's state after it and that state's end of
+        instant if it is suspended, and the suspended states p reaches
+        after it by internal moves with their ends of instant."""
+        if (sp, p) not in contexts:
+            out = []
+            for S in inputs:
+                pS = sp.with_emits(p, S)
+                out.append((pS, sp.eoi(pS) if sp.suspended(pS) else None,
+                            [(q, sp.eoi(q)) for q in sp.weak_tau(pS)
+                             if sp.suspended(q)]))
+            contexts[sp, p] = out
+        return contexts[sp, p]
+
+    def breaks(p, q, spP, spQ, live):
+        for p2 in spP.tau(p):
+            if not any(live(p2, q2) for q2 in spQ.weak_tau(q)):
+                return True
+        if spP.converges(p):
+            for s in spP.barbs(p):
+                if not any(s in spQ.barbs(q2) and live(p, q2)
+                           for q2 in spQ.weak_tau(q)):
+                    return True
+        for (pS, pE, _), (_, _, candidates) in zip(context(spP, p),
+                                                   context(spQ, q)):
+            if pE is not None and not any(live(pS, q2) and live(pE, qE)
+                                          for q2, qE in candidates):
+                return True
+        for s, targets in spP.ins(p).items():
+            for p2 in targets:
+                if not (any(live(p2, q2) for q2 in spQ.weak_in(q, s)) or
+                        any(live(p2, spQ.with_emits(q2, {s}))
+                            for q2 in spQ.weak_tau(q))):
+                    return True
+        return False
+
+    def forward(x, y):
+        return (x, y) in alive
+
+    def backward(x, y):
+        return (y, x) in alive
+
+    changed = True
+    while changed and (seed1, seed2) in alive:
+        changed = False
+        for a, b in sorted(alive):
+            if (breaks(a, b, sp1, sp2, forward) or
+                    breaks(b, a, sp2, sp1, backward)):
+                alive.discard((a, b))
+                changed = True
+    return (seed1, seed2) in alive
+
+
+def _seeded_spaces(programs):
+    """A space over s1 s2 s3 and its seed for each program, shared by every
+    pair the program is in."""
+    out = []
+    for p in programs:
+        space = equiv.Space(p, ("s1", "s2", "s3"))
+        out.append((space, space.intern(p.initial)))
+    return out
+
+
+def _refine(left, right):
+    (sp1, seed1), (sp2, seed2) = left, right
+    refinement = equiv._Refinement(sp1, sp2, sp1.universe)
+    return refinement, refinement.run(seed1, seed2)
+
+
+def test_exact_verdicts_equal_the_kleene_fixpoint_on_the_corpus():
+    spaces = _seeded_spaces(p for _, p in finite_corpus())
+    verdicts = []
+    for left, right in itertools.combinations_with_replacement(spaces, 2):
+        exact = bool(_refine(left, right)[1])
+        assert exact == _kleene_verdict(*left, *right)
+        verdicts.append(exact)
+    assert (len(verdicts), sum(verdicts)) == (465, 75)
+
+
+def test_exact_equals_the_kleene_fixpoint_and_trace_on_generated_pairs():
+    rng = seeded(3)
+    programs = [random_finite_program(rng) for _ in range(30)]
+    spaces = _seeded_spaces(programs)
+    pairs = rng.sample(list(itertools.combinations(range(30), 2)), 200)
+    verdicts = set()
+    for i, j in pairs:
+        exact = bool(_refine(spaces[i], spaces[j])[1])
+        assert exact == _kleene_verdict(*spaces[i], *spaces[j]), (i, j)
+        assert exact == bool(bisim_check(programs[i], programs[j],
+                                         mode=TRACE)), (i, j)
+        verdicts.add(exact)
+    assert verdicts == {True, False}
+
+
+def _weakly_shows(space, sid, s):
+    return any(space.converges(y) and s in space.barbs(y)
+               for y in space.weak_tau(sid))
+
+
+def _suspends_under(space, sid, S):
+    return any(space.suspended(y)
+               for y in space.weak_tau(space.with_emits(sid, S)))
+
+
+def _observable(refinement, label, pair):
+    """Whether the last step of a witness is a fact about its pair of
+    states that no relation between the two spaces enters: one side and
+    not the other shows a barb, or suspends under a context."""
+    spaces = (refinement.sp1, refinement.sp2)
+    (k1, sid1), (k2, sid2) = (refinement.states[u] for u in pair)
+    barb = re.fullmatch(r"emitted (\S+) observable", label)
+    if barb:
+        fact = _weakly_shows
+        arg = barb[1]
+    else:
+        context = re.fullmatch(r"context emits \{(.*)\}, no suspension",
+                               label)
+        if not context:
+            return False
+        fact = _suspends_under
+        arg = frozenset(context[1].split(",")) - {""}
+    return fact(spaces[k1], sid1, arg) != fact(spaces[k2], sid2, arg)
+
+
+def _reinterned(program, space, seed):
+    """A space of the same program whose closed states are interned in
+    the opposite order."""
+    closed = equiv._Refinement(space, space, space.universe).close(space,
+                                                                   seed)
+    other = equiv.Space(program, space.universe)
+    for sid in sorted(closed, reverse=True):
+        other.intern(space._items[sid])
+    return other, other.intern(program.initial)
+
+
+def test_exact_witnesses_are_short_observable_and_order_free():
+    programs = [p for _, p in finite_corpus()]
+    spaces = _seeded_spaces(programs)
+    reordered = [_reinterned(p, *s) for p, s in zip(programs, spaces)]
+    assert [sp.show(seed) for sp, seed in reordered] == \
+        [sp.show(seed) for sp, seed in spaces]
+    assert any(a[1] != b[1] for a, b in zip(reordered, spaces))
+    distinguished = 0
+    for i, j in itertools.combinations(range(len(programs)), 2):
+        refinement, verdict = _refine(spaces[i], spaces[j])
+        if verdict:
+            continue
+        distinguished += 1
+        steps = refinement.explain(refinement.number[0, spaces[i][1]],
+                                   refinement.number[1, spaces[j][1]])
+        assert tuple(label for label, _ in steps) == verdict.witness
+        assert _observable(refinement, *steps[-1]), verdict.render()
+        assert len(steps) < refinement.rounds
+        _, again = _refine(reordered[i], reordered[j])
+        assert again.witness == verdict.witness
+    assert distinguished == 465 - 75
+
+
+def bare_call_chain(n, last):
+    """(def (A0) (call A1)) ... (def (An) (emit! last 0)), run from A0."""
+    defs = "".join(f"(def (A{k}) (call A{k + 1}))\n" for k in range(n))
+    return tp(f"(input s1 s2)\n(output s3)\n{defs}"
+              f"(def (A{n}) (emit! {last} 0))\n(run (call A0))")
+
+
+def test_an_open_bare_call_chain_refines_in_two_rounds(monkeypatch):
+    rounds = []
+
+    class Counted(equiv._Refinement):
+        def run(self, *seeds):
+            verdict = super().run(*seeds)
+            rounds.append(self.rounds)
+            return verdict
+
+    monkeypatch.setattr(equiv, "_Refinement", Counted)
+    chain = bare_call_chain(100, "s2")
+    assert isinstance(bisim_check(chain, chain, mode=EXACT), Equivalent)
+    verdict = bisim_check(chain, bare_call_chain(100, "s3"), mode=EXACT)
+    assert isinstance(verdict, Distinguished)
+    assert re.fullmatch(r"emitted s[23] observable", verdict.witness[-1])
+    assert rounds == [2, 2]
 
 
 # ---------------------------------------------------------------------------
