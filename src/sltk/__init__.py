@@ -15,6 +15,7 @@ from .errors import (
     FuelExhaustedError,
     HasSignalGenerationError,
     IndexExplosionError,
+    InputSetExplosionError,
     NotFiniteStateError,
     ParseError,
     SLError,

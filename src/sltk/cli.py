@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / equivalent / accepted; 1 usage or parse problems;
 2 analysis rejection or failed precondition; 3 distinguished; 4
-inconclusive; 5 runtime limits (fuel, state or index explosion, or a
-program nested deeper than the Python recursion limit).
+inconclusive; 5 runtime limits (fuel, state, index or input-set
+explosion, or a program nested deeper than the Python recursion limit).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import (
     FuelExhaustedError,
     HasSignalGenerationError,
     IndexExplosionError,
+    InputSetExplosionError,
     NotFiniteStateError,
     ParseError,
     SLError,
@@ -370,7 +371,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (FuelExhaustedError, StateExplosionError,
-            IndexExplosionError) as e:
+            IndexExplosionError, InputSetExplosionError) as e:
         print(f"limit: {e}", file=sys.stderr)
         return 5
     except RecursionError:

@@ -17,13 +17,17 @@ disjoint union of both state spaces, trace comparison which is equal to the
 exact relation for this confluent language, and a bounded game that can
 only distinguish), and a diamond-property check for the transition system
 itself. Trace mode relies on confluence: it runs each instant on raw lifted
-threads and interns only instant boundaries.
+threads, interns only instant boundaries, and memoizes the instant of each
+boundary state as a decision tree over the input signals the instant
+tests, split lazily, so that it runs once per class of input sets that
+the game queries rather than once per input set.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import _canon
 from .analysis import _find_cycle
@@ -84,6 +88,19 @@ def _marked(items):
     return {t.signal for t in items if isinstance(t, TEmit)}
 
 
+class _Split:
+    """An inner node of an instant tree: the runs below it split on
+    `signal`, and branches[False] and branches[True] hold the subtrees of
+    the input sets without and with it. A branch is None until a query
+    takes it."""
+
+    __slots__ = ("signal", "branches")
+
+    def __init__(self, signal):
+        self.signal = signal
+        self.branches = [None, None]
+
+
 # ---------------------------------------------------------------------------
 # reachable state space
 
@@ -96,7 +113,9 @@ class Space:
     and so are the two moves of a context: `eoi(sid)` ends the instant and is
     cached by state id; `with_emits(sid, S)` emits the signals S into the
     instant and is cached by state id and signal set. Trace mode uses none
-    of these: `instant(sid, S)` interns instant boundaries only.
+    of these: `instant(sid, S)` interns instant boundaries only, and keeps
+    per state a decision tree whose leaves hold the outputs and the next
+    state of one class of input sets.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -119,6 +138,7 @@ class Space:
         self._eoi = {}
         self._emits = {}
         self._bodies = {}
+        self._trees = {}
 
     def intern(self, items):
         members = _lifted(items, _canon.name_supply("%l", self._taken))
@@ -262,39 +282,105 @@ class Space:
 
     def instant(self, sid, inputs, fuel=100_000):
         """(outputs, next state) of the instant from state sid under the
-        context's `inputs`. By confluence any order of moves suspends in the
-        same state, so the instant runs on a worklist of raw lifted threads,
-        parks each guard until its signal is marked and interns only the
-        state where the next instant starts."""
+        context's `inputs`, a subset of the universe.
+
+        Each state keeps a decision tree over the universe signals its
+        instant tests, built lazily: a query walks the tree by `inputs`
+        and runs the instant only when it reaches a branch no query took
+        before. A leaf holds the signals the run marked and the next
+        state, the same for every input set that reaches it."""
+        node = self._trees.get(sid)
+        while node.__class__ is _Split:
+            node = node.branches[node.signal in inputs]
+        if node is None:
+            node = self._run(sid, inputs, fuel)
+        marks, nxt = node
+        return marks | (inputs & self._universe), nxt
+
+    def _run(self, sid, inputs, fuel):
+        """Run the instant from state sid for `inputs` and hang its leaf
+        where the path of `inputs` in the tree ends.
+
+        The run marks at its start each signal the path found present,
+        runs on a worklist of raw lifted threads and parks each guard until
+        its signal is marked. When nothing can move, it splits on the
+        smallest universe signal not yet decided that a parked guard waits
+        on, and at the end of the instant on each such signal that a
+        conditional tree tests; `inputs` decides each split. No input off
+        the path changes the outputs or the next state, and by confluence
+        an input marked when nothing can move, not at the start of the
+        instant, leaves the same state. Only the state where the next
+        instant starts is interned."""
+        decided = {}
+        self._trees.setdefault(sid, None)
+        holder, slot = self._trees, sid
+        while holder[slot] is not None:
+            node = holder[slot]
+            decided[node.signal] = side = node.signal in inputs
+            holder, slot = node.branches, side
         # a prefix of its own: intern restarts its %l supply at every call
         supply = _canon.name_supply("%i", self._taken)
-        work, marks, waiting, steps = [], set(inputs), {}, 0
+        universe = self._universe
+        work, waiting, pending, steps = [], {}, [], 0
+        marks = {s for s, side in decided.items() if side}
+
+        def decide(s):
+            nonlocal holder, slot
+            node = holder[slot] = _Split(s)
+            decided[s] = present = s in inputs
+            holder, slot = node.branches, present
+            return present
+
         for t in self._items[sid]:
             _lift(t, work, marks, supply)
-        while work:
-            t = work.pop()
-            if isinstance(t, TCall):
-                body = self._bodies.get(t)
-                if body is None:
-                    dfn = self.defs[t.ident]
-                    body = self._bodies[t] = tail_substitute(
-                        dfn.body, dict(zip(dfn.params, t.args)))
-                t = body
-            elif t.signal in marks:
-                t = t.then
-            else:
-                waiting.setdefault(t.signal, []).append(t)
-                continue
-            steps += 1
-            if steps > fuel:
-                raise FuelExhaustedError(steps)
-            known = len(marks)
-            _lift(t, work, marks, supply)
-            if len(marks) > known:
-                for s in marks & waiting.keys():
-                    work.extend(waiting.pop(s))
+        while True:
+            while work:
+                t = work.pop()
+                if isinstance(t, TCall):
+                    body = self._bodies.get(t)
+                    if body is None:
+                        dfn = self.defs[t.ident]
+                        body = self._bodies[t] = tail_substitute(
+                            dfn.body, dict(zip(dfn.params, t.args)))
+                    t = body
+                elif t.signal in marks:
+                    t = t.then
+                else:
+                    parked = waiting.get(t.signal)
+                    if parked is not None:
+                        parked.append(t)
+                    else:
+                        waiting[t.signal] = [t]
+                        if t.signal in universe and t.signal not in decided:
+                            heappush(pending, t.signal)
+                    continue
+                steps += 1
+                if steps > fuel:
+                    raise FuelExhaustedError(steps)
+                known = len(marks)
+                _lift(t, work, marks, supply)
+                if len(marks) > known:
+                    for s in marks & waiting.keys():
+                        work.extend(waiting.pop(s))
+            # a signal leaves `waiting` only once it is marked
+            while pending and pending[0] not in waiting:
+                heappop(pending)
+            if not pending:
+                break
+            s = heappop(pending)
+            if decide(s):
+                marks.add(s)
+                work.extend(waiting.pop(s))
+
+        def present(s):
+            if s in marks:
+                return True
+            if s in universe and s not in decided:
+                decide(s)
+            return decided.get(s, False)
+
         # eoi; an else-branch that emits at once leaves a marker
-        members = _lifted((select_branch(t.branch, marks.__contains__)
+        members = _lifted((select_branch(t.branch, present)
                            for guards in waiting.values() for t in guards),
                           supply)
         # as in with_emits, and a miss becomes another key of its state
@@ -302,7 +388,8 @@ class Space:
         nxt = self._ids.get(key)
         if nxt is None:
             nxt = self._ids[key] = self.intern(members)
-        return frozenset(marks & self._universe), nxt
+        holder[slot] = leaf = (frozenset(marks & universe), nxt)
+        return leaf
 
     def weak_in(self, sid, signal):
         out = set()

@@ -74,6 +74,17 @@ class StateExplosionError(SLError):
         super().__init__(f"state space exceeded {limit} states")
 
 
+class InputSetExplosionError(SLError):
+    """Enumerating every input set would exceed the configured bound on
+    the number of signals."""
+
+    def __init__(self, limit, signals):
+        self.limit = limit
+        self.signals = signals
+        super().__init__(f"input-set enumeration over {signals} signals "
+                         f"exceeds the bound of {limit} signals")
+
+
 class ArityTooLargeError(SLError):
     """Machine arity beyond the exhaustive-validation bound."""
 

@@ -19,6 +19,7 @@ from .errors import (
     ArityMismatchError,
     ConfluenceViolationError,
     FuelExhaustedError,
+    InputSetExplosionError,
     NotSuspendedError,
     StateExplosionError,
     UnboundIdentifierError,
@@ -513,8 +514,17 @@ def _step_index(threads, env, defs, i):
     return tuple(nxt), env2
 
 
+# Budget of `subsets`: 2**17 sets of up to 17 names take about 100 MB, and
+# the trace game and Mealy extraction visit each set at every state.
+MAX_ENUMERATED_SIGNALS = 17
+
+
 def subsets(names):
-    """Every subset of names, smallest first, equal sizes in sorted order."""
+    """Every subset of names, smallest first, equal sizes in sorted order.
+    More than MAX_ENUMERATED_SIGNALS names raise InputSetExplosionError
+    before any set is built."""
+    if len(names) > MAX_ENUMERATED_SIGNALS:
+        raise InputSetExplosionError(MAX_ENUMERATED_SIGNALS, len(names))
     out = [frozenset()]
     for n in names:
         out += [s | {n} for s in out]

@@ -450,18 +450,20 @@ def random_finite_program(rng, n_defs=2, depth=3):
     return parse_tail_program("\n".join(lines))
 
 
-def random_ring_programs(rng, n_defs=3):
-    """Two tail programs over s1 s2 / s3 on one recursive ring of
-    definitions. Each definition spawns a guard and then, in the next
-    instant, moves along the ring or stays, depending on an input. A guard
-    tests an input, may emit s3 at once, and otherwise decides on an input
-    at the end of the instant whether to emit s3 in the next one. The
-    second program draws the guard of one definition afresh, so the pair
-    may or may not be equivalent. Guards test only inputs and emit only
-    s3, so their instant machines are the same whether or not the context
-    may emit s3 too."""
-    inputs = ("s1", "s2")
-    emits = ("0", "(emit! s3 0)")
+def random_ring_programs(rng, n_defs=3, n_inputs=2):
+    """Two tail programs over the inputs s1 .. sn and the output s(n+1),
+    s1 s2 / s3 by default, on one recursive ring of definitions. Each
+    definition spawns a guard and then, in the next instant, moves along
+    the ring or stays, depending on an input. A guard tests an input, may
+    emit the output at once, and otherwise decides on an input at the end
+    of the instant whether to emit it in the next one. The second program
+    draws the guard of one definition afresh, so the pair may or may not
+    be equivalent. Guards test only inputs and emit only the output, so
+    their instant machines are the same whether or not the context may
+    emit the output too."""
+    inputs = tuple(f"s{k}" for k in range(1, n_inputs + 1))
+    output = f"s{n_inputs + 1}"
+    emits = ("0", f"(emit! {output} 0)")
 
     def guard():
         return f"(present {rng.choice(inputs)} {rng.choice(emits)} " \
@@ -475,7 +477,7 @@ def random_ring_programs(rng, n_defs=3):
     sibling[rng.randrange(n_defs)] = guard()
 
     def program(gs):
-        lines = ["(input s1 s2)", "(output s3)"]
+        lines = [f"(input {' '.join(inputs)})", f"(output {output})"]
         lines += [f"(def (W{j}) (thread! {g} {step}))"
                   for j, (g, step) in enumerate(zip(gs, steps))]
         lines.append("(run (call W0))")

@@ -290,6 +290,20 @@ def test_equiv_trace_mode_reports_fuel_as_a_limit(tmp_path, capsys):
     assert err.startswith("limit: fuel exhausted")
 
 
+def test_wide_input_set_enumeration_is_a_limit(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(sltk.semantics, "MAX_ENUMERATED_SIGNALS", 4)
+    # five inputs and no output: five signals to both commands
+    wide = put(tmp_path, "wide.slt", "(input i1 i2 i3 i4 i5)\n"
+               "(run (present i1 (emit! i2 0) 0))\n")
+    limit = ("limit: input-set enumeration over 5 signals exceeds the bound "
+             "of 4 signals\n")
+    for argv in (("equiv", wide, wide),
+                 ("equiv", wide, wide, "--mode", "trace"),
+                 ("to-mealy", wide)):
+        assert invoke(capsys, *argv) == (5, "", limit)
+
+
 DEEP = 3000
 
 

@@ -1,9 +1,11 @@
 import itertools
+import random
 import re
+from collections import Counter
 
 import pytest
 
-from sltk import equiv
+from sltk import equiv, semantics
 from sltk.equiv import (
     BOUNDED,
     EXACT,
@@ -19,7 +21,11 @@ from sltk.equiv import (
     space_for,
     suspension,
 )
-from sltk.errors import FuelExhaustedError, NotSuspendedError
+from sltk.errors import (
+    FuelExhaustedError,
+    InputSetExplosionError,
+    NotSuspendedError,
+)
 from sltk.mealy import mealy_trace_equiv, program_to_mealy
 from sltk.semantics import subsets
 from sltk.tailcore import TEmit, TNIL, parse_tail_program
@@ -230,17 +236,19 @@ def test_recursion_with_generation_is_out_of_scope():
     assert isinstance(verdict, Inconclusive)
 
 
-def test_trace_mode_overruns_budget_on_generation_recursion():
-    # every instant leaves one more waiter on a fresh signal
-    recursive_nu = """
+# every instant leaves one more waiter on a fresh signal
+RECURSIVE_NU = """
 (input s1 s2)
 (output s3)
 (def (K x) (present x 0 (call K x)))
 (def (G) (new x (thread! (call K x) (present %pause 0 (call G)))))
 (run (call G))
 """
+
+
+def test_trace_mode_overruns_budget_on_generation_recursion():
     with pytest.raises(StateExplosionError):
-        bisim_check(tp(recursive_nu), tp(recursive_nu), mode=TRACE,
+        bisim_check(tp(RECURSIVE_NU), tp(RECURSIVE_NU), mode=TRACE,
                     state_limit=200)
 
 
@@ -602,19 +610,38 @@ FRESH_NAMES = """
 """
 
 
+# a guard on an input that the program also emits later in its instant
+SELF_EMITTED = """
+(input s1 s2)
+(output s3)
+(run (thread! (present s1 (emit! s3 0) 0)
+              (present s2 (emit! s1 0) (ite s1 (emit! s3 0) 0))))
+"""
+
+# a conditional tree at the instant boundary on a signal no guard waits on
+BOUNDARY_ITE = """
+(input s1 s2)
+(output s3)
+(def (B) (present %pause 0 (ite s2 (emit! s3 (call B)) (call B))))
+(run (call B))
+"""
+
+
 def _instant_programs():
     programs = [p for _, p in finite_corpus()]
     programs += [p for p in map(tp, TAIL_TEXTS.values()) if equiv._has_new(p)]
-    return programs + [tp(FRESH_NAMES)]
+    return programs + [tp(FRESH_NAMES), tp(SELF_EMITTED), tp(BOUNDARY_ITE)]
 
 
-def test_instant_equals_the_interned_instant():
+def _check_instants(programs, order=list):
+    """Space.instant against the interned instant on every state pair the
+    two reach, querying the input sets of each state in `order`."""
     # the oracle and Space.instant run in spaces of their own, so that
     # Space.instant interns its boundary states itself; states compare by
     # their canonical printed form
-    for p in _instant_programs():
+    for p in programs:
         oracle, raw = space_for(p), space_for(p)
-        inputs = subsets(oracle.universe)
+        inputs = order(subsets(oracle.universe))
         start = (oracle.intern(p.initial), raw.intern(p.initial))
         seen = {start}
         queue = [start]
@@ -629,6 +656,93 @@ def test_instant_equals_the_interned_instant():
                     seen.add((a2, b2))
                     queue.append((a2, b2))
         assert len({a for a, _ in seen}) == len({b for _, b in seen})
+
+
+def test_instant_equals_the_interned_instant():
+    _check_instants(_instant_programs())
+
+
+@pytest.mark.parametrize("order", [
+    lambda letters: letters[::-1],
+    lambda letters: random.Random(17).sample(letters, len(letters)),
+], ids=["reversed", "shuffled"])
+def test_instant_trees_answer_queries_in_any_order(order):
+    _check_instants(_instant_programs(), order)
+
+
+def _count_runs(monkeypatch):
+    """(space, state id) of every run of an instant from now on."""
+    runs = []
+    run = equiv.Space._run
+
+    def counted(space, sid, inputs, fuel):
+        runs.append((space, sid))
+        return run(space, sid, inputs, fuel)
+
+    monkeypatch.setattr(equiv.Space, "_run", counted)
+    return runs
+
+
+def test_trace_game_runs_one_instant_per_boundary_state(monkeypatch):
+    # no guard of this program waits on s1, s2 or s3, so each state's tree
+    # is one leaf, where every input set used to run the instant again
+    runs = _count_runs(monkeypatch)
+    with pytest.raises(StateExplosionError):
+        bisim_check(tp(RECURSIVE_NU), tp(RECURSIVE_NU), mode=TRACE,
+                    state_limit=200)
+    assert set(Counter(runs).values()) == {1}
+    for space in {sp for sp, _ in runs}:
+        sids = sorted(sid for sp, sid in runs if sp is space)
+        # the last state may be left when the other space runs out
+        assert sids == list(range(len(sids)))
+        assert len(sids) >= len(space._items) - 1 >= 199
+
+
+def test_instant_trees_split_only_on_tested_signals(monkeypatch):
+    # runs per state of each space, for all eight input sets of s1 s2 s3
+    runs = _count_runs(monkeypatch)
+    # only the boundary tests s2: two classes
+    assert bisim_check(tp(BOUNDARY_ITE), tp(BOUNDARY_ITE), mode=TRACE)
+    assert set(Counter(runs).values()) == {2}
+    runs.clear()
+    # guards wait on s1 and s2, never on s3: four classes from the seed
+    assert bisim_check(tp(SELF_EMITTED), tp(SELF_EMITTED), mode=TRACE)
+    assert [n for (_, sid), n in Counter(runs).items() if sid == 0] == [4, 4]
+
+
+def test_trace_mode_queries_only_the_input_sets_it_needs():
+    # the instant diverges only when s2 is present; {s1} separates the
+    # pair before any input set with s2 is queried
+    diverging = """
+(input s1 s2)
+(output s3)
+(def (F) (call F))
+(run (thread! (present s2 (call F) 0) (present s1 (emit! s3 0) 0)))
+"""
+    quiet = """
+(input s1 s2)
+(output s3)
+(def (F) (call F))
+(run (present s2 (call F) 0))
+"""
+    verdict = bisim_check(tp(diverging), tp(quiet), mode=TRACE)
+    assert verdict.render() == "inputs {s1} emit {s1,s3} versus {s1}"
+    with pytest.raises(FuelExhaustedError):
+        bisim_check(tp(diverging), tp(diverging), mode=TRACE)
+
+
+def test_wide_input_set_enumeration_is_refused(monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_ENUMERATED_SIGNALS", 4)
+    assert len(subsets("abcd")) == 16
+    with pytest.raises(InputSetExplosionError) as e:
+        subsets("abcde")
+    assert (e.value.limit, e.value.signals) == (4, 5)
+    assert "5 signals" in str(e.value) and "4 signals" in str(e.value)
+    wide = tp("(input i1 i2 i3 i4)\n(output o1)\n"
+              "(run (present i1 (emit! o1 0) 0))")
+    for mode in (EXACT, TRACE):
+        with pytest.raises(InputSetExplosionError):
+            bisim_check(wide, wide, mode=mode)
 
 
 def test_fresh_names_stay_apart_across_the_instant_boundary():
@@ -688,12 +802,14 @@ def test_trace_mode_reports_a_divergent_instant():
 
 
 def test_trace_mode_agrees_with_mealy_extraction_on_rings():
-    verdicts = set()
-    for seed in range(30):
-        a, b = random_ring_programs(seeded(seed))
-        trace = bool(bisim_check(a, b, mode=TRACE))
-        mealy = bool(mealy_trace_equiv(program_to_mealy(a),
-                                       program_to_mealy(b)))
-        assert trace == mealy, seed
-        verdicts.add(trace)
-    assert verdicts == {True, False}
+    # on five and six inputs most input sets fall in a few classes
+    for n_inputs, seeds in ((2, 30), (5, 20), (6, 20)):
+        verdicts = set()
+        for seed in range(seeds):
+            a, b = random_ring_programs(seeded(seed), n_inputs=n_inputs)
+            trace = bool(bisim_check(a, b, mode=TRACE))
+            mealy = bool(mealy_trace_equiv(program_to_mealy(a),
+                                           program_to_mealy(b)))
+            assert trace == mealy, (n_inputs, seed)
+            verdicts.add(trace)
+        assert verdicts == {True, False}, n_inputs
