@@ -118,10 +118,13 @@ def rename_all(t, m):
 def substitute(t, sub):
     """Capture-avoiding substitution of names for the free names of t.
 
-    Under a binder only the keys free in its body count, and the node comes
-    back unchanged when there are none. A binder that would capture a value
-    is renamed to the smallest %rK that is neither a value, a key nor free
-    in its body.
+    A node comes back as it is when nothing below it changes, in particular
+    when no key is free in t. A binder hides its own name from the keys.
+    Capture is possible only when some value equals the binder's name; only
+    then is the body walked for its free names. If a key free in the body
+    maps to that name, the binder is renamed to the smallest %rK that is
+    neither a value nor a key among the keys free in the body, nor free in
+    the body itself.
     """
     if not sub:
         return t
@@ -133,18 +136,21 @@ def substitute(t, sub):
         if kind is BIND:
             body_name, _ = next(fields)
             body = getattr(t, body_name)
-            free = free_signals(body)
-            inner = {k: x for k, x in sub.items() if k != v and k in free}
-            if inner:
+            inner = sub
+            if v in sub:
+                inner = {k: x for k, x in sub.items() if k != v}
+            if v in inner.values():
+                free = free_signals(body)
+                inner = {k: x for k, x in inner.items() if k in free}
                 if v in inner.values():
                     avoid = set(inner.values()) | free | set(inner)
                     fresh = next(name_supply("%r", avoid))
                     inner[v] = fresh
                     v = fresh
-                out += (v, substitute(body, inner))
-                changed = True
-            else:
-                out += (v, body)
+                    changed = True
+            w = substitute(body, inner)
+            changed = changed or w is not body
+            out += (v, w)
             continue
         if kind is SUB:
             w = substitute(v, sub)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
+import re
 from dataclasses import dataclass
 
 from . import _canon
@@ -27,6 +28,7 @@ from .errors import (
     UndeclaredSignalError,
 )
 from .syntax import (
+    GENERATED_PREFIX,
     NIL,
     Await,
     Call,
@@ -51,39 +53,63 @@ RANDOM = "random"
 DEFAULT_FUEL = 10 ** 6
 
 
+_GENERATED = re.compile(re.escape(GENERATED_PREFIX) + "(0|[1-9][0-9]*)")
+
+
 class Env:
-    """Signal environment: a finite map plus a fresh-name reservoir.
+    """Signal environment of a run: presence over a fixed domain, plus the
+    fresh-name counter.
 
-    Names at or beyond the counter are undefined; fresh() moves one of them
-    into the map (absent), which is how signal generation gets a name no
-    other thread can mention.
+    The domain is fixed when the environment is built: the names a program
+    can mention before it generates any. The generated names %g0, %g1, ...
+    below the counter are absent unless emitted, so the environment stores
+    one only while it is present. Every other name, and a generated name at
+    or beyond the counter, raises UnboundSignalError. fresh() hands out the
+    next counter name that is not in the domain.
 
-    `emitted` logs each signal that emit() turns from absent to present, once
-    per instant. The scheduler drains it after every step to wake the threads
-    parked on those signals; a copy starts with an empty log.
+    `emitted` logs, in order, each name set present in the instant: the
+    inputs by begin(), then each signal that emit() turns from absent to
+    present. The scheduler wakes the threads parked on the names logged
+    since it started, and begin() resets presence from the log, so an
+    environment keeps a constant size over a whole run.
     """
 
-    __slots__ = ("defined", "counter", "emitted")
+    __slots__ = ("defined", "domain", "counter", "emitted")
 
-    def __init__(self, defined, counter):
-        self.defined = dict(defined)
+    def __init__(self, domain, counter):
+        self.domain = frozenset(domain)
+        self.defined = dict.fromkeys(self.domain, False)
         self.counter = counter
         self.emitted = []
 
+    def begin(self, inputs):
+        """Start an instant in which exactly the given inputs are present."""
+        defined = self.defined
+        for s in self.emitted:
+            if s in self.domain:
+                defined[s] = False
+            else:
+                del defined[s]
+        self.emitted = list(inputs)
+        for s in self.emitted:
+            defined[s] = True
+
     def fresh(self):
-        name = f"%g{self.counter}"
+        name = f"{GENERATED_PREFIX}{self.counter}"
         self.counter += 1
-        while name in self.defined:
-            name = f"%g{self.counter}"
+        while name in self.domain:
+            name = f"{GENERATED_PREFIX}{self.counter}"
             self.counter += 1
-        self.defined[name] = False
         return name
 
     def present(self, signal):
-        try:
-            return self.defined[signal]
-        except KeyError:
-            raise UnboundSignalError(signal) from None
+        v = self.defined.get(signal)
+        if v is None:
+            m = _GENERATED.fullmatch(signal)
+            if m is None or int(m[1]) >= self.counter:
+                raise UnboundSignalError(signal)
+            return False
+        return v
 
     def emit(self, signal):
         if not self.present(signal):
@@ -91,7 +117,53 @@ class Env:
             self.emitted.append(signal)
 
     def copy(self):
-        return Env(self.defined, self.counter)
+        env = Env.__new__(Env)
+        env.domain = self.domain
+        env.defined = dict(self.defined)
+        env.counter = self.counter
+        env.emitted = list(self.emitted)
+        return env
+
+
+class CallBodies:
+    """The definition bodies a run instantiates, memoized by (identifier,
+    arguments); calling it unfolds one call.
+
+    `instantiate(body, mapping)` substitutes the arguments for the
+    parameters. An entry lives through the instant that used it and the
+    next one: end_instant() drops every entry the ending instant did not
+    use, so the memo follows the live calls, not the length of the run. The
+    first unfold of a call checks its identifier and its arity.
+    """
+
+    __slots__ = ("defs", "instantiate", "current", "previous")
+
+    def __init__(self, defs, instantiate):
+        self.defs = defs
+        self.instantiate = instantiate
+        self.current = {}
+        self.previous = {}
+
+    def __call__(self, ident, args):
+        key = (ident, args)
+        body = self.current.get(key)
+        if body is None:
+            body = self.previous.get(key)
+            if body is None:
+                dfn = self.defs.get(ident)
+                if dfn is None:
+                    raise UnboundIdentifierError(ident)
+                if len(dfn.params) != len(args):
+                    raise ArityMismatchError(
+                        f"{ident} takes {len(dfn.params)} signals")
+                body = self.instantiate(dfn.body,
+                                        dict(zip(dfn.params, args)))
+            self.current[key] = body
+        return body
+
+    def end_instant(self):
+        self.previous = self.current
+        self.current = {}
 
 
 @dataclass(frozen=True)
@@ -152,11 +224,11 @@ def plug(frames, t):
     return t
 
 
-def try_step(t, env, defs):
+def try_step(t, env, unfold):
     """One reduction of a single thread, or None when it cannot move now.
 
     On success returns (thread', spawned threads); emission and generation
-    update env in place.
+    update env in place. `unfold(ident, args)` gives a call's body.
     """
     d = decompose(t)
     if d is None:
@@ -173,14 +245,7 @@ def try_step(t, env, defs):
         g = env.fresh()
         return plug(frames, substitute(redex.body, {redex.bound: g})), ()
     if isinstance(redex, Call):
-        dfn = defs.get(redex.ident)
-        if dfn is None:
-            raise UnboundIdentifierError(redex.ident)
-        if len(dfn.params) != len(redex.args):
-            raise ArityMismatchError(
-                f"{redex.ident} takes {len(dfn.params)} signals")
-        body = substitute(dfn.body, dict(zip(dfn.params, redex.args)))
-        return plug(frames, body), ()
+        return plug(frames, unfold(redex.ident, redex.args)), ()
     if isinstance(redex, Await):
         if env.present(redex.signal):
             return plug(frames, NIL), ()
@@ -192,7 +257,7 @@ def try_step(t, env, defs):
     raise TypeError(f"not a redex: {redex!r}")
 
 
-def can_step(t, env, defs):
+def can_step(t, env, unfold):
     """Pure runnability test: suspended threads are terminated, blocked on an
     absent signal, or paused for the instant."""
     d = decompose(t)
@@ -231,11 +296,12 @@ def _floor(t, env):
     raise NotSuspendedError(print_thread(t))
 
 
-def end_of_instant(threads, env, defs=None):
-    """Rewrite a fully suspended multiset into the next instant's program."""
-    if defs is not None:
+def end_of_instant(threads, env, unfold=None):
+    """Rewrite a fully suspended multiset into the next instant's program.
+    Given the run's unfolder, first check that every thread is suspended."""
+    if unfold is not None:
         for t in threads:
-            if can_step(t, env, defs):
+            if can_step(t, env, unfold):
                 raise NotSuspendedError(print_thread(t))
     return tuple(_floor(t, env) for t in threads)
 
@@ -250,8 +316,8 @@ def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn,
 
     The driver is event-driven. A thread found unable to step is parked on
     the signal `waits_on_fn` names, or set aside for the instant when that is
-    None (paused or terminated). After each step the signals `env.emitted`
-    logged are drained and the threads parked on them are woken. Presence
+    None (paused or terminated). After each step the threads parked on the
+    signals `env.emitted` logged since the last step are woken. Presence
     only grows within an instant, so the invariant holds: every runnable
     thread is a candidate, every parked thread awaits an absent signal, and
     every other thread is paused or terminated until the instant ends. An
@@ -261,6 +327,7 @@ def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn,
     threads = list(threads)
     waiting = {}
     steps = 0
+    logged = len(env.emitted)
 
     def park(i):
         s = waits_on_fn(threads[i])
@@ -268,10 +335,11 @@ def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn,
             waiting.setdefault(s, []).append(i)
 
     def woken():
+        nonlocal logged
         out = []
-        for s in env.emitted:
+        for s in env.emitted[logged:]:
             out.extend(waiting.pop(s, ()))
-        env.emitted.clear()
+        logged = len(env.emitted)
         return out
 
     if policy == DETERMINISTIC:
@@ -337,6 +405,8 @@ class InstantResult:
 
 
 def _env_domain(program, threads):
+    """The interface, the names free in the threads and the generated names
+    free in the definition bodies."""
     dom = set(program.inputs) | set(program.outputs)
     for t in threads:
         dom |= _canon.free_signals(t)
@@ -346,12 +416,27 @@ def _env_domain(program, threads):
     return dom
 
 
+def _checked_inputs(program, inputs):
+    """The inputs as a frozenset; UndeclaredSignalError names any that is
+    not an input of the program."""
+    inputs = frozenset(inputs)
+    extra = inputs - set(program.inputs)
+    if extra:
+        raise UndeclaredSignalError(
+            "not input signals: " + " ".join(sorted(extra)))
+    return inputs
+
+
 class Runner:
     """Runs a program instant by instant, carrying the fresh-name counter.
 
     Each instant is driven by `run_threads`; the threads left after the
     end-of-instant rewrite, less the terminated ones, are the next instant's
-    program.
+    program. One `Env`, whose domain is computed here, and one `CallBodies`
+    serve every instant, so an instant costs the threads that run in it and
+    not the whole population. `gen_counter` and `threads` are the state
+    carried between instants; assigning them moves the runner to another
+    state of the same program.
     """
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0, fuel=DEFAULT_FUEL):
@@ -361,26 +446,28 @@ class Runner:
         self.fuel = fuel
         self.gen_counter = next_gen_index(program)
         self.threads = list(program.initial)
+        self.env = Env(_env_domain(program, program.initial),
+                       self.gen_counter)
+        # substitute is looked up at each call, so that a wrapper put on
+        # the module attribute (bench/layers.py counts calls) sees them all
+        self.unfold = CallBodies(program.defs,
+                                 lambda body, m: substitute(body, m))
 
     def run_instant(self, inputs=frozenset()):
-        inputs = frozenset(inputs)
-        extra = inputs - set(self.program.inputs)
-        if extra:
-            raise UndeclaredSignalError(
-                "not input signals: " + " ".join(sorted(extra)))
-        dom = _env_domain(self.program, self.threads)
-        env = Env({s: s in inputs for s in dom}, self.gen_counter)
-        defs = self.program.defs
+        env, unfold = self.env, self.unfold
+        env.begin(_checked_inputs(self.program, inputs))
+        env.counter = self.gen_counter
         threads, steps = run_threads(
             self.threads, self.policy, self.rng, self.fuel,
-            lambda t: try_step(t, env, defs),
-            lambda t: can_step(t, env, defs),
+            lambda t: try_step(t, env, unfold),
+            lambda t: can_step(t, env, unfold),
             waits_on, env)
         self.gen_counter = env.counter
-        outputs = frozenset(
-            s for s in self.program.outputs if env.defined.get(s, False))
+        outputs = frozenset(s for s in self.program.outputs
+                            if env.defined[s])
         residual = tuple(t for t in end_of_instant(threads, env)
                          if not isinstance(t, Nil))
+        unfold.end_instant()
         self.threads = list(residual)
         return InstantResult(outputs, residual, steps)
 
@@ -413,16 +500,15 @@ def _state_key(program, threads, env):
     live = set(program.interface)
     for t in threads:
         live |= _canon.free_signals(t)
-    items = tuple(sorted(
-        (m.get(s, s), v) for s, v in env.defined.items() if s in live))
+    items = tuple(sorted((m.get(s, s), env.present(s)) for s in live))
     return tuple(print_thread(t) for t in canon), items
 
 
-def _successors(threads, env, defs):
+def _successors(threads, env, unfold):
     out = []
     for i, t in enumerate(threads):
         env2 = env.copy()
-        r = try_step(t, env2, defs)
+        r = try_step(t, env2, unfold)
         if r is None:
             continue
         t2, spawned = r
@@ -442,15 +528,18 @@ def check_strong_confluence(program, max_states=5000, max_instants=2,
     a state must rejoin in at most one step each, up to renaming. Returns the
     number of states examined.
     """
-    defs = program.defs
+    unfold = CallBodies(program.defs, lambda body, m: substitute(body, m))
     input_subsets = subsets(program.inputs)
     start_counter = next_gen_index(program)
 
     def boundary_states(threads, instants_left):
+        # generated names free in the threads join the domain, so that
+        # fresh() restarting from start_counter steps over them
+        dom = _env_domain(program, threads)
         out = []
         for inputs in input_subsets:
-            dom = _env_domain(program, threads)
-            env = Env({s: s in inputs for s in dom}, start_counter)
+            env = Env(dom, start_counter)
+            env.begin(inputs)
             out.append((threads, env, instants_left))
         return out
 
@@ -466,35 +555,35 @@ def check_strong_confluence(program, max_states=5000, max_instants=2,
         examined += 1
         if examined > max_states:
             raise StateExplosionError(max_states)
-        succ = _successors(threads, env, defs)
+        succ = _successors(threads, env, unfold)
         for i, (ia, ta, ea) in enumerate(succ):
             for ib, tb, eb in succ[i + 1:]:
-                _check_diamond(program, defs, (ia, ta, ea), (ib, tb, eb))
+                _check_diamond(program, unfold, (ia, ta, ea), (ib, tb, eb))
         if succ:
             for _, t2, e2 in succ:
                 queue.append((t2, e2, instants_left))
         else:
-            residual = end_of_instant(threads, env, defs)
+            residual = end_of_instant(threads, env, unfold)
             if instants_left > 0:
                 queue.extend(boundary_states(residual, instants_left - 1))
     return examined
 
 
-def _check_diamond(program, defs, a, b):
+def _check_diamond(program, unfold, a, b):
     ia, ta, ea = a
     ib, tb, eb = b
     ka = _state_key(program, ta, ea)
     kb = _state_key(program, tb, eb)
     if ka == kb:
         return
-    ra = _step_index(ta, ea, defs, ib)
-    rb = _step_index(tb, eb, defs, ia)
+    ra = _step_index(ta, ea, unfold, ib)
+    rb = _step_index(tb, eb, unfold, ia)
     if ra is not None and rb is not None:
         if _state_key(program, *ra) == _state_key(program, *rb):
             return
-    for _, t2, e2 in _successors(ta, ea, defs):
+    for _, t2, e2 in _successors(ta, ea, unfold):
         k2 = _state_key(program, t2, e2)
-        for _, t3, e3 in _successors(tb, eb, defs):
+        for _, t3, e3 in _successors(tb, eb, unfold):
             if k2 == _state_key(program, t3, e3):
                 return
     raise ConfluenceViolationError(
@@ -502,9 +591,9 @@ def _check_diamond(program, defs, a, b):
         + " | ".join(print_thread(t) for t in ta))
 
 
-def _step_index(threads, env, defs, i):
+def _step_index(threads, env, unfold, i):
     env2 = env.copy()
-    r = try_step(threads[i], env2, defs)
+    r = try_step(threads[i], env2, unfold)
     if r is None:
         return None
     t2, spawned = r

@@ -39,13 +39,15 @@ from .errors import (
     NotSuspendedError,
     ParseError,
     UnboundIdentifierError,
-    UndeclaredSignalError,
 )
 from .semantics import (
     DEFAULT_FUEL,
     DETERMINISTIC,
+    CallBodies,
     Env,
     InstantResult,
+    _checked_inputs,
+    _env_domain,
     run_threads,
 )
 from .syntax import (
@@ -367,8 +369,9 @@ def parse_tail_program(text):
 # execution
 
 
-def try_step_tail(t, env, defs):
-    """One reduction at the root; returns (t', spawned) or None."""
+def try_step_tail(t, env, unfold):
+    """One reduction at the root; returns (t', spawned) or None.
+    `unfold(ident, args)` gives a call's body."""
     if isinstance(t, TNil):
         return None
     if isinstance(t, TEmit):
@@ -378,8 +381,7 @@ def try_step_tail(t, env, defs):
         g = env.fresh()
         return tail_substitute(t.body, {t.bound: g}), []
     if isinstance(t, TCall):
-        dfn = defs[t.ident]
-        return tail_substitute(dfn.body, dict(zip(dfn.params, t.args))), []
+        return unfold(t.ident, t.args), []
     if isinstance(t, TSpawn):
         return t.next, [t.spawned]
     if isinstance(t, TPresent):
@@ -389,7 +391,7 @@ def try_step_tail(t, env, defs):
     raise TypeError(f"not a tail thread: {t!r}")
 
 
-def can_step_tail(t, env, defs):
+def can_step_tail(t, env, unfold):
     if isinstance(t, TNil):
         return False
     if isinstance(t, TPresent):
@@ -411,7 +413,7 @@ def select_branch(b, present):
     return b.tail
 
 
-def end_of_instant_tail(threads, env, defs=None):
+def end_of_instant_tail(threads, env):
     out = []
     for t in threads:
         if isinstance(t, TNil):
@@ -438,20 +440,12 @@ def tail_next_gen_index(p):
     return best
 
 
-def _tail_env_domain(program, threads):
-    dom = set(program.inputs) | set(program.outputs) | {PAUSE_SIGNAL}
-    for t in threads:
-        dom |= _canon.free_signals(t)
-    for d in program.defs.values():
-        dom |= {s for s in _canon.free_signals(d.body) - set(d.params)
-                if s.startswith("%")}
-    return dom
-
-
 class TailRunner:
     """Instant-by-instant execution of a tail program, through the same
-    `run_threads` driver as `Runner`; the residual omits terminated
-    threads."""
+    `run_threads` driver as `Runner`, and like it with one `Env` and one
+    `CallBodies` for the whole run. A waiting guard re-enters its loop
+    through a call at every instant; the memo gives it the body it had the
+    instant before. The residual omits terminated threads."""
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0,
                  fuel=DEFAULT_FUEL):
@@ -461,26 +455,26 @@ class TailRunner:
         self.fuel = fuel
         self.gen_counter = tail_next_gen_index(program)
         self.threads = list(program.initial)
+        self.env = Env(_env_domain(program, program.initial)
+                       | {PAUSE_SIGNAL}, self.gen_counter)
+        self.unfold = CallBodies(program.defs,
+                                 lambda body, m: tail_substitute(body, m))
 
     def run_instant(self, inputs=frozenset()):
-        inputs = frozenset(inputs)
-        extra = inputs - set(self.program.inputs)
-        if extra:
-            raise UndeclaredSignalError(
-                "not input signals: " + " ".join(sorted(extra)))
-        dom = _tail_env_domain(self.program, self.threads)
-        env = Env({s: s in inputs for s in dom}, self.gen_counter)
-        defs = self.program.defs
+        env, unfold = self.env, self.unfold
+        env.begin(_checked_inputs(self.program, inputs))
+        env.counter = self.gen_counter
         threads, steps = run_threads(
             self.threads, self.policy, self.rng, self.fuel,
-            lambda t: try_step_tail(t, env, defs),
-            lambda t: can_step_tail(t, env, defs),
+            lambda t: try_step_tail(t, env, unfold),
+            lambda t: can_step_tail(t, env, unfold),
             waits_on_tail, env)
         self.gen_counter = env.counter
-        outputs = frozenset(
-            s for s in self.program.outputs if env.defined.get(s, False))
+        outputs = frozenset(s for s in self.program.outputs
+                            if env.defined[s])
         residual = tuple(t for t in end_of_instant_tail(threads, env)
                          if not isinstance(t, TNil))
+        unfold.end_instant()
         self.threads = list(residual)
         return InstantResult(outputs, residual, steps)
 

@@ -135,6 +135,19 @@ SOURCE_TEXTS = {
 }
 
 
+# A fresh name every instant, passed to a definition whose body binds the
+# name of its other argument: each new call of Mark is instantiated through
+# the capture-avoiding rename of its `new s3`.
+FRESH_CAPTURE = """
+(input s1 s2)
+(output s3 s4)
+(def (Loop i o) (new x (seq (thread (call Mark x o)) (present i (emit x) 0)
+                             pause (call Loop i o))))
+(def (Mark x o) (new s3 (seq (emit s3) (await s3) (present x (emit o) 0))))
+(run (call Loop s1 s3))
+"""
+
+
 def source_corpus():
     """Name, program pairs; every program has the s1 s2 / s3 s4 interface."""
     return [(name, parse_program(text))

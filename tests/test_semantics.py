@@ -6,18 +6,21 @@ import pytest
 from sltk import semantics, tailcore
 from sltk.cps import cps_program
 from sltk.encodings import encode_counter_machine
+from sltk._canon import free_signals
 from sltk.errors import (
+    ArityMismatchError,
     FuelExhaustedError,
     NotSuspendedError,
+    UnboundIdentifierError,
     UnboundSignalError,
 )
 from sltk.semantics import (
     DEFAULT_FUEL,
     DETERMINISTIC,
     RANDOM,
+    CallBodies,
     Env,
     Runner,
-    _env_domain,
     can_step,
     canonical_residual,
     check_strong_confluence,
@@ -41,19 +44,27 @@ from sltk.syntax import (
     Watch,
     next_gen_index,
     parse_program,
+    substitute,
 )
 from sltk.tailcore import (
+    PAUSE_SIGNAL,
     TailRunner,
     TNil,
-    _tail_env_domain,
     can_step_tail,
     end_of_instant_tail,
     run_trace_tail,
     tail_next_gen_index,
+    tail_substitute,
     try_step_tail,
 )
 
-from .corpus import SOURCE_TEXTS, confluence_corpus, source_corpus
+from .corpus import (
+    FRESH_CAPTURE,
+    SOURCE_TEXTS,
+    confluence_corpus,
+    source_corpus,
+    tail_corpus,
+)
 from .test_encodings import LOOPING
 
 
@@ -188,11 +199,12 @@ def test_terminated_threads_leave_the_residual():
 
 
 def test_emit_logs_a_signal_once_and_rejects_unbound_ones():
-    env = Env({"s1": False, "s2": True}, 0)
+    env = Env({"s1", "s2"}, 0)
+    env.begin({"s2"})
     env.emit("s1")
     env.emit("s1")
     env.emit("s2")
-    assert env.emitted == ["s1"]
+    assert env.emitted == ["s2", "s1"]
     assert env.present("s1") and env.present("s2")
     with pytest.raises(UnboundSignalError):
         env.emit("s9")
@@ -200,9 +212,10 @@ def test_emit_logs_a_signal_once_and_rejects_unbound_ones():
 
 def test_end_of_instant_rejects_runnable_threads():
     p = prog("emit_once")
-    env = Env({s: False for s in p.interface}, 0)
+    env = Env(p.interface, 0)
+    unfold = CallBodies(p.defs, substitute)
     with pytest.raises(NotSuspendedError):
-        end_of_instant([Emit("s3")], env, p.defs)
+        end_of_instant([Emit("s3")], env, unfold)
 
 
 def test_random_policy_matches_deterministic_outputs():
@@ -269,28 +282,59 @@ def _rescanning_run_threads(threads, policy, rng, fuel, try_step_fn,
         steps += 1
 
 
-SOURCE_ENGINE = (next_gen_index, _env_domain, try_step, can_step,
-                 end_of_instant, Nil)
-TAIL_ENGINE = (tail_next_gen_index, _tail_env_domain, try_step_tail,
-               can_step_tail, end_of_instant_tail, TNil)
+def _source_domain(program, threads):
+    """The per-instant domain: the interface, the names free in the threads
+    and the generated names free in the definition bodies."""
+    dom = set(program.inputs) | set(program.outputs)
+    for t in threads:
+        dom |= free_signals(t)
+    for d in program.defs.values():
+        dom |= {s for s in free_signals(d.body) - set(d.params)
+                if s.startswith("%")}
+    return dom
+
+
+def _tail_domain(program, threads):
+    return _source_domain(program, threads) | {PAUSE_SIGNAL}
+
+
+def _unmemoized(defs, instantiate):
+    """An unfolder that instantiates the definition body at every call."""
+    def unfold(ident, args):
+        dfn = defs.get(ident)
+        if dfn is None:
+            raise UnboundIdentifierError(ident)
+        if len(dfn.params) != len(args):
+            raise ArityMismatchError(ident)
+        return instantiate(dfn.body, dict(zip(dfn.params, args)))
+    return unfold
+
+
+SOURCE_ENGINE = (next_gen_index, _source_domain, try_step, can_step,
+                 end_of_instant, Nil, substitute)
+TAIL_ENGINE = (tail_next_gen_index, _tail_domain, try_step_tail,
+               can_step_tail, end_of_instant_tail, TNil, tail_substitute)
 
 
 def _reference_records(program, engine, policy, seed, word):
     """Per-instant (outputs, steps, gen counter, residual) of the rescanning
-    driver. Terminated threads are dropped between instants: that removes
-    threads no policy can pick and keeps the others in order, so it changes
-    no choice of either policy."""
-    gen_index, domain, step, can, floor, nil = engine
+    driver, with an environment built afresh at every instant over the
+    names the threads then mention, and no memo of call bodies. Terminated
+    threads are dropped between instants: that removes threads no policy
+    can pick and keeps the others in order, so it changes no choice of
+    either policy."""
+    gen_index, domain, step, can, floor, nil, instantiate = engine
     rng = random.Random(seed)
     gen = gen_index(program)
     threads = list(program.initial)
-    defs = program.defs
+    unfold = _unmemoized(program.defs, instantiate)
     out = []
     for inputs in word:
-        env = Env({s: s in inputs for s in domain(program, threads)}, gen)
+        env = Env(domain(program, threads), gen)
+        env.begin(inputs)
         threads, steps = _rescanning_run_threads(
             threads, policy, rng, DEFAULT_FUEL,
-            lambda t: step(t, env, defs), lambda t: can(t, env, defs))
+            lambda t: step(t, env, unfold), lambda t: can(t, env, unfold))
         gen = env.counter
         outputs = frozenset(s for s in program.outputs if env.defined[s])
         threads = [t for t in floor(threads, env) if not isinstance(t, nil)]
@@ -321,6 +365,23 @@ def _engines(p):
     image = cps_program(p).program
     return ((Runner, p, SOURCE_ENGINE, Nil),
             (TailRunner, image, TAIL_ENGINE, TNil))
+
+
+def _oracle_cases():
+    """(name, runner class, program, engine, nil) for every program the
+    rescanning reference replays: the source and confluence corpora (the
+    latter a subset of the former), FRESH_CAPTURE, the CPS images of all of
+    these, and the tail corpus."""
+    sources = dict(source_corpus())
+    sources.update(confluence_corpus())
+    sources["fresh_capture"] = parse_program(FRESH_CAPTURE)
+    cases = []
+    for name, p in sorted(sources.items()):
+        for runner_cls, program, engine, nil in _engines(p):
+            cases.append((name, runner_cls, program, engine, nil))
+    for name, p in tail_corpus():
+        cases.append((name, TailRunner, p, TAIL_ENGINE, TNil))
+    return cases
 
 
 # The probe bound is checked over 100 instants under one schedule of each
@@ -365,16 +426,19 @@ def looping_runs():
 
 
 def test_scheduler_matches_the_rescanning_reference(looping_runs):
-    for name, p in source_corpus():
-        inputs = subsets(p.inputs)
-        word = [inputs[k % len(inputs)] for k in range(6)]
-        for runner_cls, program, engine, nil in _engines(p):
-            for policy, seed in SCHEDULES:
+    rng = random.Random(11)
+    for name, runner_cls, program, engine, nil in _oracle_cases():
+        inputs = subsets(program.inputs)
+        words = [[inputs[k % len(inputs)] for k in range(6)],
+                 [rng.choice(inputs) for _ in range(8)]]
+        for policy, seed in SCHEDULES:
+            for word in words:
                 got, _ = _runner_records(
                     runner_cls(program, policy=policy, seed=seed), word, nil)
                 want = _reference_records(program, engine, policy, seed,
                                           word)
-                assert got == want, (name, runner_cls.__name__, policy, seed)
+                assert got == want, (name, runner_cls.__name__, policy, seed,
+                                     word)
     word = [frozenset()] * ORACLE_INSTANTS
     for key, (program, engine, records, _, _) in looping_runs.items():
         _, policy, seed = key
@@ -387,6 +451,77 @@ def test_probes_stay_within_a_constant_of_the_work(looping_runs):
         if key[1:] in PROBED_SCHEDULES:
             assert len(records) == PROBED_INSTANTS
             assert probes <= 3 * work, (key, probes, work)
+
+
+# ---------------------------------------------------------------------------
+# one environment and one call memo per run, counted
+
+
+class _RecordingUnfolder:
+    """Forwards to a runner's unfolder and records the calls of each
+    instant."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.instants = [set()]
+
+    def __call__(self, ident, args):
+        self.instants[-1].add((ident, args))
+        return self.inner(ident, args)
+
+    def end_instant(self):
+        self.inner.end_instant()
+        self.instants.append(set())
+
+
+@pytest.mark.parametrize("engine", ["source", "cps"])
+def test_environment_and_memo_keep_their_size_over_a_long_run(engine):
+    p = parse_program(FRESH_CAPTURE)
+    runner = (Runner(p) if engine == "source"
+              else TailRunner(cps_program(p).program))
+    recording = runner.unfold = _RecordingUnfolder(runner.unfold)
+    memo = recording.inner
+    sizes = []
+    for _ in range(1000):
+        runner.run_instant({"s1"})
+        sizes.append(len(runner.env.defined))
+        last_two = set().union(*recording.instants[-3:-1])
+        assert len(memo.current) + len(memo.previous) <= len(last_two)
+    assert runner.gen_counter > 1000
+    assert max(sizes) <= sizes[0], sizes
+
+
+def test_tail_runner_reuses_call_bodies_on_the_looping_machine():
+    calls = [0]
+
+    def counting(body, mapping, original=tailcore.tail_substitute):
+        calls[0] += 1
+        return original(body, mapping)
+
+    runner = TailRunner(cps_program(encode_counter_machine(LOOPING)).program)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tailcore, "tail_substitute", counting)
+        steps = sum(runner.run_instant().steps for _ in range(100))
+    assert calls[0] <= 0.25 * steps, (calls[0], steps)
+
+
+def test_unbound_names_still_raise():
+    p = parse_program(FRESH_CAPTURE)
+    for runner in (Runner(p), TailRunner(cps_program(p).program)):
+        for _ in range(3):
+            runner.run_instant({"s1"})
+        env = runner.env
+        assert env.counter == runner.gen_counter > 0
+        for name in ("s9", "x", "%r0", "%g01", f"%g{env.counter}",
+                     f"%g{env.counter + 5}"):
+            with pytest.raises(UnboundSignalError):
+                env.present(name)
+            with pytest.raises(UnboundSignalError):
+                env.emit(name)
+        absent = [f"%g{k}" for k in range(env.counter)
+                  if f"%g{k}" not in env.defined]
+        assert absent and not any(env.present(name) for name in absent)
+        assert env.present("s1") is True and env.present("s2") is False
 
 
 # ---------------------------------------------------------------------------

@@ -182,10 +182,9 @@ def test_canonicalize_tail_renames_binders_whatever_the_order():
 
 
 def test_end_of_instant_rejects_runnable_threads():
-    env = Env({"s2": False, PAUSE_SIGNAL: False}, 0)
+    env = Env({"s2", PAUSE_SIGNAL}, 0)
     with pytest.raises(NotSuspendedError):
-        end_of_instant_tail([TEmit("s2", TNIL)], env,
-                            defs={})
+        end_of_instant_tail([TEmit("s2", TNIL)], env)
 
 
 def test_runner_threads_survive_between_instants():

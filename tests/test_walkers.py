@@ -133,6 +133,89 @@ def test_freshening_a_binder_free_term_changes_nothing(t):
     assert next(supply) == "%u0"
 
 
+def eager_substitute(t, sub):
+    """Substitution as `_canon.substitute` did it before its binder check
+    became lazy: every binder's body is walked for its free names, and only
+    the keys free in it are passed on."""
+    if not sub:
+        return t
+    out = []
+    changed = False
+    fields = iter(_canon._FIELDS[type(t)])
+    for name, kind in fields:
+        v = getattr(t, name)
+        if kind is BIND:
+            body_name, _ = next(fields)
+            body = getattr(t, body_name)
+            free = _canon.free_signals(body)
+            inner = {k: x for k, x in sub.items() if k != v and k in free}
+            if inner:
+                if v in inner.values():
+                    avoid = set(inner.values()) | free | set(inner)
+                    fresh = next(_canon.name_supply("%r", avoid))
+                    inner[v] = fresh
+                    v = fresh
+                out += (v, eager_substitute(body, inner))
+                changed = True
+            else:
+                out += (v, body)
+            continue
+        if kind is SUB:
+            w = eager_substitute(v, sub)
+        elif kind is SIG:
+            w = sub.get(v, v)
+        elif kind is SIGS:
+            w = tuple(sub.get(a, a) for a in v)
+            if w == v:
+                w = v
+        else:
+            w = v
+        changed = changed or w is not v
+        out.append(w)
+    return type(t)(*out) if changed else t
+
+
+def binder_names(t):
+    """The names bound anywhere in t."""
+    out = set()
+    fields = _canon._FIELDS[type(t)]
+    for name, kind in fields:
+        if kind is BIND:
+            out.add(getattr(t, name))
+        elif kind is SUB:
+            out |= binder_names(getattr(t, name))
+    return out
+
+
+# Terms whose binders nest at the root, besides the general ones, so that
+# a map can meet a binder inside another binder's body.
+NESTED = st.one_of(
+    TERMS,
+    st.builds(New, NAMES, st.builds(New, NAMES, source_terms(DEPTH - 1))),
+    st.builds(TNew, NAMES, st.builds(TNew, NAMES, tail_terms(DEPTH - 1))),
+    st.builds(TPresent, NAMES, st.builds(TNew, NAMES, tail_terms(1)),
+              st.builds(BLeaf, st.builds(TNew, NAMES, tail_terms(1)))),
+)
+
+
+@LAWS
+@given(NESTED, st.data())
+def test_lazy_binder_check_equals_the_eager_one(t, data):
+    binders = sorted(binder_names(t))
+    values = st.sampled_from(binders) if binders else NAMES
+    sub = data.draw(st.dictionaries(NAMES, values, max_size=3))
+    assert _canon.substitute(t, sub) == eager_substitute(t, sub)
+
+
+@LAWS
+@given(NESTED, st.data())
+def test_substituting_no_free_name_returns_the_term_itself(t, data):
+    absent = sorted({"a", "b", "c", "%r0", "d"} - _canon.free_signals(t))
+    sub = data.draw(st.dictionaries(st.sampled_from(absent), NAMES,
+                                    min_size=1, max_size=3))
+    assert _canon.substitute(t, sub) is t
+
+
 def test_every_node_shape_has_one_kind_per_field():
     classes = [c for base in (Thread, Tail, Branch)
                for c in base.__subclasses__()]
