@@ -13,11 +13,14 @@ reach the interface, so no input or barb exists for them.
 On top of the transition system the module provides the end-of-instant
 rewrite, the three suspension predicates, an equivalence checker with
 three modes (exact labelled bisimilarity by signature refinement over the
-disjoint union of both state spaces, trace comparison which is equal to the
+settled states of both programs, trace comparison which is equal to the
 exact relation for this confluent language, and a bounded game that can
 only distinguish), and a diamond-property check for the transition system
-itself. Trace mode relies on confluence: it runs each instant on raw lifted
-threads, interns only instant boundaries, and memoizes the instant of each
+itself. Exact mode relies on termination and confluence: internal moves
+lead every state to one suspended state, its settled state, which is
+bisimilar to it, so the refinement numbers settled states only. Trace
+mode relies on confluence: it runs each instant on raw lifted threads,
+interns only instant boundaries, and memoizes the instant of each
 boundary state as a decision tree over the input signals the instant
 tests, split lazily, so that it runs once per class of input sets that
 the game queries rather than once per input set.
@@ -109,13 +112,13 @@ class Space:
     """Canonical reachable states of one tail program.
 
     States are interned canonical multisets of lifted threads. Transitions,
-    weak closures and barbs are computed on demand and cached by state id,
-    and so are the two moves of a context: `eoi(sid)` ends the instant and is
-    cached by state id; `with_emits(sid, S)` emits the signals S into the
-    instant and is cached by state id and signal set. Trace mode uses none
-    of these: `instant(sid, S)` interns instant boundaries only, and keeps
-    per state a decision tree whose leaves hold the outputs and the next
-    state of one class of input sets.
+    weak closures, settled states and barbs are computed on demand and
+    cached by state id, and so are the two moves of a context: `eoi(sid)`
+    ends the instant and is cached by state id; `with_emits(sid, S)` emits
+    the signals S into the instant and is cached by state id and signal
+    set. Trace mode uses none of these: `instant(sid, S)` interns instant
+    boundaries only, and keeps per state a decision tree whose leaves hold
+    the outputs and the next state of one class of input sets.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -134,6 +137,7 @@ class Space:
         self._tau = {}
         self._ins = {}
         self._weak = {}
+        self._settled = {}
         self._barbs = {}
         self._eoi = {}
         self._emits = {}
@@ -222,6 +226,24 @@ class Space:
                         queue.append(nxt)
             hit = frozenset(seen)
             self._weak[sid] = hit
+        return hit
+
+    def settle(self, sid):
+        """The suspended state that internal moves reach from sid, by the
+        first move of each state on the way; every state on the path is
+        memoized. Where every instant terminates and internal moves are
+        confluent, it is the only suspended state they reach."""
+        path = []
+        while sid not in self._settled:
+            path.append(sid)
+            moves = self.tau(sid)
+            if not moves:
+                self._settled[sid] = sid
+                break
+            sid = moves[0]
+        hit = self._settled[sid]
+        for x in path:
+            self._settled[x] = hit
         return hit
 
     def converges(self, sid):
@@ -468,50 +490,42 @@ def _show_set(S):
 
 class _Refinement:
     """Labelled bisimilarity of two reachable state spaces, decided by
-    signature refinement over their disjoint union.
+    signature refinement over the settled states of both.
 
-    The partition starts as one block. Each round gives every state a
-    signature built from the previous partition, each part saturated
-    through internal moves: its own block; the blocks it reaches by
-    internal moves; (s, block) for each convergent state so reached that
-    has barb s; for each context set S, (block(y), block(eoi(y))) for each
-    suspended y that internal moves reach once S is emitted; and for each
-    input s, the blocks reached by a weak input move on s or by emitting s
-    after internal moves. States with equal signatures share the next
-    block, and the rounds stop when the number of blocks stops growing.
+    Exact mode runs on call-acyclic definitions only, where every instant
+    terminates and internal moves are confluent. So the internal moves
+    from a state x reach exactly one suspended state, settle(x): they
+    terminate, and by Newman's lemma a terminating, locally confluent
+    system has unique normal forms. Confluent internal moves are inert
+    (Groote and Sellink, "Confluence for process verification", TCS
+    1996): x is bisimilar to settle(x) and shares its block in every
+    round, so only settled states are numbered. They are the settled
+    states of the two seeds and those reached from a settled state y by
+    y_S = settle(with_emits(y, S)) for every context set S and by
+    settle(eoi(y)).
+
+    The partition starts as one block. Each round gives every settled
+    state y a signature built from the previous partition: its own block;
+    its barbs; and for each context set S the pair (block(y_S),
+    block(settle(eoi(y_S)))). The entry for S = {} is (block(y),
+    block(settle(eoi(y)))), so it carries the end of the instant, and the
+    entries for S = {s} carry every input move on s, whose target settles
+    to y_S. States with equal signatures share the next block, and the
+    rounds stop when the number of blocks stops growing.
 
     A pair first split in round k differs in a part of its round-k
-    signature. In round 1 that part is an observable fact: a barb, or no
-    suspension under a context. Later it names a pair split in an earlier
-    round. The witness is the chain of such steps from the two seeds whose
-    labels come first in a fixed order of label kinds, signals and context
-    sets, so it does not depend on the order in which states were
-    numbered, and it has fewer steps than the refinement has rounds.
+    signature. In round 1 that part is a barb, an observable fact. Later
+    it names a pair split in an earlier round. The witness is the chain
+    of such steps from the two seeds whose labels come first in a fixed
+    order of label kinds, signals and context sets, so it does not depend
+    on the order in which states were numbered, and it has fewer steps
+    than the refinement has rounds.
     """
 
     def __init__(self, sp1, sp2, universe):
         self.sp1 = sp1
         self.sp2 = sp2
-        self.universe = tuple(sorted(universe))
         self.subsets = subsets(universe)
-
-    def close(self, space, seed):
-        seen = {seed}
-        queue = deque([seed])
-        while queue:
-            sid = queue.popleft()
-            succs = set(space.tau(sid))
-            for targets in space.ins(sid).values():
-                succs.update(targets)
-            for S in self.subsets:
-                succs.add(space.with_emits(sid, S))
-            if space.suspended(sid):
-                succs.add(space.eoi(sid))
-            for nxt in succs:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
 
     def run(self, seed1, seed2):
         u, v = self._union(seed1, seed2)
@@ -522,14 +536,10 @@ class _Refinement:
             self.rounds += 1
             ids = {}
             nxt = [ids.setdefault(
-                (block[x],
-                 frozenset(map(block.__getitem__, weak)),
-                 frozenset([(s, block[y]) for s, y in barbed]),
-                 frozenset([(i, block[y], block[e]) for i, y, e in contexts]),
-                 frozenset([(s, block[y]) for s, y in inputs])),
+                (block[x], self.barbs[x],
+                 tuple([(block[y], block[e]) for y, e in contexts])),
                 len(ids))
-                for x, (weak, barbed, contexts, inputs)
-                in enumerate(self.moves)]
+                for x, contexts in enumerate(self.contexts)]
             if len(ids) == len(set(block)):
                 break
             block = nxt
@@ -539,45 +549,34 @@ class _Refinement:
         return Distinguished(tuple(label for label, _ in self.explain(u, v)))
 
     def _union(self, seed1, seed2):
-        """Number the closed states of both spaces apart, as `states`, and
-        saturate per state the moves that the signature parts read, as
-        `moves`: (weak, barbed, contexts, inputs) with elements y, (s, y),
-        (i, y, eoi(y)) for the i-th context set, and (s, y). Returns the
-        numbers of the two seeds."""
+        """Number the settled states of both spaces apart, as `states`, in
+        the order a search from the seeds' settled states reaches them, and
+        record per state its barbs, as `barbs`, and its contexts, as
+        `contexts`: for the i-th context set S the pair of numbers of y_S
+        and settle(eoi(y_S)). Returns the numbers of the seeds' settled
+        states."""
         spaces = (self.sp1, self.sp2)
-        self.states = []
-        self.number = number = {}
-        for k, seed in enumerate((seed1, seed2)):
-            for sid in sorted(self.close(spaces[k], seed)):
-                number[k, sid] = len(self.states)
+        self.states, self.number, self.barbs = [], {}, []
+        ends, emits = [], []
+
+        def number(k, sid):
+            n = self.number.get((k, sid))
+            if n is None:
+                n = self.number[k, sid] = len(self.states)
                 self.states.append((k, sid))
-        weak, ins, barbs, suspended, eoi, self.emits = [], [], [], [], [], []
+            return n
+
+        seeds = number(0, self.sp1.settle(seed1)), \
+            number(1, self.sp2.settle(seed2))
+        # the loop numbers the states it reaches, so `states` grows under it
         for k, sid in self.states:
             sp = spaces[k]
-            weak.append([number[k, y] for y in sp.weak_tau(sid)])
-            ins.append([(s, number[k, y]) for s, ys in sp.ins(sid).items()
-                        for y in ys])
-            barbs.append(sorted(sp.barbs(sid)))
-            suspended.append(sp.suspended(sid))
-            eoi.append(number[k, sp.eoi(sid)] if suspended[-1] else None)
-            self.emits.append([number[k, sp.with_emits(sid, S)]
-                               for S in self.subsets])
-        settled = [[y for y in w if suspended[y]] for w in weak]
-        single = [(s, self.subsets.index(frozenset([s])))
-                  for s in self.universe]
-        self.moves = []
-        for x in range(len(self.states)):
-            inputs = set()
-            for y in weak[x]:
-                inputs.update((s, z) for s, t in ins[y] for z in weak[t])
-                inputs.update((s, self.emits[y][i]) for s, i in single)
-            self.moves.append((
-                weak[x],
-                [(s, y) for y in weak[x] if settled[y] for s in barbs[y]],
-                [(i, y, eoi[y]) for i, e in enumerate(self.emits[x])
-                 for y in settled[e]],
-                list(inputs)))
-        return number[0, seed1], number[1, seed2]
+            self.barbs.append(sp.barbs(sid))
+            ends.append(number(k, sp.settle(sp.eoi(sid))))
+            emits.append([number(k, sp.settle(sp.with_emits(sid, S)))
+                          for S in self.subsets])
+        self.contexts = [[(y, ends[y]) for y in ys] for ys in emits]
+        return seeds
 
     def explain(self, u, v):
         """The chain of (label, pair) steps that explains why the states
@@ -613,43 +612,15 @@ class _Refinement:
         k = next(k for k, block in enumerate(self.partitions)
                  if block[u] != block[v])
         block = self.partitions[k - 1]
-        out = set()
-        for a, b in ((u, v), (v, u)):
-            def pair(x, y, a=a):
-                return (x, y) if a == u else (y, x)
-
-            weak_a, barbed_a, contexts_a, inputs_a = self.moves[a]
-            weak_b, barbed_b, contexts_b, inputs_b = self.moves[b]
-            reach = {block[y] for y in weak_b}
-            out.update(((0,), "internal step", pair(x, b))
-                       for x in weak_a if block[x] not in reach)
-            shown = {(s, block[y]) for s, y in barbed_b}
-            for s, x in barbed_a:
-                if (s, block[x]) not in shown:
-                    label = ((1, s), f"emitted {s} observable")
-                    others = [(*label, pair(x, y)) for t, y in barbed_b
-                              if t == s]
-                    out.update(others or [(*label, None)])
-            ends = {(i, block[y], block[e]) for i, y, e in contexts_b}
-            for i, x, ex in contexts_a:
-                if (i, block[x], block[ex]) in ends:
-                    continue
-                label = f"context emits {_show_set(self.subsets[i])}"
-                others = [(y, ey) for j, y, ey in contexts_b if j == i]
-                if not others:
-                    out.add(((2, i, 2), f"{label}, no suspension", None))
-                for y, ey in others:
-                    if block[x] != block[y]:
-                        out.add(((2, i, 0), label, pair(x, y)))
-                    else:
-                        out.add(((2, i, 1), f"{label}, instant ends",
-                                 pair(ex, ey)))
-            reach = {(s, block[y]) for s, y in inputs_b}
-            for s, x in inputs_a:
-                if (s, block[x]) not in reach:
-                    emitted = self.emits[b][self.subsets.index(
-                        frozenset([s]))]
-                    out.add(((3, s), f"input {s}", pair(x, emitted)))
+        out = {((1, s), f"emitted {s} observable", None)
+               for s in self.barbs[u] ^ self.barbs[v]}
+        for i, ((x, ex), (y, ey)) in enumerate(zip(self.contexts[u],
+                                                   self.contexts[v])):
+            label = f"context emits {_show_set(self.subsets[i])}"
+            if block[x] != block[y]:
+                out.add(((2, i, 0), label, (x, y)))
+            elif block[ex] != block[ey]:
+                out.add(((2, i, 1), f"{label}, instant ends", (ex, ey)))
         return out
 
 
@@ -700,14 +671,15 @@ BOUNDED = "bounded"
 def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     """Decide equivalence of two tail programs.
 
-    exact refines a partition of the union of both state spaces by
-    signatures when the definition tables are call-acyclic, and explains a
-    split by the shortest chain of refinement rounds that leads to an
-    observable fact; with recursion but no signal generation it falls back
-    to trace comparison, which coincides with the labelled relation for
-    this language; with both it refuses. trace compares instant machines
-    directly. bounded plays the trace game for `depth` instants and never
-    certifies equivalence.
+    exact refines a partition of the settled states of both programs by
+    signatures when the definition tables are call-acyclic, where every
+    instant terminates and each state settles into one suspended state,
+    and explains a split by the shortest chain of refinement rounds that
+    leads to an observable fact; with recursion but no signal generation
+    it falls back to trace comparison, which coincides with the labelled
+    relation for this language; with both it refuses. trace compares
+    instant machines directly. bounded plays the trace game for `depth`
+    instants and never certifies equivalence.
     """
     if mode not in (EXACT, TRACE, BOUNDED):
         raise ValueError(f"unknown mode: {mode}")

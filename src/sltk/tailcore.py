@@ -54,6 +54,7 @@ from .syntax import (
     GENERATED_PREFIX,
     SAtom,
     SList,
+    _atom,
     _read_forms,
 )
 
@@ -226,12 +227,6 @@ def print_tail_program(p, index_notes=None):
 _KEYWORDS = {"0", "emit!", "new", "thread!", "present", "ite", "call"}
 
 
-def _atom(form, what):
-    if not isinstance(form, SAtom):
-        raise ParseError(f"expected {what}", form.line, form.col)
-    return form.value
-
-
 def _check_signal(name, form, scope):
     if name.startswith("%"):
         return name
@@ -323,10 +318,14 @@ def parse_tail_program(text):
                 not isinstance(form.items[0], SAtom):
             raise ParseError("expected a declaration", form.line, form.col)
         head = form.items[0].value
-        if head == "input":
-            inputs.extend(_atom(f, "signal") for f in form.items[1:])
-        elif head == "output":
-            outputs.extend(_atom(f, "signal") for f in form.items[1:])
+        if head == "input" or head == "output":
+            target = inputs if head == "input" else outputs
+            for f in form.items[1:]:
+                signal = _atom(f, "signal")
+                if signal in inputs or signal in outputs:
+                    raise ParseError("duplicate interface signal",
+                                     f.line, f.col)
+                target.append(signal)
         elif head == "def":
             def_forms.append(form)
         elif head == "run":
@@ -345,6 +344,9 @@ def parse_tail_program(text):
         header = form.items[1]
         name = _atom(header.items[0], "identifier")
         params = tuple(_atom(f, "signal") for f in header.items[1:])
+        if len(set(params)) != len(params):
+            raise ParseError(f"duplicate parameter in {name}",
+                             header.line, header.col)
         if name in def_arities:
             raise ParseError(f"duplicate definition: {name}",
                              header.line, header.col)

@@ -149,6 +149,13 @@ def test_run_tail_program(tmp_path, capsys):
     assert out == "I={s1} O={s3}\nI={s1,s2} O={}\n"
 
 
+def test_tail_parse_errors_exit_1(tmp_path, capsys):
+    dup = put(tmp_path, "dup.slt", "(input s1)\n(output s3)\n"
+              "(def (A x x) (emit! x 0))\n(run (call A s1 s3))\n")
+    code, _, err = invoke(capsys, "run-tail", dup)
+    assert (code, err) == (1, "error: 3:6: duplicate parameter in A\n")
+
+
 def sltk_env():
     """The environment with the imported sltk first on PYTHONPATH, so a
     child process runs the code under test, installed or not."""

@@ -352,15 +352,35 @@ def test_end_of_instant_on_a_running_state_is_refused():
             space.eoi(sid)
 
 
+def _full_closure(space, seed):
+    """Every state reached from the seed by internal moves, inputs,
+    every context set and, from a suspended state, the end of the
+    instant."""
+    contexts = subsets(space.universe)
+    seen = {seed}
+    queue = [seed]
+    while queue:
+        sid = queue.pop()
+        succs = set(space.tau(sid))
+        for targets in space.ins(sid).values():
+            succs.update(targets)
+        succs.update(space.with_emits(sid, S) for S in contexts)
+        if space.suspended(sid):
+            succs.add(space.eoi(sid))
+        for nxt in succs - seen:
+            seen.add(nxt)
+            queue.append(nxt)
+    return seen
+
+
 def _closed_spaces():
     programs = dict(finite_corpus())
     for p in (tp(REMARK_P), tp(REMARK_Q), programs["f_both"],
               programs["f_def_chain"]):
         space = space_for(p)
-        universe = space.universe
         seed = space.intern(p.initial)
-        states = equiv._Refinement(space, space, universe).close(space, seed)
-        yield space, sorted(states), subsets(universe)
+        states = _full_closure(space, seed)
+        yield space, sorted(states), subsets(space.universe)
 
 
 def test_context_moves_are_memoized_exactly(monkeypatch):
@@ -398,9 +418,8 @@ def _kleene_verdict(sp1, seed1, sp2, seed2):
     and each round drops the pairs that break a clause against the pairs
     still alive, until no pair drops or the seed pair has."""
     inputs = subsets(sp1.universe)
-    close = equiv._Refinement(sp1, sp2, sp1.universe).close
-    states2 = close(sp2, seed2)
-    alive = {(a, b) for a in close(sp1, seed1) for b in states2}
+    states2 = _full_closure(sp2, seed2)
+    alive = {(a, b) for a in _full_closure(sp1, seed1) for b in states2}
     contexts = {}
 
     def context(sp, p):
@@ -530,8 +549,7 @@ def _observable(refinement, label, pair):
 def _reinterned(program, space, seed):
     """A space of the same program whose closed states are interned in
     the opposite order."""
-    closed = equiv._Refinement(space, space, space.universe).close(space,
-                                                                   seed)
+    closed = _full_closure(space, seed)
     other = equiv.Space(program, space.universe)
     for sid in sorted(closed, reverse=True):
         other.intern(space._items[sid])
@@ -551,8 +569,9 @@ def test_exact_witnesses_are_short_observable_and_order_free():
         if verdict:
             continue
         distinguished += 1
-        steps = refinement.explain(refinement.number[0, spaces[i][1]],
-                                   refinement.number[1, spaces[j][1]])
+        (sp1, seed1), (sp2, seed2) = spaces[i], spaces[j]
+        steps = refinement.explain(refinement.number[0, sp1.settle(seed1)],
+                                   refinement.number[1, sp2.settle(seed2)])
         assert tuple(label for label, _ in steps) == verdict.witness
         assert _observable(refinement, *steps[-1]), verdict.render()
         assert len(steps) < refinement.rounds
@@ -569,21 +588,40 @@ def bare_call_chain(n, last):
 
 
 def test_an_open_bare_call_chain_refines_in_two_rounds(monkeypatch):
-    rounds = []
+    rounds, states = [], []
 
     class Counted(equiv._Refinement):
         def run(self, *seeds):
             verdict = super().run(*seeds)
             rounds.append(self.rounds)
+            states.append(len(self.states))
             return verdict
 
     monkeypatch.setattr(equiv, "_Refinement", Counted)
-    chain = bare_call_chain(100, "s2")
-    assert isinstance(bisim_check(chain, chain, mode=EXACT), Equivalent)
-    verdict = bisim_check(chain, bare_call_chain(100, "s3"), mode=EXACT)
-    assert isinstance(verdict, Distinguished)
-    assert re.fullmatch(r"emitted s[23] observable", verdict.witness[-1])
-    assert rounds == [2, 2]
+    for n in (100, 300):
+        rounds.clear()
+        chain = bare_call_chain(n, "s2")
+        assert isinstance(bisim_check(chain, chain, mode=EXACT), Equivalent)
+        verdict = bisim_check(chain, bare_call_chain(n, "s3"), mode=EXACT)
+        assert isinstance(verdict, Distinguished)
+        assert re.fullmatch(r"emitted s[23] observable", verdict.witness[-1])
+        assert rounds == [2, 2]
+    # only settled states are numbered, not every state of the unfolding
+    assert max(states) <= 20
+
+
+def test_every_state_settles_into_one_suspended_state():
+    programs = [p for _, p in finite_corpus()]
+    rng = seeded(9)
+    programs += [random_finite_program(rng) for _ in range(40)]
+    checked = 0
+    for p in programs:
+        space = space_for(p)
+        for sid in _full_closure(space, space.intern(p.initial)):
+            settled = {y for y in space.weak_tau(sid) if space.suspended(y)}
+            assert settled == {space.settle(sid)}, space.show(sid)
+            checked += 1
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,20 @@ def test_pause_signal_is_reserved():
                            "(run (new %pause (emit! s2 0)))")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("(input s1)\n(output s2)\n(def (A x x) (emit! x 0))\n"
+     "(run (call A s1 s2))", "duplicate parameter in A", (3, 6)),
+    ("(input a a)\n(run 0)", "duplicate interface signal", (1, 10)),
+    ("(input a)\n(output b a)\n(run 0)", "duplicate interface signal",
+     (2, 11)),
+])
+def test_tail_parser_rejects_what_the_source_parser_rejects(text, message,
+                                                            position):
+    with pytest.raises(ParseError, match=message) as e:
+        parse_tail_program(text)
+    assert (e.value.line, e.value.col) == position
+
+
 def test_pause_prefix_shape():
     b = BLeaf(TEmit("s2", TNIL))
     t = pause_prefix(b)
