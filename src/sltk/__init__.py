@@ -56,7 +56,6 @@ from .tailcore import (
     parse_tail_program,
     print_tail_program,
     run_trace_tail,
-    TailProgram,
     TailRunner,
 )
 from .cps import cps_program

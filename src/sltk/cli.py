@@ -93,13 +93,21 @@ def _note_seed(args):
         print(f"scheduler=random seed={args.seed}", file=sys.stderr)
 
 
+def _count(text):
+    """The value of a count flag: a non-negative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _run_flags(sub):
     sub.add_argument("--inputs", help="trace file, one input line per instant")
-    sub.add_argument("--instants", type=int, default=None)
+    sub.add_argument("--instants", type=_count, default=None)
     sub.add_argument("--scheduler", choices=[DETERMINISTIC, RANDOM],
                      default=DETERMINISTIC)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--fuel", type=int, default=semantics.DEFAULT_FUEL)
+    sub.add_argument("--fuel", type=_count, default=semantics.DEFAULT_FUEL)
     sub.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -281,14 +289,14 @@ def _build_parser():
     step.add_argument("--scheduler", choices=[DETERMINISTIC, RANDOM],
                       default=DETERMINISTIC)
     step.add_argument("--seed", type=int, default=0)
-    step.add_argument("--fuel", type=int, default=semantics.DEFAULT_FUEL)
+    step.add_argument("--fuel", type=_count, default=semantics.DEFAULT_FUEL)
     _pause_flag(step)
     step.set_defaults(fn=_cmd_step)
 
     cr = subs.add_parser("check-reactivity",
                          help="instantaneous loop analysis")
     cr.add_argument("file")
-    cr.add_argument("--unfold-depth", type=int, default=1)
+    cr.add_argument("--unfold-depth", type=_count, default=1)
     cr.add_argument("--format", choices=["text", "json"], default="text")
     _pause_flag(cr)
     cr.set_defaults(fn=_cmd_check_reactivity)
@@ -305,7 +313,7 @@ def _build_parser():
     cp.add_argument("-o", "--output")
     cp.add_argument("--pause-cps", choices=[cps.OPTIMIZED, cps.NAIVE],
                     default=cps.OPTIMIZED)
-    cp.add_argument("--index-limit", type=int,
+    cp.add_argument("--index-limit", type=_count,
                     default=cps.DEFAULT_INDEX_LIMIT)
     _pause_flag(cp)
     cp.set_defaults(fn=_cmd_cps)
@@ -314,7 +322,8 @@ def _build_parser():
                          help="extract a monotonic Mealy machine")
     tm.add_argument("file", help=".slt tail program or .sl source")
     tm.add_argument("-o", "--output")
-    tm.add_argument("--state-limit", type=int, default=mealy.DEFAULT_STATE_LIMIT)
+    tm.add_argument("--state-limit", type=_count,
+                    default=mealy.DEFAULT_STATE_LIMIT)
     tm.set_defaults(fn=_cmd_to_mealy)
 
     fm = subs.add_parser("from-mealy",
@@ -333,8 +342,8 @@ def _build_parser():
     eq.add_argument("right")
     eq.add_argument("--mode", choices=[equiv.EXACT, equiv.TRACE,
                                        equiv.BOUNDED], default=equiv.EXACT)
-    eq.add_argument("--depth", type=int, default=8)
-    eq.add_argument("--state-limit", type=int, default=50_000)
+    eq.add_argument("--depth", type=_count, default=8)
+    eq.add_argument("--state-limit", type=_count, default=50_000)
     eq.set_defaults(fn=_cmd_equiv)
 
     ec = subs.add_parser("encode-cm",
@@ -349,8 +358,8 @@ def _build_parser():
     cf = subs.add_parser("confluence-test",
                          help="one-step diamond check on reachable states")
     cf.add_argument("file")
-    cf.add_argument("--depth", type=int, default=4)
-    cf.add_argument("--max-states", type=int, default=5000)
+    cf.add_argument("--depth", type=_count, default=4)
+    cf.add_argument("--max-states", type=_count, default=5000)
     cf.set_defaults(fn=_cmd_confluence)
 
     return parser

@@ -27,22 +27,23 @@ from .semantics import SeqAfter
 from .syntax import (
     Await,
     Call,
+    Definition,
     Emit,
     New,
     Nil,
     Pause,
+    Program,
     Seq,
     Spawn,
     Watch,
     expand_pause_table1,
+    program_names,
     substitute,
 )
 from .tailcore import (
     PAUSE_SIGNAL,
     BIte,
     BLeaf,
-    TailDef,
-    TailProgram,
     TCall,
     TEmit,
     TNew,
@@ -78,7 +79,7 @@ def _cascade(tau, last):
 
 @dataclass
 class CpsResult:
-    program: TailProgram
+    program: Program
     notes: list = field(default_factory=list)
 
 
@@ -92,12 +93,7 @@ class CpsTranslator:
         self.memo = {}
         self.notes = []
         self._id_counters = {}
-        used = set(program.interface)
-        for t in program.all_threads():
-            used.update(_canon.occurrences(t))
-        for d in program.defs.values():
-            used.update(d.params)
-        self._sig_supply = _canon.name_supply("%n", used)
+        self._sig_supply = _canon.name_supply("%n", program_names(program))
         self._worklist = deque()
 
     # -- naming ------------------------------------------------------------
@@ -162,7 +158,7 @@ class CpsTranslator:
         params = tuple(sorted(_pair_signals(t, tau) | {signal}))
         self_call = TCall(gid, params)
         body = TPresent(signal, t, _cascade(tau, BLeaf(self_call)))
-        self.defs_out[gid] = TailDef(gid, params, body)
+        self.defs_out[gid] = Definition(gid, params, body)
         self.notes.append(f"{gid} awaits {signal} with t={print_tail(t)}"
                           f" tau={self._show_tau(tau)}")
         return self_call
@@ -203,7 +199,7 @@ class CpsTranslator:
             gid, body_src, t, tau, all_params = self._worklist.popleft()
             body = self.translate(body_src, t, tau,
                                   toplevel=(gid, all_params))
-            self.defs_out[gid] = TailDef(gid, all_params, body)
+            self.defs_out[gid] = Definition(gid, all_params, body)
 
     def translate_context(self, frames, t, tau):
         """Continuation pair seen by the hole of an evaluation context.
@@ -228,6 +224,5 @@ def cps_program(program, pause_mode=OPTIMIZED,
     for T in program.initial:
         initial.append(tr.translate(T, TNIL, ()))
         tr.drain()
-    tail = TailProgram(tuple(program.inputs), tuple(program.outputs),
-                       dict(tr.defs_out), tuple(initial))
-    return CpsResult(tail, tr.notes)
+    return CpsResult(Program(tuple(program.inputs), tuple(program.outputs),
+                             dict(tr.defs_out), tuple(initial)), tr.notes)

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .mealy import shortest_separating_word
 from .semantics import subsets
+from .syntax import program_names
 from .tailcore import (
     TCall,
     TEmit,
@@ -127,11 +128,7 @@ class Space:
         self._universe = frozenset(universe)
         self.interface = set(universe) | {PAUSE_SIGNAL}
         self.state_limit = state_limit
-        self._taken = set(self.interface)
-        for t in program.all_tails():
-            self._taken.update(_canon.occurrences(t))
-        for d in program.defs.values():
-            self._taken.update(d.params)
+        self._taken = self.interface | program_names(program)
         self._ids = {}
         self._items = []
         self._tau = {}
@@ -660,7 +657,7 @@ def _calls_cyclic(program):
 
 
 def _has_new(program):
-    return any(_canon.has_binder(t) for t in program.all_tails())
+    return any(_canon.has_binder(t) for t in program.all_threads())
 
 
 EXACT = "exact"

@@ -30,11 +30,10 @@ from .errors import (
     StateExplosionError,
 )
 from .semantics import subsets
+from .syntax import Definition, Program
 from .tailcore import (
     BIte,
     BLeaf,
-    TailDef,
-    TailProgram,
     TCall,
     TEmit,
     TNew,
@@ -131,9 +130,8 @@ def mealy_to_program(machine):
         body = pause_prefix(_state_branch(machine, q, 1, frozenset()))
         for g in reversed(spawns):
             body = TSpawn(g, body)
-        defs[q] = TailDef(q, (), body)
-    return TailProgram(inputs, outputs, defs,
-                       (TCall(machine.init, ()),))
+        defs[q] = Definition(q, (), body)
+    return Program(inputs, outputs, defs, (TCall(machine.init, ()),))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
     saturated with no input, and the signals they emit. It is computed
     once per boundary.
     """
-    if any(_canon.has_binder(t) for t in program.all_tails()):
+    if any(_canon.has_binder(t) for t in program.all_threads()):
         raise HasSignalGenerationError()
     unfold = _call_bodies(program.defs)
     n = len(program.inputs)
@@ -345,12 +343,16 @@ def _parse_subset(text, line_no):
 
 
 def parse_mealy(text):
+    """Read the text format of `print_mealy`. Every state a `trans` line
+    names must be declared, every wire must lie within the header's 1..n
+    and 1..m, and no state or (state, input set) entry may repeat."""
     lines = [ln.strip() for ln in text.splitlines()]
     header = None
-    states = []
+    states = {}
     init = None
     next_state = {}
     output = {}
+    trans_line = {}
     for no, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
@@ -364,7 +366,9 @@ def parse_mealy(text):
             if len(parts) not in (2, 3) or \
                     (len(parts) == 3 and parts[2] != "init"):
                 raise ParseError("bad state line", no, 0)
-            states.append(parts[1])
+            if parts[1] in states:
+                raise ParseError(f"duplicate state {parts[1]}", no, 0)
+            states[parts[1]] = None
             if len(parts) == 3:
                 if init is not None:
                     raise ParseError("two initial states", no, 0)
@@ -375,6 +379,9 @@ def parse_mealy(text):
                 raise ParseError("bad trans line", no, 0)
             src, ins, dst, outs = m.groups()
             key = (src, _parse_subset(ins, no))
+            if key in trans_line:
+                raise ParseError(f"duplicate trans for {src} {{{ins}}}", no, 0)
+            trans_line[key] = no
             next_state[key] = dst
             output[key] = _parse_subset(outs, no)
         else:
@@ -384,15 +391,23 @@ def parse_mealy(text):
     if init is None:
         raise ParseError("no state marked init", 0, 0)
     n, m_arity = header
-    machine = MonotonicMealy(tuple(states), init, n, m_arity,
-                             next_state, output)
+    for (q, X), no in trans_line.items():
+        for state in (q, next_state[(q, X)]):
+            if state not in states:
+                raise ParseError(f"undeclared state {state}", no, 0)
+        for wires, bound, what in ((X, n, "input"),
+                                   (output[(q, X)], m_arity, "output")):
+            bad = sorted(w for w in wires if not 1 <= w <= bound)
+            if bad:
+                raise ParseError(f"{what} wire {bad[0]} outside 1..{bound}",
+                                 no, 0)
     for q in states:
         for X in input_subsets(n):
             if (q, X) not in next_state:
                 raise ParseError(
                     f"missing trans for {q} {{{','.join(map(str, sorted(X)))}}}",
                     0, 0)
-    return machine
+    return MonotonicMealy(tuple(states), init, n, m_arity, next_state, output)
 
 
 def print_mealy(machine):

@@ -36,7 +36,6 @@ from .syntax import (
     New,
     Nil,
     Pause,
-    Program,
     Seq,
     Spawn,
     Watch,

@@ -1,6 +1,8 @@
 """Source language: syntax trees, parser, printer, desugaring, canonical forms.
 
-Concrete syntax is s-expressions, one declaration per top-level form:
+The program record, the declaration reader, the program printer and the
+program's name set serve the tail core too. Concrete syntax is
+s-expressions, one declaration per top-level form:
 
     (input a b)
     (output o)
@@ -18,7 +20,7 @@ constructor seq_of maintains that invariant everywhere trees are rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _canon
 from ._canon import BIND, KEEP, SIG, SIGS, SUB
@@ -172,10 +174,9 @@ def print_thread(t):
 
 @dataclass
 class Definition:
-    """A recursive thread definition A(params) = body.
-
-    Invariant: free signals of body are contained in params.
-    """
+    """A recursive definition A(params) = body of either language: a source
+    `Thread`, whose free signals are among the params, or a `tailcore.Tail`,
+    which may also name the interface and the reserved `%` signals."""
 
     name: str
     params: tuple[str, ...]
@@ -184,7 +185,9 @@ class Definition:
 
 @dataclass
 class Program:
-    """A source program: interface, definitions and initial thread multiset."""
+    """A program of either language: interface, definitions by name and
+    initial threads, all `Thread` terms or all `tailcore.Tail` terms. The
+    declaration reader, the printer and `program_names` serve both."""
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
@@ -201,28 +204,42 @@ class Program:
         yield from self.initial
 
 
-def print_program(p):
-    lines = ["(input " + " ".join(p.inputs) + ")" if p.inputs else "(input)"]
-    lines.append("(output " + " ".join(p.outputs) + ")" if p.outputs else "(output)")
+def _print_program(p, print_term, notes=()):
+    """The text of p, a declaration a line, notes after the interface."""
+    lines = ["(input" + "".join(" " + s for s in p.inputs) + ")",
+             "(output" + "".join(" " + s for s in p.outputs) + ")"]
+    lines.extend(notes)
     for d in p.defs.values():
         head = " ".join((d.name,) + d.params)
-        lines.append(f"(def ({head}) {print_thread(d.body)})")
-    for t in p.initial:
-        lines.append(f"(run {print_thread(t)})")
+        lines.append(f"(def ({head}) {print_term(d.body)})")
+    lines.extend(f"(run {print_term(t)})" for t in p.initial)
     return "\n".join(lines) + "\n"
+
+
+def print_program(p):
+    return _print_program(p, print_thread)
+
+
+def program_names(p):
+    """Every signal name the program mentions: its interface, the names in
+    its threads, bound or free, and its definitions' parameters. Supplies
+    of fresh names draw outside this set."""
+    names = set(p.interface)
+    for t in p.all_threads():
+        names.update(_canon.occurrences(t))
+    for d in p.defs.values():
+        names.update(d.params)
+    return names
 
 
 def next_gen_index(p):
     """First %g index not used anywhere in the program."""
     best = 0
-    names = set()
-    for t in p.all_threads():
-        names.update(_canon.occurrences(t))
-    for name in names:
+    for name in program_names(p):
         if name.startswith(GENERATED_PREFIX):
-            tail = name[len(GENERATED_PREFIX):]
-            if tail.isdigit():
-                best = max(best, int(tail) + 1)
+            digits = name[len(GENERATED_PREFIX):]
+            if digits.isdigit():
+                best = max(best, int(digits) + 1)
     return best
 
 
@@ -366,10 +383,59 @@ def _atom(form, what):
     return form.value
 
 
-def _check_name(name, form, what="signal"):
+def _name(form, what="signal"):
+    """A source name: an atom that is not a keyword."""
+    name = _atom(form, what)
     if name in KEYWORDS or name in DECL_KEYWORDS:
         raise ParseError(f"keyword used as {what}: {name}", form.line, form.col)
     return name
+
+
+def _read_declarations(text, read_name):
+    """The checked declarations of a program text of either language: the
+    inputs, the outputs, `{name: (params, body form)}` and the run forms,
+    whose terms each language parses itself. `read_name(form, what)` reads
+    a name. A repeated interface signal is rejected where it repeats, a
+    repeated parameter or definition at the header that repeats it."""
+    inputs, outputs, headers, runs = [], [], {}, []
+    declared = set()
+    for form in _read_forms(text):
+        if not isinstance(form, SList) or not form.items:
+            raise ParseError("expected a declaration", form.line, form.col)
+        head = _atom(form.items[0], "declaration keyword")
+        if head == "input" or head == "output":
+            target = inputs if head == "input" else outputs
+            for f in form.items[1:]:
+                signal = read_name(f, "signal")
+                if signal in declared:
+                    raise ParseError("duplicate interface signal",
+                                     f.line, f.col)
+                declared.add(signal)
+                target.append(signal)
+        elif head == "def":
+            if len(form.items) != 3 or not isinstance(form.items[1], SList) \
+                    or not form.items[1].items:
+                raise ParseError("def takes (name params...) and a body",
+                                 form.line, form.col)
+            sig = form.items[1]
+            name = read_name(sig.items[0], "identifier")
+            params = tuple(read_name(f, "signal") for f in sig.items[1:])
+            if len(set(params)) != len(params):
+                raise ParseError(f"duplicate parameter in {name}",
+                                 sig.line, sig.col)
+            if name in headers:
+                raise ParseError(f"duplicate definition: {name}",
+                                 sig.line, sig.col)
+            headers[name] = (params, form.items[2])
+        elif head == "run":
+            if len(form.items) != 2:
+                raise ParseError("run takes one thread", form.line, form.col)
+            runs.append(form.items[1])
+        else:
+            raise ParseError(f"unknown declaration: {head}", form.line, form.col)
+    if not runs:
+        raise ParseError("program has no (run ...) declaration", 1, 1)
+    return tuple(inputs), tuple(outputs), headers, runs
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +443,9 @@ def _check_name(name, form, what="signal"):
 
 
 class _ProgramBuilder:
-    def __init__(self, pause_mode):
+    def __init__(self, pause_mode, reserved_names):
         self.defs = {}
-        self.reserved_names = set()
+        self.reserved_names = set(reserved_names)
         self.gen_counter = 0
         self.pause_mode = pause_mode
 
@@ -425,7 +491,7 @@ def _parse_thread(form, builder, scope, def_arities):
         return _parse_thread(f, builder, scope | extra, def_arities)
 
     def signal(f):
-        name = _check_name(_atom(f, "signal"), f)
+        name = _name(f)
         if name not in scope:
             raise UndeclaredSignalError(
                 f"{f.line}:{f.col}: signal {name} is not declared or bound")
@@ -446,7 +512,7 @@ def _parse_thread(form, builder, scope, def_arities):
     if head == "new":
         if len(args) < 2:
             raise ParseError("new takes signals and a body", form.line, form.col)
-        names = [_check_name(_atom(f, "signal"), f) for f in args[:-1]]
+        names = [_name(f) for f in args[:-1]]
         body = sub(args[-1], frozenset(names))
         for name in reversed(names):
             body = New(name, body)
@@ -463,7 +529,7 @@ def _parse_thread(form, builder, scope, def_arities):
     if head == "call":
         if not args:
             raise ParseError("call needs an identifier", form.line, form.col)
-        ident = _check_name(_atom(args[0], "identifier"), args[0], "identifier")
+        ident = _name(args[0], "identifier")
         if ident not in def_arities:
             raise UnboundIdentifierError(
                 f"{args[0].line}:{args[0].col}: no definition for {ident}")
@@ -503,70 +569,19 @@ def parse_program(text, pause_mode="primitive"):
     """
     if pause_mode not in ("primitive", "table1"):
         raise ValueError(f"unknown pause mode: {pause_mode}")
-    forms = _read_forms(text)
-    inputs, outputs = [], []
-    raw_defs = []
-    raw_runs = []
-    for form in forms:
-        if not isinstance(form, SList) or not form.items:
-            raise ParseError("expected a declaration", form.line, form.col)
-        head = _atom(form.items[0], "declaration keyword")
-        if head == "input" or head == "output":
-            target = inputs if head == "input" else outputs
-            for f in form.items[1:]:
-                target.append(_check_name(_atom(f, "signal"), f))
-        elif head == "def":
-            if len(form.items) != 3 or not isinstance(form.items[1], SList) \
-                    or not form.items[1].items:
-                raise ParseError("def takes (name params...) and a body",
-                                 form.line, form.col)
-            sig = form.items[1]
-            name = _check_name(_atom(sig.items[0], "identifier"), sig.items[0],
-                               "identifier")
-            params = tuple(_check_name(_atom(f, "signal"), f)
-                           for f in sig.items[1:])
-            if len(set(params)) != len(params):
-                raise ParseError(f"duplicate parameter in {name}",
-                                 sig.line, sig.col)
-            raw_defs.append((name, params, form.items[2], form))
-        elif head == "run":
-            if len(form.items) != 2:
-                raise ParseError("run takes one thread", form.line, form.col)
-            raw_runs.append(form.items[1])
-        else:
-            raise ParseError(f"unknown declaration: {head}", form.line, form.col)
-
-    decl = inputs + outputs
-    if len(set(decl)) != len(decl):
-        raise ParseError("duplicate interface signal", 1, 1)
-    if not raw_runs:
-        raise ParseError("program has no (run ...) declaration", 1, 1)
-
-    builder = _ProgramBuilder(pause_mode)
-    builder.reserved_names = {name for name, _, _, _ in raw_defs}
-    if len(builder.reserved_names) != len(raw_defs):
-        raise ParseError("duplicate definition", 1, 1)
-    arities = {name: len(params) for name, params, _, _ in raw_defs}
+    inputs, outputs, headers, runs = _read_declarations(text, _name)
+    builder = _ProgramBuilder(pause_mode, headers)
+    arities = {name: len(params) for name, (params, _) in headers.items()}
 
     def all_arities():
-        d = dict(arities)
-        d.update({n: len(dd.params) for n, dd in builder.defs.items()})
-        return d
+        return {**arities,
+                **{n: len(d.params) for n, d in builder.defs.items()}}
 
     parsed_defs = {}
-    for name, params, body_form, form in raw_defs:
+    for name, (params, body_form) in headers.items():
         body = _parse_thread(body_form, builder, frozenset(params), all_arities())
         parsed_defs[name] = Definition(name, params, body)
-    interface = frozenset(decl)
+    interface = frozenset(inputs + outputs)
     initial = tuple(_parse_thread(f, builder, interface, all_arities())
-                    for f in raw_runs)
-
-    defs = dict(parsed_defs)
-    defs.update(builder.defs)
-    for d in defs.values():
-        extra = _canon.free_signals(d.body) - set(d.params)
-        if extra:
-            raise UndeclaredSignalError(
-                f"definition {d.name} uses undeclared signals: "
-                + " ".join(sorted(extra)))
-    return Program(tuple(inputs), tuple(outputs), defs, initial)
+                    for f in runs)
+    return Program(inputs, outputs, {**parsed_defs, **builder.defs}, initial)

@@ -1,4 +1,10 @@
-"""The tail recursive core language.
+"""The tail recursive core language: its term grammar, its runner and its
+reactivity check.
+
+A tail program is a `syntax.Program` whose threads are `Tail` terms. The
+declaration reader, the program printer and the program's name set are
+the ones of the source language in `syntax`; this module adds only the
+term grammar that reads and prints the bodies and initial threads.
 
 Threads here never sequence arbitrary statements. Each constructor carries
 its continuation directly (prefix form), recursion happens only through
@@ -51,11 +57,14 @@ from .semantics import (
     run_threads,
 )
 from .syntax import (
-    GENERATED_PREFIX,
+    Definition,
+    Program,
     SAtom,
     SList,
     _atom,
-    _read_forms,
+    _print_program,
+    _read_declarations,
+    next_gen_index,
 )
 
 PAUSE_SIGNAL = "%pause"
@@ -182,49 +191,13 @@ def print_branch(b):
     return f"(ite {b.signal} {print_branch(b.then)} {print_branch(b.other)})"
 
 
-@dataclass(frozen=True)
-class TailDef:
-    name: str
-    params: tuple
-    body: Tail
-
-
-@dataclass
-class TailProgram:
-    inputs: tuple
-    outputs: tuple
-    defs: dict
-    initial: tuple
-
-    @property
-    def interface(self):
-        return frozenset(self.inputs) | frozenset(self.outputs)
-
-    def all_tails(self):
-        for d in self.defs.values():
-            yield d.body
-        yield from self.initial
-
-
 def print_tail_program(p, index_notes=None):
-    lines = []
-    lines.append("(input" + "".join(" " + s for s in p.inputs) + ")")
-    lines.append("(output" + "".join(" " + s for s in p.outputs) + ")")
-    if index_notes:
-        for note in index_notes:
-            lines.append(f"#index {note}")
-    for d in p.defs.values():
-        head = " ".join((d.name,) + d.params)
-        lines.append(f"(def ({head}) {print_tail(d.body)})")
-    for t in p.initial:
-        lines.append(f"(run {print_tail(t)})")
-    return "\n".join(lines) + "\n"
+    return _print_program(p, print_tail,
+                          [f"#index {note}" for note in index_notes or ()])
 
 
 # ---------------------------------------------------------------------------
 # parsing
-
-_KEYWORDS = {"0", "emit!", "new", "thread!", "present", "ite", "call"}
 
 
 def _check_signal(name, form, scope):
@@ -308,63 +281,15 @@ def parse_tail_program(text):
     # lines starting with # carry compilation notes; they are comments here
     text = "\n".join("" if line.lstrip().startswith("#") else line
                      for line in text.splitlines())
-    forms = _read_forms(text)
-    inputs = []
-    outputs = []
-    def_forms = []
-    run_forms = []
-    for form in forms:
-        if not isinstance(form, SList) or not form.items or \
-                not isinstance(form.items[0], SAtom):
-            raise ParseError("expected a declaration", form.line, form.col)
-        head = form.items[0].value
-        if head == "input" or head == "output":
-            target = inputs if head == "input" else outputs
-            for f in form.items[1:]:
-                signal = _atom(f, "signal")
-                if signal in inputs or signal in outputs:
-                    raise ParseError("duplicate interface signal",
-                                     f.line, f.col)
-                target.append(signal)
-        elif head == "def":
-            def_forms.append(form)
-        elif head == "run":
-            run_forms.append(form)
-        else:
-            raise ParseError(f"unknown declaration: {head}",
-                             form.line, form.col)
+    inputs, outputs, headers, runs = _read_declarations(text, _atom)
     interface = set(inputs) | set(outputs)
-    def_arities = {}
-    headers = []
-    for form in def_forms:
-        if len(form.items) != 3 or not isinstance(form.items[1], SList) \
-                or not form.items[1].items:
-            raise ParseError("def takes a header and a body",
-                             form.line, form.col)
-        header = form.items[1]
-        name = _atom(header.items[0], "identifier")
-        params = tuple(_atom(f, "signal") for f in header.items[1:])
-        if len(set(params)) != len(params):
-            raise ParseError(f"duplicate parameter in {name}",
-                             header.line, header.col)
-        if name in def_arities:
-            raise ParseError(f"duplicate definition: {name}",
-                             header.line, header.col)
-        def_arities[name] = len(params)
-        headers.append((name, params, form.items[2]))
-    defs = {}
-    initial = []
-    for name, params, body_form in headers:
-        scope = set(params) | interface
-        defs[name] = TailDef(name, params,
-                             _parse_tail(body_form, scope, def_arities))
-    for form in run_forms:
-        if len(form.items) != 2:
-            raise ParseError("run takes one thread", form.line, form.col)
-        initial.append(_parse_tail(form.items[1], interface, def_arities))
-    if not initial:
-        raise ParseError("program has no (run ...) threads", 0, 0)
-    return TailProgram(tuple(inputs), tuple(outputs), defs, tuple(initial))
+    arities = {name: len(params) for name, (params, _) in headers.items()}
+    defs = {name: Definition(name, params,
+                             _parse_tail(body, set(params) | interface,
+                                         arities))
+            for name, (params, body) in headers.items()}
+    initial = tuple(_parse_tail(f, interface, arities) for f in runs)
+    return Program(inputs, outputs, defs, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +352,6 @@ def end_of_instant_tail(threads, env):
     return tuple(out)
 
 
-def tail_next_gen_index(p):
-    best = 0
-    names = set(p.interface)
-    for t in p.all_tails():
-        names.update(_canon.occurrences(t))
-    for d in p.defs.values():
-        names.update(d.params)
-    for name in names:
-        if name.startswith(GENERATED_PREFIX):
-            digits = name[len(GENERATED_PREFIX):]
-            if digits.isdigit():
-                best = max(best, int(digits) + 1)
-    return best
-
-
 class TailRunner:
     """Instant-by-instant execution of a tail program, through the same
     `run_threads` driver as `Runner`, and like it with one `Env` and one
@@ -455,7 +365,7 @@ class TailRunner:
         self.policy = policy
         self.rng = random.Random(seed)
         self.fuel = fuel
-        self.gen_counter = tail_next_gen_index(program)
+        self.gen_counter = next_gen_index(program)
         self.threads = list(program.initial)
         self.env = Env(_env_domain(program, program.initial)
                        | {PAUSE_SIGNAL}, self.gen_counter)

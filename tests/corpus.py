@@ -7,8 +7,8 @@ affordable. Everything random is seeded by the caller.
 import random
 
 from sltk.mealy import MonotonicMealy, input_subsets
-from sltk.syntax import parse_program
-from sltk.tailcore import TNIL, TailProgram, parse_tail_program
+from sltk.syntax import Program, parse_program
+from sltk.tailcore import TNIL, parse_tail_program
 
 
 SOURCE_TEXTS = {
@@ -296,8 +296,7 @@ def tail_corpus():
     variants = []
     for name, text in sorted(TAIL_TEXTS.items())[:10]:
         p = parse_tail_program(text)
-        widened = TailProgram(p.inputs, p.outputs, p.defs,
-                              p.initial + (TNIL,))
+        widened = Program(p.inputs, p.outputs, p.defs, p.initial + (TNIL,))
         variants.append((name + "_v", widened))
     return (base + variants)[:30]
 

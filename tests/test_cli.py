@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import sltk
 from sltk.cli import main
 from sltk.mealy import parse_mealy
@@ -368,3 +370,34 @@ def test_usage_and_file_errors_exit_1(tmp_path, capsys):
     code, _, err = invoke(capsys, "run", broken)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--instants"), ("run", "--fuel"), ("run-tail", "--instants"),
+    ("step", "--fuel"), ("check-reactivity", "--unfold-depth"),
+    ("cps", "--index-limit"), ("to-mealy", "--state-limit"),
+    ("equiv", "--depth"), ("equiv", "--state-limit"),
+    ("confluence-test", "--depth"), ("confluence-test", "--max-states"),
+])
+def test_count_flags_refuse_negative_values(tmp_path, capsys, command, flag):
+    prog = put(tmp_path, "prog.sl", PROG_SL)
+    files = (prog, prog) if command == "equiv" else (prog,)
+    code, out, err = invoke(capsys, command, *files, flag, "-1")
+    assert (code, out) == (1, "")
+    assert "expected a non-negative integer, got '-1'" in err
+    assert invoke(capsys, command, *files, flag, "x")[0] == 1
+
+
+def test_run_instants_zero_runs_nothing(tmp_path, capsys):
+    prog = put(tmp_path, "prog.sl", PROG_SL)
+    trace = put(tmp_path, "t.trace", TRACE_FILE)
+    assert invoke(capsys, "run", prog, "--inputs", trace,
+                  "--instants", "0") == (0, "", "")
+
+
+def test_unusable_mealy_table_exits_1(tmp_path, capsys):
+    bad = put(tmp_path, "bad.mealy", "mealy n=0 m=0\nstate q0 init\n"
+              "trans q0 {} -> q9 {}\n")
+    for argv in (("mealy-equiv", bad, bad), ("from-mealy", bad)):
+        assert invoke(capsys, *argv) == (
+            1, "", "error: 3:0: undeclared state q9\n")

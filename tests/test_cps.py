@@ -307,10 +307,9 @@ def test_substitution_law_on_plain_bodies():
 def _close_over(tr, thread):
     """A runnable tail program from one translated thread."""
     tr.drain()
-    from sltk.tailcore import TailProgram
+    from sltk.syntax import Program
 
-    return TailProgram(("s1", "s2"), ("s3", "s4"), dict(tr.defs_out),
-                       (thread,))
+    return Program(("s1", "s2"), ("s3", "s4"), dict(tr.defs_out), (thread,))
 
 
 def test_substitution_law_up_to_traces():

@@ -1,0 +1,27 @@
+"""Smoke test: every script in demos/ runs against the checkout's sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + rest if rest
+                                             else "")
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

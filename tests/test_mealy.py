@@ -215,6 +215,38 @@ trans q0 {} -> q0 {}
         parse_mealy(text)
 
 
+GOOD_TABLE = """mealy n=1 m=1
+state q0 init
+state q1
+trans q0 {} -> q1 {}
+trans q0 {1} -> q1 {1}
+trans q1 {} -> q0 {}
+trans q1 {1} -> q0 {1}
+"""
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("trans q1 {} -> q0 {}", "trans q1 {} -> q9 {}",
+     "6:0: undeclared state q9"),
+    ("trans q1 {} -> q0 {}", "trans q9 {} -> q0 {}",
+     "6:0: undeclared state q9"),
+    ("trans q0 {1} -> q1 {1}", "trans q0 {2} -> q1 {1}",
+     "5:0: input wire 2 outside 1..1"),
+    ("trans q0 {1} -> q1 {1}", "trans q0 {0} -> q1 {1}",
+     "5:0: input wire 0 outside 1..1"),
+    ("trans q0 {1} -> q1 {1}", "trans q0 {1} -> q1 {7}",
+     "5:0: output wire 7 outside 1..1"),
+    ("state q1\n", "state q1\nstate q1\n", "4:0: duplicate state q1"),
+    ("trans q1 {} -> q0 {}", "trans q1 {} -> q0 {}\ntrans q1 {} -> q1 {1}",
+     "7:0: duplicate trans for q1 {}"),
+])
+def test_text_format_rejects_what_its_tools_cannot_use(old, new, error):
+    assert parse_mealy(GOOD_TABLE).states == ("q0", "q1")
+    with pytest.raises(ParseError) as e:
+        parse_mealy(GOOD_TABLE.replace(old, new))
+    assert str(e.value) == error
+
+
 def test_text_format_rejects_missing_init():
     text = """mealy n=1 m=1
 state q0

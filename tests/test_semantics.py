@@ -53,7 +53,6 @@ from sltk.tailcore import (
     can_step_tail,
     end_of_instant_tail,
     run_trace_tail,
-    tail_next_gen_index,
     tail_substitute,
     try_step_tail,
 )
@@ -312,7 +311,7 @@ def _unmemoized(defs, instantiate):
 
 SOURCE_ENGINE = (next_gen_index, _source_domain, try_step, can_step,
                  end_of_instant, Nil, substitute)
-TAIL_ENGINE = (tail_next_gen_index, _tail_domain, try_step_tail,
+TAIL_ENGINE = (next_gen_index, _tail_domain, try_step_tail,
                can_step_tail, end_of_instant_tail, TNil, tail_substitute)
 
 

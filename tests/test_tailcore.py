@@ -3,6 +3,7 @@ import pytest
 from sltk._canon import free_signals
 from sltk.errors import NotSuspendedError, ParseError
 from sltk.semantics import Env
+from sltk.syntax import parse_program
 from sltk.tailcore import (
     PAUSE_SIGNAL,
     TNIL,
@@ -73,18 +74,30 @@ def test_pause_signal_is_reserved():
                            "(run (new %pause (emit! s2 0)))")
 
 
+# One table of header errors: both parsers read declarations alike.
 @pytest.mark.parametrize("text, message, position", [
     ("(input s1)\n(output s2)\n(def (A x x) (emit! x 0))\n"
      "(run (call A s1 s2))", "duplicate parameter in A", (3, 6)),
     ("(input a a)\n(run 0)", "duplicate interface signal", (1, 10)),
     ("(input a)\n(output b a)\n(run 0)", "duplicate interface signal",
      (2, 11)),
+    ("(input a)\n(def (A) 0)\n(def (A) 0)\n(run (call A))",
+     "duplicate definition: A", (3, 6)),
+    ("(def A 0)\n(run 0)", "def takes (name params...) and a body", (1, 1)),
+    ("(input a)\n(run 0 0)", "run takes one thread", (2, 1)),
+    ("(inputs a)\n(run 0)", "unknown declaration: inputs", (1, 1)),
+    ("(input a)\n(output b)\n", "program has no (run ...) declaration",
+     (1, 1)),
+    ("(run 0)\n((input) a)", "expected declaration keyword", (2, 2)),
+    ("(run 0)\nrun", "expected a declaration", (2, 1)),
 ])
 def test_tail_parser_rejects_what_the_source_parser_rejects(text, message,
                                                             position):
-    with pytest.raises(ParseError, match=message) as e:
-        parse_tail_program(text)
-    assert (e.value.line, e.value.col) == position
+    for parse in (parse_program, parse_tail_program):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == "%d:%d: %s" % (*position, message), parse
+        assert (e.value.line, e.value.col) == position
 
 
 def test_pause_prefix_shape():
