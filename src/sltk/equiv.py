@@ -16,21 +16,25 @@ three modes (exact labelled bisimilarity by signature refinement over the
 settled states of both programs, trace comparison which is equal to the
 exact relation for this confluent language, and a bounded game that can
 only distinguish), and a diamond-property check for the transition system
-itself. Exact mode relies on termination and confluence: internal moves
-lead every state to one suspended state, its settled state, which is
-bisimilar to it, so the refinement numbers settled states only. Trace
-mode relies on confluence: it runs each instant on raw lifted threads,
-interns only instant boundaries, and memoizes the instant of each
-boundary state as a decision tree over the input signals the instant
-tests, split lazily, so that it runs once per class of input sets that
-the game queries rather than once per input set.
+itself. Both checking modes run instants the same way, on raw lifted
+threads that one saturation loop drives until nothing can move, and
+intern only where the run stops. Exact mode relies on termination and
+confluence: internal moves lead every state to one suspended state, its
+settled state, which is bisimilar to it, so the refinement numbers and
+interns settled states only, and reaches the settled state of each
+context set by adding one signal at a time to a smaller set's. Trace
+mode relies on confluence: it interns only instant boundaries, and
+memoizes the instant of each boundary state as a decision tree over the
+input signals the instant tests, split lazily, so that it runs once per
+class of input sets that the game queries rather than once per input
+set. The interned moves (`tau`, `ins`, `with_emits`, `eoi`) serve the
+suspension and confluence diagnostics.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from . import _canon
 from .analysis import _find_cycle
@@ -59,6 +63,9 @@ from .tailcore import (
 )
 
 TAU = ("tau", None)
+
+# steps one run of raw threads may take before FuelExhaustedError
+FUEL = 100_000
 
 
 def _lift(t, members, marks, supply):
@@ -113,13 +120,21 @@ class Space:
     """Canonical reachable states of one tail program.
 
     States are interned canonical multisets of lifted threads. Transitions,
-    weak closures, settled states and barbs are computed on demand and
-    cached by state id, and so are the two moves of a context: `eoi(sid)`
-    ends the instant and is cached by state id; `with_emits(sid, S)` emits
-    the signals S into the instant and is cached by state id and signal
-    set. Trace mode uses none of these: `instant(sid, S)` interns instant
-    boundaries only, and keeps per state a decision tree whose leaves hold
-    the outputs and the next state of one class of input sets.
+    weak closures and barbs are computed on demand and cached by state id,
+    and so are the two moves of a context: `eoi(sid)` ends the instant and
+    is cached by state id; `with_emits(sid, S)` emits the signals S into
+    the instant and is cached by state id and signal set. Every state they
+    reach is interned.
+
+    The checking modes use none of these. They run `_saturate` on raw
+    lifted threads and intern only the state where it stops. Exact mode
+    asks for settled states: `settle(sid)`, `settle_with(sid, s)` for the
+    settled state after one more emission, cached by state id and signal,
+    and `settle_eoi(sid)` for the settled state after the end of the
+    instant, cached by state id. Trace mode asks `instant(sid, S)`, which
+    interns instant boundaries only and keeps per state a decision tree
+    whose leaves hold the outputs and the next state of one class of input
+    sets.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -134,10 +149,11 @@ class Space:
         self._tau = {}
         self._ins = {}
         self._weak = {}
-        self._settled = {}
         self._barbs = {}
         self._eoi = {}
         self._emits = {}
+        self._added = {}
+        self._ends = {}
         self._bodies = {}
         self._trees = {}
 
@@ -225,24 +241,6 @@ class Space:
             self._weak[sid] = hit
         return hit
 
-    def settle(self, sid):
-        """The suspended state that internal moves reach from sid, by the
-        first move of each state on the way; every state on the path is
-        memoized. Where every instant terminates and internal moves are
-        confluent, it is the only suspended state they reach."""
-        path = []
-        while sid not in self._settled:
-            path.append(sid)
-            moves = self.tau(sid)
-            if not moves:
-                self._settled[sid] = sid
-                break
-            sid = moves[0]
-        hit = self._settled[sid]
-        for x in path:
-            self._settled[x] = hit
-        return hit
-
     def converges(self, sid):
         return any(self.suspended(x) for x in self.weak_tau(sid))
 
@@ -288,18 +286,12 @@ class Space:
             if not new:
                 hit = sid
             else:
-                markers = tuple(TEmit(s, TNIL) for s in sorted(new))
-                # Canonical tuples are sorted by printed form. The merge is
-                # the multiset intern would lift, so if it is interned
-                # already it is that state, whatever _canon makes of it.
-                hit = self._ids.get(tuple(sorted(items + markers,
-                                                 key=print_tail)))
-                if hit is None:
-                    hit = self.intern(items + markers)
+                hit = self._intern_raw(items + tuple(TEmit(s, TNIL)
+                                                     for s in sorted(new)))
             self._emits[sid, signals] = hit
         return hit
 
-    def instant(self, sid, inputs, fuel=100_000):
+    def instant(self, sid, inputs, fuel=FUEL):
         """(outputs, next state) of the instant from state sid under the
         context's `inputs`, a subset of the universe.
 
@@ -320,8 +312,8 @@ class Space:
         """Run the instant from state sid for `inputs` and hang its leaf
         where the path of `inputs` in the tree ends.
 
-        The run marks at its start each signal the path found present,
-        runs on a worklist of raw lifted threads and parks each guard until
+        The run marks at its start each signal the path found present and
+        runs `_saturate` on raw lifted threads, which parks each guard until
         its signal is marked. When nothing can move, it splits on the
         smallest universe signal not yet decided that a parked guard waits
         on, and at the end of the instant on each such signal that a
@@ -340,7 +332,7 @@ class Space:
         # a prefix of its own: intern restarts its %l supply at every call
         supply = _canon.name_supply("%i", self._taken)
         universe = self._universe
-        work, waiting, pending, steps = [], {}, [], 0
+        work, waiting, steps = [], {}, 0
         marks = {s for s, side in decided.items() if side}
 
         def decide(s):
@@ -353,43 +345,18 @@ class Space:
         for t in self._items[sid]:
             _lift(t, work, marks, supply)
         while True:
-            while work:
-                t = work.pop()
-                if isinstance(t, TCall):
-                    body = self._bodies.get(t)
-                    if body is None:
-                        dfn = self.defs[t.ident]
-                        body = self._bodies[t] = tail_substitute(
-                            dfn.body, dict(zip(dfn.params, t.args)))
-                    t = body
-                elif t.signal in marks:
-                    t = t.then
-                else:
-                    parked = waiting.get(t.signal)
-                    if parked is not None:
-                        parked.append(t)
-                    else:
-                        waiting[t.signal] = [t]
-                        if t.signal in universe and t.signal not in decided:
-                            heappush(pending, t.signal)
-                    continue
-                steps += 1
-                if steps > fuel:
-                    raise FuelExhaustedError(steps)
-                known = len(marks)
-                _lift(t, work, marks, supply)
-                if len(marks) > known:
-                    for s in marks & waiting.keys():
-                        work.extend(waiting.pop(s))
-            # a signal leaves `waiting` only once it is marked
-            while pending and pending[0] not in waiting:
-                heappop(pending)
-            if not pending:
+            steps = self._saturate(work, marks, waiting, supply, steps, fuel)
+            # split on the smallest universe signal, in sorted order, that a
+            # guard waits on and no split decided; a signal leaves `waiting`
+            # only once it is marked, and only one decided present gives the
+            # worklist more to run
+            for s in self.universe:
+                if s in waiting and s not in decided and decide(s):
+                    marks.add(s)
+                    work.extend(waiting.pop(s))
+                    break
+            else:
                 break
-            s = heappop(pending)
-            if decide(s):
-                marks.add(s)
-                work.extend(waiting.pop(s))
 
         def present(s):
             if s in marks:
@@ -402,13 +369,99 @@ class Space:
         members = _lifted((select_branch(t.branch, present)
                            for guards in waiting.values() for t in guards),
                           supply)
-        # as in with_emits, and a miss becomes another key of its state
-        key = tuple(sorted(members, key=print_tail))
-        nxt = self._ids.get(key)
-        if nxt is None:
-            nxt = self._ids[key] = self.intern(members)
-        holder[slot] = leaf = (frozenset(marks & universe), nxt)
+        holder[slot] = leaf = (frozenset(marks & universe),
+                               self._intern_raw(members))
         return leaf
+
+    def _saturate(self, work, marks, waiting, supply, steps, fuel):
+        """Run the raw lifted threads of `work` until none can move and
+        return `steps` plus the steps taken. A call unfolds through
+        `_bodies`, a guard whose signal is in `marks` fires, and any other
+        guard parks in `waiting` under its signal until that signal is
+        marked. More than `fuel` steps raise FuelExhaustedError."""
+        while work:
+            t = work.pop()
+            if isinstance(t, TCall):
+                body = self._bodies.get(t)
+                if body is None:
+                    dfn = self.defs[t.ident]
+                    body = self._bodies[t] = tail_substitute(
+                        dfn.body, dict(zip(dfn.params, t.args)))
+                t = body
+            elif t.signal in marks:
+                t = t.then
+            else:
+                parked = waiting.get(t.signal)
+                if parked is not None:
+                    parked.append(t)
+                else:
+                    waiting[t.signal] = [t]
+                continue
+            steps += 1
+            if steps > fuel:
+                raise FuelExhaustedError(steps)
+            known = len(marks)
+            _lift(t, work, marks, supply)
+            if len(marks) > known:
+                for s in marks & waiting.keys():
+                    work.extend(waiting.pop(s))
+        return steps
+
+    def _intern_raw(self, members):
+        """Intern lifted members. Canonical tuples are sorted by printed
+        form, so members sorted that way that are interned already are that
+        state, whatever _canon makes of them; a miss becomes another key of
+        its state."""
+        key = tuple(sorted(members, key=print_tail))
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = self.intern(members)
+        return sid
+
+    def _settled(self, threads, marks):
+        """Intern the suspended state that internal moves reach from the
+        raw `threads` with the signals `marks` marked."""
+        supply = _canon.name_supply("%i", self._taken)
+        work, waiting = [], {}
+        for t in threads:
+            _lift(t, work, marks, supply)
+        self._saturate(work, marks, waiting, supply, 0, FUEL)
+        return self._intern_raw(
+            [t for guards in waiting.values() for t in guards] +
+            [TEmit(s, TNIL) for s in marks])
+
+    def settle(self, sid):
+        """The suspended state that internal moves reach from sid. Where
+        every instant terminates and internal moves are confluent, it is
+        the only one they reach, and no state on the way is interned."""
+        return self._settled(self._items[sid], set())
+
+    def settle_with(self, sid, signal):
+        """settle(with_emits(sid, {signal})) for a suspended state sid.
+        An emission marked once the state has settled leaves the same
+        suspended state as one marked at the start of the run, so the
+        settled state of a context set is reached one signal at a time."""
+        hit = self._added.get((sid, signal))
+        if hit is None:
+            items = self._items[sid]
+            if signal in _marked(items):
+                hit = sid
+            else:
+                hit = self._settled(items, {signal})
+            self._added[sid, signal] = hit
+        return hit
+
+    def settle_eoi(self, sid):
+        """settle(eoi(sid)) for a suspended state sid: each guard's branch
+        picked by the marked set, then run until nothing can move."""
+        hit = self._ends.get(sid)
+        if hit is None:
+            items = self._items[sid]
+            S = _marked(items)
+            hit = self._ends[sid] = self._settled(
+                [select_branch(t.branch, S.__contains__)
+                 for t in items if isinstance(t, TPresent)], set())
+        return hit
 
     def weak_in(self, sid, signal):
         out = set()
@@ -499,7 +552,14 @@ class _Refinement:
     round, so only settled states are numbered. They are the settled
     states of the two seeds and those reached from a settled state y by
     y_S = settle(with_emits(y, S)) for every context set S and by
-    settle(eoi(y)).
+    settle(eoi(y)). Neither is built through the interned moves: with s
+    the largest signal of S, y_S is y_{S - {s}} with s marked and settled,
+    since an emission marked once a run has settled leaves the same
+    suspended state as one marked at its start. That step is memoized per
+    settled state and signal and is y itself when s is marked already.
+    Every y_{S - {s}} is numbered too, so the 2^|universe| context sets
+    of all numbered states cost at most one run per numbered state and
+    signal it has not marked, and the rest are lookups.
 
     The partition starts as one block. Each round gives every settled
     state y a signature built from the previous partition: its own block;
@@ -523,6 +583,9 @@ class _Refinement:
         self.sp1 = sp1
         self.sp2 = sp2
         self.subsets = subsets(universe)
+        index = {S: i for i, S in enumerate(self.subsets)}
+        # each set after {} is an earlier one plus its largest signal
+        self.fold = [(index[S - {max(S)}], max(S)) for S in self.subsets[1:]]
 
     def run(self, seed1, seed2):
         u, v = self._union(seed1, seed2)
@@ -569,11 +632,19 @@ class _Refinement:
         for k, sid in self.states:
             sp = spaces[k]
             self.barbs.append(sp.barbs(sid))
-            ends.append(number(k, sp.settle(sp.eoi(sid))))
-            emits.append([number(k, sp.settle(sp.with_emits(sid, S)))
-                          for S in self.subsets])
+            ends.append(number(k, sp.settle_eoi(sid)))
+            emits.append([number(k, y) for y in self.contexts_of(sp, sid)])
         self.contexts = [[(y, ends[y]) for y in ys] for ys in emits]
         return seeds
+
+    def contexts_of(self, sp, y):
+        """y_S for every context set S, in `subsets` order, for a settled
+        state y of space sp: each y_S is y_{S - {s}}, found earlier in the
+        list, with s = max S added and settled."""
+        ys = [y]
+        for base, s in self.fold:
+            ys.append(sp.settle_with(ys[base], s))
+        return ys
 
     def explain(self, u, v):
         """The chain of (label, pair) steps that explains why the states

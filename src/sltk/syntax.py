@@ -571,17 +571,14 @@ def parse_program(text, pause_mode="primitive"):
         raise ValueError(f"unknown pause mode: {pause_mode}")
     inputs, outputs, headers, runs = _read_declarations(text, _name)
     builder = _ProgramBuilder(pause_mode, headers)
+    # only declared names are callable: a generated loop is called by the
+    # term that generated it, never by name from the text
     arities = {name: len(params) for name, (params, _) in headers.items()}
-
-    def all_arities():
-        return {**arities,
-                **{n: len(d.params) for n, d in builder.defs.items()}}
-
     parsed_defs = {}
     for name, (params, body_form) in headers.items():
-        body = _parse_thread(body_form, builder, frozenset(params), all_arities())
+        body = _parse_thread(body_form, builder, frozenset(params), arities)
         parsed_defs[name] = Definition(name, params, body)
     interface = frozenset(inputs + outputs)
-    initial = tuple(_parse_thread(f, builder, interface, all_arities())
+    initial = tuple(_parse_thread(f, builder, interface, arities)
                     for f in runs)
     return Program(inputs, outputs, {**parsed_defs, **builder.defs}, initial)

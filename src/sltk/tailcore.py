@@ -253,13 +253,14 @@ def _parse_tail(form, scope, def_arities):
         if not rest:
             raise ParseError("call needs an identifier", form.line, form.col)
         ident = _atom(rest[0], "identifier")
+        at = f"{rest[0].line}:{rest[0].col}"
         if ident not in def_arities:
-            raise UnboundIdentifierError(ident)
+            raise UnboundIdentifierError(f"{at}: no definition for {ident}")
         args = tuple(_check_signal(_atom(a, "signal"), a, scope)
                      for a in rest[1:])
         if len(args) != def_arities[ident]:
             raise ArityMismatchError(
-                f"{ident} takes {def_arities[ident]} arguments, "
+                f"{at}: {ident} takes {def_arities[ident]} signals, "
                 f"got {len(args)}")
         return TCall(ident, args)
     raise ParseError(f"unknown tail form: {head}", form.line, form.col)

@@ -156,6 +156,12 @@ def test_tail_parse_errors_exit_1(tmp_path, capsys):
               "(def (A x x) (emit! x 0))\n(run (call A s1 s3))\n")
     code, _, err = invoke(capsys, "run-tail", dup)
     assert (code, err) == (1, "error: 3:6: duplicate parameter in A\n")
+    unknown = put(tmp_path, "unknown.slt", "(run (call B))\n")
+    code, _, err = invoke(capsys, "run-tail", unknown)
+    assert (code, err) == (1, "error: 1:12: no definition for B\n")
+    arity = put(tmp_path, "arity.slt", "(def (A x) 0)\n(run (call A))\n")
+    code, _, err = invoke(capsys, "run-tail", arity)
+    assert (code, err) == (1, "error: 2:12: A takes 1 signals, got 0\n")
 
 
 def sltk_env():

@@ -624,6 +624,72 @@ def test_every_state_settles_into_one_suspended_state():
     assert checked > 1000
 
 
+def _walking_settle(space, sid):
+    """The settled state of sid on the interned path: the first tau move
+    of each state, every state on the way interned."""
+    while not space.suspended(sid):
+        sid = space.tau(sid)[0]
+    return sid
+
+
+def test_one_signal_fold_equals_the_interned_path():
+    programs = [p for _, p in finite_corpus()]
+    rng = seeded(5)
+    programs += [random_finite_program(rng) for _ in range(40)]
+    checked = 0
+    for p in programs:
+        space = space_for(p)
+        refinement = equiv._Refinement(space, space, space.universe)
+        closure = _full_closure(space, space.intern(p.initial))
+        for y in sorted(x for x in closure if space.suspended(x)):
+            folded = refinement.contexts_of(space, y)
+            assert folded == [_walking_settle(space, space.with_emits(y, S))
+                              for S in refinement.subsets], space.show(y)
+            assert space.settle_eoi(y) == \
+                _walking_settle(space, space.eoi(y)), space.show(y)
+            checked += 1
+    assert checked > 500
+
+
+def one_shot_guards(n):
+    """n one-shot guards in parallel, with no calls."""
+    body = "0"
+    for k in range(n, 0, -1):
+        body = f"(thread! (present i{k} (emit! o 0) 0) {body})"
+    inputs = " ".join(f"i{k}" for k in range(1, n + 1))
+    return tp(f"(input {inputs})\n(output o)\n(run {body})")
+
+
+def test_exact_mode_runs_instants_on_raw_threads(monkeypatch):
+    spaces, refinements, runs = [], [], []
+    saturate = equiv.Space._saturate
+
+    def counted(space, *args):
+        runs.append(space)
+        return saturate(space, *args)
+
+    class Recorded(equiv.Space):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    class Kept(equiv._Refinement):
+        def run(self, *seeds):
+            refinements.append(self)
+            return super().run(*seeds)
+
+    monkeypatch.setattr(equiv.Space, "_saturate", counted)
+    monkeypatch.setattr(equiv, "Space", Recorded)
+    monkeypatch.setattr(equiv, "_Refinement", Kept)
+    p = one_shot_guards(6)
+    assert isinstance(bisim_check(p, p, mode=EXACT), Equivalent)
+    # only settled states are interned
+    assert [len(sp._items) for sp in spaces] == [192, 192]
+    # a run per signal not yet marked, not one per context set
+    numbered = len(refinements[0].states)
+    assert len(runs) <= numbered * len(spaces[0].universe)
+
+
 # ---------------------------------------------------------------------------
 # trace mode: one instant on raw lifted threads
 

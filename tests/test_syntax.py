@@ -1,7 +1,12 @@
 import pytest
 
 from sltk._canon import free_signals
-from sltk.errors import ArityMismatchError, ParseError, UndeclaredSignalError
+from sltk.errors import (
+    ArityMismatchError,
+    ParseError,
+    UnboundIdentifierError,
+    UndeclaredSignalError,
+)
 from sltk.syntax import (
     NIL,
     PAUSE,
@@ -78,6 +83,21 @@ def test_print_parse_round_trip():
         text = print_program(p)
         again = parse_program(text)
         assert print_program(again) == text, name
+
+
+@pytest.mark.parametrize("text, message", [
+    # from a later declaration
+    ("(input a)(output b)(def (A) (loop pause))(def (B) (call L0))"
+     "(run (call B))", "1:57: no definition for L0"),
+    # from a run form, with a loop generated and without one
+    ("(input a)(output b)(def (A) (loop pause))(run (call L0))",
+     "1:53: no definition for L0"),
+    ("(run (call L0))", "1:12: no definition for L0"),
+])
+def test_generated_loops_are_not_callable(text, message):
+    with pytest.raises(UnboundIdentifierError) as e:
+        parse_program(text)
+    assert str(e.value) == message
 
 
 def test_print_thread_is_stable():

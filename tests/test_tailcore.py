@@ -1,7 +1,12 @@
 import pytest
 
 from sltk._canon import free_signals
-from sltk.errors import NotSuspendedError, ParseError
+from sltk.errors import (
+    ArityMismatchError,
+    NotSuspendedError,
+    ParseError,
+    UnboundIdentifierError,
+)
 from sltk.semantics import Env
 from sltk.syntax import parse_program
 from sltk.tailcore import (
@@ -98,6 +103,23 @@ def test_tail_parser_rejects_what_the_source_parser_rejects(text, message,
             parse(text)
         assert str(e.value) == "%d:%d: %s" % (*position, message), parse
         assert (e.value.line, e.value.col) == position
+
+
+# A bad call is reported at its identifier, worded as the source parser
+# words it.
+@pytest.mark.parametrize("text, error, message", [
+    ("(run (call B))", UnboundIdentifierError, "1:12: no definition for B"),
+    ("(def (A x) 0)\n(run (call A))", ArityMismatchError,
+     "2:12: A takes 1 signals, got 0"),
+])
+def test_tail_parser_places_bad_calls(text, error, message):
+    with pytest.raises(error) as e:
+        parse_tail_program(text)
+    assert str(e.value) == message
+    source = text.replace("(def (A x) 0)", "(def (A x) (emit x))")
+    with pytest.raises(error) as e:
+        parse_program(source)
+    assert str(e.value) == message
 
 
 def test_pause_prefix_shape():
