@@ -201,6 +201,10 @@ def has_binder(t):
 # ---------------------------------------------------------------------------
 # canonical forms
 
+# Past this many arrangements of tied items, canonical_multiset keeps the
+# input order of the ties.
+PERM_CAP = 5040
+
 
 def _tie_groups(order, keys):
     groups = []
@@ -212,12 +216,12 @@ def _tie_groups(order, keys):
     return groups
 
 
-def _arrangements(groups, cap):
+def _arrangements(groups):
     total = 1
     for g in groups:
         for k in range(2, len(g) + 1):
             total *= k
-        if total > cap:
+        if total > PERM_CAP:
             return [[i for g in groups for i in g]]
     pools = [list(permutations(g)) for g in groups]
     out = [[]]
@@ -226,7 +230,7 @@ def _arrangements(groups, cap):
     return out
 
 
-def canonical_multiset(items, interface, show, perm_cap=5040):
+def canonical_multiset(items, interface, show):
     """Return (canonical tuple, renaming) for a multiset of terms.
 
     `show` is the family's printer. The canonical tuple is sorted by printed
@@ -256,7 +260,7 @@ def canonical_multiset(items, interface, show, perm_cap=5040):
     groups = _tie_groups(order, keys)
 
     best = None
-    for arr in _arrangements(groups, perm_cap):
+    for arr in _arrangements(groups):
         m = {}
         for i in arr:
             for name in occurrence_lists[i]:

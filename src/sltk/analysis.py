@@ -12,6 +12,14 @@ Two sufficient criteria, both over the call structure of definitions:
   also bounds the equation table of the CPS translation. Calls are labelled
   by whether they sit in a possibly non-empty context; a strict constraint
   inside a cycle rejects.
+
+Both walk the call graph with one depth-first search, `_search`, which
+takes roots and successors in sorted order. check_reactivity (like
+tailcore.check_reactivity_tail) reports the first cycle that search closes.
+check_bounded takes the first component the search completes that holds a
+strict edge, in it the strict edge u > v with the smallest u and then the
+smallest v, and reports u followed by the shortest path from v back to u
+inside the component.
 """
 
 from __future__ import annotations
@@ -139,32 +147,60 @@ def _unfold(t, defs, depth):
     raise TypeError(f"not a thread: {t!r}")
 
 
-def _find_cycle(edges):
-    """Return one cycle in a directed graph as a node list, or None.
+def _search(edges):
+    """One depth-first search of a directed graph: roots are the nodes of
+    `edges` and successors are taken in sorted order, with an explicit
+    stack so that long call chains do not exhaust the recursion limit.
 
-    Depth-first in sorted order, with an explicit stack so that long call
-    chains do not exhaust the interpreter's recursion limit."""
-    color = {}
+    Returns (cycle, components). `cycle` is the search path from the target
+    of the first edge that leads back onto it, or None when the graph is
+    acyclic. `components` are the strongly connected components in the
+    order Tarjan's algorithm completes them (SIAM J. Comput. 1972).
+    """
+    index, low, on_stack = {}, {}, set()
+    stack, work, components = [], [], []
+    cycle = None
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(sorted(edges.get(v, ())))))
+
     for root in sorted(edges):
-        if root in color:
+        if root in index:
             continue
-        color[root] = 1
-        path = [root]
-        succs = [iter(sorted(edges.get(root, ())))]
-        while path:
-            v = next(succs[-1], None)
-            if v is None:
-                color[path.pop()] = 2
-                succs.pop()
-                continue
-            c = color.get(v)
-            if c == 1:
-                return path[path.index(v):]
-            if c is None:
-                color[v] = 1
-                path.append(v)
-                succs.append(iter(sorted(edges.get(v, ()))))
-    return None
+        visit(root)
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+                    # Until an edge first meets the stack, every finished
+                    # node has left it, so w is on the search path.
+                    if cycle is None:
+                        path = [v for v, _ in work]
+                        cycle = path[path.index(w):]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while node not in component:
+                        component.add(stack.pop())
+                    on_stack -= component
+                    components.append(component)
+    return cycle, components
+
+
+def _find_cycle(edges):
+    """The first cycle of `_search`, as a node list, or None."""
+    return _search(edges)[0]
 
 
 def check_reactivity(program, unfold_depth=1):
@@ -207,56 +243,6 @@ def bounded_call(t, label):
     raise TypeError(f"not a thread: {t!r}")
 
 
-def _tarjan(nodes, edges):
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(sorted(edges.get(v, ()))))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges.get(w, ())))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(frozenset(scc))
-
-    for v in sorted(nodes):
-        if v not in index:
-            strongconnect(v)
-    return sccs
-
-
 def check_bounded(program):
     """Accept when no cycle of call constraints contains a strict one.
 
@@ -274,16 +260,13 @@ def check_bounded(program):
             nodes.add(ident)
             target = strict if label == NONEMPTY_CTX else weak
             target.setdefault(name, set()).add(ident)
-    both = {}
-    for src in nodes:
-        both[src] = strict.get(src, set()) | weak.get(src, set())
-    for scc in _tarjan(nodes, both):
+    both = {v: strict.get(v, set()) | weak.get(v, set()) for v in nodes}
+    for scc in _search(both)[1]:
         for u in sorted(scc):
             for v in sorted(strict.get(u, ())):
                 if v in scc:
-                    cycle = _path_within(both, scc, v, u)
-                    return Reject(tuple([u] + cycle[:-1]) if len(cycle) > 1
-                                  else (u,))
+                    path = _path_within(both, scc, v, u)
+                    return Reject(tuple([u] + path[:-1]))
     return Accept()
 
 

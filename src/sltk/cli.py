@@ -27,7 +27,7 @@ from .errors import (
 )
 from .semantics import DETERMINISTIC, RANDOM
 from .syntax import canonicalize, parse_program, print_program, print_thread
-from .tailcore import parse_tail_program, print_tail_program
+from .tailcore import parse_tail_program, print_tail_program, run_trace_tail
 
 
 def _read(path):
@@ -134,7 +134,6 @@ def _cmd_run(args):
 def _cmd_run_tail(args):
     program = parse_tail_program(_read(args.file))
     _note_seed(args)
-    from .tailcore import run_trace_tail
     trace = run_trace_tail(program, _input_sets(args),
                            policy=args.scheduler, seed=args.seed,
                            fuel=args.fuel)

@@ -291,7 +291,7 @@ class Space:
             self._emits[sid, signals] = hit
         return hit
 
-    def instant(self, sid, inputs, fuel=FUEL):
+    def instant(self, sid, inputs):
         """(outputs, next state) of the instant from state sid under the
         context's `inputs`, a subset of the universe.
 
@@ -304,7 +304,7 @@ class Space:
         while node.__class__ is _Split:
             node = node.branches[node.signal in inputs]
         if node is None:
-            node = self._run(sid, inputs, fuel)
+            node = self._run(sid, inputs, FUEL)
         marks, nxt = node
         return marks | (inputs & self._universe), nxt
 
@@ -471,10 +471,8 @@ class Space:
         return frozenset(out)
 
 
-def space_for(program, universe=None, state_limit=50_000):
-    if universe is None:
-        universe = program_universe(program)
-    return Space(program, universe, state_limit)
+def space_for(program, state_limit=50_000):
+    return Space(program, program_universe(program), state_limit)
 
 
 def program_universe(program):

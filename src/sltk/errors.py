@@ -58,7 +58,9 @@ class IndexExplosionError(SLError):
         self.bounded_verdict = bounded_verdict
         msg = f"equation table exceeded {limit} entries"
         if bounded_verdict is not None:
-            msg += f" (bounded-context check: {bounded_verdict})"
+            shown = ("accept" if bounded_verdict
+                     else f"reject: {bounded_verdict.render()}")
+            msg += f" (bounded-context check: {shown})"
         super().__init__(msg)
 
 

@@ -474,7 +474,14 @@ class Runner:
 def run_trace(program, input_sets, policy=DETERMINISTIC, seed=0,
               fuel=DEFAULT_FUEL):
     """Run one instant per input set; return the (inputs, outputs) trace."""
-    runner = Runner(program, policy=policy, seed=seed, fuel=fuel)
+    return _trace(Runner(program, policy=policy, seed=seed, fuel=fuel),
+                  input_sets)
+
+
+def _trace(runner, input_sets):
+    """The trace loop of `run_trace` and `tailcore.run_trace_tail`: one
+    instant of `runner` per input set, with the failing instant's number
+    set on FuelExhaustedError."""
     trace = []
     for k, inputs in enumerate(input_sets):
         try:
@@ -518,8 +525,7 @@ def _successors(threads, env, unfold):
     return out
 
 
-def check_strong_confluence(program, max_states=5000, max_instants=2,
-                            fuel=DEFAULT_FUEL):
+def check_strong_confluence(program, max_states=5000, max_instants=2):
     """Exhaustively check the one-step diamond on every reachable state.
 
     Explores all scheduling choices within an instant, and every input subset

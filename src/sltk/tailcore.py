@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 from . import _canon
 from ._canon import BIND, KEEP, SIG, SIGS, SUB
+from .analysis import Accept, Reject, _find_cycle
 from .errors import (
     ArityMismatchError,
-    FuelExhaustedError,
     NotSuspendedError,
     ParseError,
     UnboundIdentifierError,
@@ -54,6 +54,7 @@ from .semantics import (
     InstantResult,
     _checked_inputs,
     _env_domain,
+    _trace,
     run_threads,
 )
 from .syntax import (
@@ -394,16 +395,8 @@ class TailRunner:
 
 def run_trace_tail(program, input_sets, policy=DETERMINISTIC, seed=0,
                    fuel=DEFAULT_FUEL):
-    runner = TailRunner(program, policy=policy, seed=seed, fuel=fuel)
-    trace = []
-    for k, inputs in enumerate(input_sets):
-        try:
-            res = runner.run_instant(inputs)
-        except FuelExhaustedError as e:
-            e.instant = k
-            raise
-        trace.append((frozenset(inputs), res.outputs))
-    return trace
+    return _trace(TailRunner(program, policy=policy, seed=seed, fuel=fuel),
+                  input_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +417,6 @@ def tail_alpha_key(t):
 
 # ---------------------------------------------------------------------------
 # reactivity for tail programs
-
-from .analysis import Accept, Reject, _find_cycle  # noqa: E402
-
 
 def tail_calls(t, acc, branches=False):
     """Identifiers t calls. Without `branches`, only those reachable

@@ -5,6 +5,7 @@ from sltk.analysis import (
     EMPTY,
     SUSPENDS,
     CallResult,
+    _find_cycle,
     bounded_call,
     call_of,
     call_of_context,
@@ -17,12 +18,15 @@ from sltk.semantics import decompose, plug, run_trace
 from sltk.syntax import (
     Await,
     Call,
+    Definition,
     Emit,
     New,
     Pause,
+    Program,
     Spawn,
     Watch,
     parse_program,
+    seq_all,
     seq_of,
 )
 from sltk.tailcore import check_reactivity_tail, parse_tail_program
@@ -254,3 +258,122 @@ def test_cycle_search_walks_a_chain_deeper_than_the_recursion_limit():
     # the cycle and plays the trace game instead of the refinement
     ring = tail("(emit! s2 (present %pause 0 (call A0)))")
     assert bisim_check(ring, ring, mode=EXACT)
+
+
+# ---------------------------------------------------------------------------
+# one search for both analyses
+
+
+def _reference_find_cycle(edges):
+    """The cycle finder of check_reactivity before it shared the search
+    with check_bounded: depth-first in sorted order, stopping at the first
+    edge back onto the path."""
+    color = {}
+    for root in sorted(edges):
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        succs = [iter(sorted(edges.get(root, ())))]
+        while path:
+            v = next(succs[-1], None)
+            if v is None:
+                color[path.pop()] = 2
+                succs.pop()
+                continue
+            c = color.get(v)
+            if c == 1:
+                return path[path.index(v):]
+            if c is None:
+                color[v] = 1
+                path.append(v)
+                succs.append(iter(sorted(edges.get(v, ()))))
+    return None
+
+
+def _random_graphs(count):
+    rng = random.Random(15)
+    for _ in range(count):
+        nodes = [f"N{k}" for k in range(rng.randint(1, 8))]
+        density = rng.uniform(0.1, 0.3)
+        yield rng, {u: {v for v in nodes if rng.random() < density}
+                    for u in nodes}
+
+
+def _reaches(edges, start):
+    seen, todo = {start}, [start]
+    while todo:
+        for v in edges[todo.pop()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def test_first_cycle_is_the_reference_cycle_on_random_graphs():
+    cyclic = 0
+    for _, edges in _random_graphs(2000):
+        cycle = _find_cycle(edges)
+        assert cycle == _reference_find_cycle(edges), edges
+        cyclic += cycle is not None
+    assert 0 < cyclic < 2000
+
+
+def test_bounded_verdict_is_brute_force_on_random_graphs():
+    rejected = 0
+    for rng, edges in _random_graphs(2000):
+        strict = {(u, v) for u in edges for v in edges[u]
+                  if rng.random() < 0.5}
+        defs = {}
+        for u, succs in edges.items():
+            # a call followed by a pause sits in a non-empty context, a
+            # spawned call in an empty one
+            calls = [seq_of(Call(v, ()), Pause()) if (u, v) in strict
+                     else Spawn(Call(v, ())) for v in sorted(succs)]
+            defs[u] = Definition(u, (), seq_all(calls) if calls else Pause())
+        verdict = check_bounded(Program((), (), defs, ()))
+        assert bool(verdict) == all(u not in _reaches(edges, v)
+                                    for u, v in strict), edges
+        if not verdict:
+            rejected += 1
+            cycle = verdict.cycle
+            steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+            assert all(v in edges[u] for u, v in steps)
+            assert any(step in strict for step in steps)
+    assert 0 < rejected < 2000
+
+
+def test_bounded_witness_is_the_first_component_completed():
+    p = parse_program("""
+(input s1)
+(output s2)
+(def (A) (seq pause (call A) (call B)))
+(def (B) (seq pause (call B) (call C)))
+(def (C) pause)
+(run (call A))
+""")
+    assert check_bounded(p).render() == "B > B"
+
+
+def test_bounded_witness_starts_at_the_smallest_strict_caller():
+    p = parse_program("""
+(input s1)
+(output s2)
+(def (A) (seq (call B) pause))
+(def (B) (seq (call C) pause))
+(def (C) (call A))
+(run (call A))
+""")
+    assert check_bounded(p).render() == "A > B > C > A"
+
+
+def test_reactivity_witness_follows_the_walk_not_the_smallest_member():
+    p = parse_program("""
+(input s1)
+(output s2)
+(def (A o) (call C o))
+(def (B o) (seq (emit o) (call C o)))
+(def (C o) (seq (emit o) (call B o)))
+(run (call A s1))
+""")
+    assert check_reactivity(p, unfold_depth=0).render() == "C > B > C"

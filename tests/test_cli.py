@@ -142,6 +142,15 @@ def test_run_fuel_limit_exits_5(tmp_path, capsys):
     assert err.startswith("limit: fuel exhausted")
 
 
+def test_cps_table_limit_exits_5_with_the_bounded_verdict(tmp_path,
+                                                          capsys):
+    prog = put(tmp_path, "grow.sl", UNBOUNDED_SL)
+    code, out, err = invoke(capsys, "cps", prog, "--index-limit", "50")
+    assert (code, out) == (5, "")
+    assert err == ("limit: equation table exceeded 50 entries "
+                   "(bounded-context check: reject: A > A)\n")
+
+
 def test_run_tail_program(tmp_path, capsys):
     prog = put(tmp_path, "copy.slt", COPY_SLT)
     trace = put(tmp_path, "t.trace", TRACE_FILE)

@@ -213,8 +213,23 @@ def test_unbounded_program_overflows_the_table():
 (def (B) 0)
 (run (call A))
 """)
-    with pytest.raises(IndexExplosionError):
+    with pytest.raises(IndexExplosionError) as info:
         cps_program(p, index_limit=64)
+    assert str(info.value) == ("equation table exceeded 64 entries "
+                               "(bounded-context check: reject: A > A)")
+
+
+def test_table_overflow_names_an_accepting_bounded_check():
+    p = parse_program("""
+(input s1)
+(output s2)
+(def (A) (seq pause (thread (call A))))
+(run (call A))
+""")
+    with pytest.raises(IndexExplosionError) as info:
+        cps_program(p, index_limit=0)
+    assert str(info.value) == ("equation table exceeded 0 entries "
+                               "(bounded-context check: accept)")
 
 
 def test_index_notes_name_every_generated_equation():
