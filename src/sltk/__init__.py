@@ -16,6 +16,7 @@ from .errors import (
     HasSignalGenerationError,
     IndexExplosionError,
     InputSetExplosionError,
+    LabellingLimitError,
     NotFiniteStateError,
     ParseError,
     SLError,

@@ -20,10 +20,14 @@ when nothing below it changes.
 
 A canonical form fixes the interface names and renames every other name by
 a bijection, to %g0, %g1, ..., so that two multisets are equal after
-canonicalization exactly when such a bijection between them exists.
+canonicalization exactly when such a bijection between them exists, at any
+size. Its work follows the names to rename: a multiset with none is printed
+once and sorted, and names shared between items are labelled by colour
+refinement and individualization (`_label`), whose search has one budget,
+LEAF_LIMIT.
 """
 
-from itertools import permutations
+from .errors import LabellingLimitError
 
 SIG = "sig"
 SIGS = "sigs"
@@ -66,13 +70,20 @@ def occurrences(t):
 
 
 def _collect(t, out):
+    """Append the names of t to out, in pre-order, and return whether t
+    has a binder."""
+    bound = False
     for name, kind in _FIELDS[type(t)]:
         if kind is SUB:
-            _collect(getattr(t, name), out)
+            if _collect(getattr(t, name), out):
+                bound = True
         elif kind is SIGS:
             out.extend(getattr(t, name))
         elif kind is not KEEP:
             out.append(getattr(t, name))
+            if kind is BIND:
+                bound = True
+    return bound
 
 
 def free_signals(t):
@@ -201,78 +212,182 @@ def has_binder(t):
 # ---------------------------------------------------------------------------
 # canonical forms
 
-# Past this many arrangements of tied items, canonical_multiset keeps the
-# input order of the ties.
-PERM_CAP = 5040
+# Leaves the labelling search of one component may reach before
+# canonical_multiset gives up with LabellingLimitError. Colour refinement
+# leaves a tie only between names that no pattern of occurrences tells
+# apart, and the search tries every name of a tied cell, so k parts that
+# hang alike off one shared name cost k! leaves.
+LEAF_LIMIT = 10_000
 
 
-def _tie_groups(order, keys):
-    groups = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or keys[order[i]] != keys[order[start]]:
-            groups.append(order[start:i])
-            start = i
-    return groups
+class CanonicalForm(tuple):
+    """A canonical tuple of terms whose `printed` holds their printed
+    forms, in the same order."""
 
-
-def _arrangements(groups):
-    total = 1
-    for g in groups:
-        for k in range(2, len(g) + 1):
-            total *= k
-        if total > PERM_CAP:
-            return [[i for g in groups for i in g]]
-    pools = [list(permutations(g)) for g in groups]
-    out = [[]]
-    for pool in pools:
-        out = [acc + list(p) for acc in out for p in pool]
-    return out
+    def __new__(cls, terms, printed):
+        form = super().__new__(cls, terms)
+        form.printed = printed
+        return form
 
 
 def canonical_multiset(items, interface, show):
     """Return (canonical tuple, renaming) for a multiset of terms.
 
-    `show` is the family's printer. The canonical tuple is sorted by printed
-    form. The renaming maps the original free non-interface names to their
-    %gN replacements (binder renamings are internal and omitted).
+    The renamable names are the names outside the interface: the free
+    ones and the binders, which are freshened apart first in the items
+    that have them. An item with no renamable name is ground: it is its
+    own canonical form and is printed once. The other items split into
+    components, the classes of items linked by shared renamable names,
+    and `_label` names each component %g0, %g1, ... canonically.
+    Components are sorted by their printed items under those local names
+    and then take the global names %gN in that order. Two multisets thus
+    get equal tuples exactly when a bijection of renamable names maps one
+    onto the other.
+
+    `show` is the family's printer. The canonical tuple is a
+    `CanonicalForm` sorted by printed form. The renaming maps the original
+    free non-interface names to their %gN replacements (binder renamings
+    are internal and omitted).
     """
-    items = list(items)
-    if not items:
-        return (), {}
     interface = set(interface)
-    all_names = set()
+    shown, pending, bound = [], [], []
     for it in items:
-        all_names.update(occurrences(it))
-    supply = name_supply("%u", all_names)
-    fresh_items = [freshen_apart(it, supply) for it in items]
-    occurrence_lists = [occurrences(it) for it in fresh_items]
+        names = []
+        if _collect(it, names):
+            bound.append(it)
+        elif interface.issuperset(names):
+            shown.append((show(it), it))
+        else:
+            pending.append((it, _renamable(names, interface)))
+    binders = set()
+    if bound:
+        taken = interface.union(*(names for _, names in pending))
+        for it in bound:
+            taken.update(occurrences(it))
+        supply = name_supply("%u", taken)
+        for it in bound:
+            it = freshen_apart(it, supply)
+            names = _renamable(occurrences(it), interface)
+            binders.update(n for n in names if n not in taken)
+            pending.append((it, names))
 
-    keys = []
-    for it, names in zip(fresh_items, occurrence_lists):
-        m = {}
-        for name in names:
-            if name not in interface and name not in m:
-                m[name] = f"%k{len(m)}"
-        keys.append(show(rename_all(it, m)))
+    classes = _components(pending)
+    labelled = [_label(members, show) for members in classes]
+    renaming = {}
+    for c in sorted(range(len(classes)), key=lambda c: labelled[c][0]):
+        offset = len(renaming)
+        m = {n: f"%g{k + offset}" for k, n in enumerate(labelled[c][1])}
+        for t, _ in classes[c]:
+            t = rename_all(t, m)
+            shown.append((show(t), t))
+        renaming.update(m)
+    for n in binders:
+        del renaming[n]
+    shown.sort(key=lambda pair: pair[0])
+    return (CanonicalForm([t for _, t in shown], tuple(s for s, _ in shown)),
+            renaming)
 
-    order = sorted(range(len(items)), key=lambda i: keys[i])
-    groups = _tie_groups(order, keys)
+
+def _renamable(names, interface):
+    """The names outside the interface, each once, in order."""
+    return [n for n in dict.fromkeys(names) if n not in interface]
+
+
+def _components(pending):
+    """Split (term, names) pairs into the classes of pairs linked by
+    shared names."""
+    root = list(range(len(pending)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    first = {}
+    for k, (_, names) in enumerate(pending):
+        for n in names:
+            root[find(first.setdefault(n, k))] = find(k)
+    classes = {}
+    for k, pair in enumerate(pending):
+        classes.setdefault(find(k), []).append(pair)
+    return list(classes.values())
+
+
+def _ranks(signatures):
+    """Each signature's rank among the distinct signatures, in sorted
+    order, and the number of distinct signatures."""
+    rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
+    return [rank[s] for s in signatures], len(rank)
+
+
+def _label(members, show):
+    """Canonical local names %g0, %g1, ... for the names of one component.
+
+    `members` are (term, names) pairs, names being the term's renamable
+    names in order of first occurrence. A member's shape is its term
+    printed with those names as %g0, %g1, ...; it depends on the term
+    alone. Colour refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comput. 2014) colours a name by its places:
+    the shape of each member it occurs in and its index among that
+    member's names, then also the colours of those members' other names,
+    until no colour splits. While some colour is shared, the search
+    individualizes in turn each name of the first smallest shared colour
+    and refines again. A leaf, where every colour is one name's, names
+    each name by its colour; the leaf whose sorted printed members come
+    first wins. Colours are built from printed shapes and places only, so
+    the result does not depend on the order of the members.
+
+    Returns the sorted printed members and the names in the order of their
+    local names.
+    """
+    shapes = [show(rename_all(t, {n: f"%g{j}" for j, n in enumerate(names)}))
+              for t, names in members]
+    if len(members) == 1:
+        return tuple(shapes), members[0][1]
+    kinds, _ = _ranks(shapes)
+    index = {}
+    for _, names in members:
+        for n in names:
+            index.setdefault(n, len(index))
+    rows = [[index[n] for n in names] for _, names in members]
+    places = [[] for _ in index]
+    for m, row in enumerate(rows):
+        for j, v in enumerate(row):
+            places[v].append((m, j))
+
+    def refine(colour):
+        count = len(set(colour))
+        while True:
+            member, _ = _ranks([(kinds[m], tuple(colour[v] for v in row))
+                                for m, row in enumerate(rows)])
+            colour, split = _ranks([(colour[v], tuple(sorted(
+                (member[m], j) for m, j in p))) for v, p in enumerate(places)])
+            if split == count:
+                return colour
+            count = split
 
     best = None
-    for arr in _arrangements(groups):
-        m = {}
-        for i in arr:
-            for name in occurrence_lists[i]:
-                if name not in interface and name not in m:
-                    m[name] = f"%g{len(m)}"
-        renamed = [rename_all(fresh_items[i], m) for i in arr]
-        shown = sorted(zip(map(show, renamed), range(len(renamed)),
-                           renamed))
-        strings = [text for text, _, _ in shown]
-        if best is None or strings < best[0]:
-            best = (strings, shown, m)
-    _, shown, mapping = best
-    result = tuple(r for _, _, r in shown)
-    free_map = {k: v for k, v in mapping.items() if not k.startswith("%u")}
-    return result, free_map
+    leaves = 0
+    stack = [refine([0] * len(index))]
+    while stack:
+        colour = stack.pop()
+        cells = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        if len(cells) < len(colour):
+            c, cell = min(((c, cell) for c, cell in cells.items()
+                           if len(cell) > 1),
+                          key=lambda pair: (len(pair[1]), pair[0]))
+            for v in cell:
+                child = [2 * k + 1 for k in colour]
+                child[v] = 2 * c
+                stack.append(refine(child))
+            continue
+        leaves += 1
+        if leaves > LEAF_LIMIT:
+            raise LabellingLimitError(LEAF_LIMIT)
+        m = {n: f"%g{colour[v]}" for n, v in index.items()}
+        leaf = tuple(sorted(show(rename_all(t, m)) for t, _ in members))
+        if best is None or leaf < best[0]:
+            best = (leaf, sorted(index, key=lambda n: colour[index[n]]))
+    return best

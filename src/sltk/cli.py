@@ -20,6 +20,7 @@ from .errors import (
     HasSignalGenerationError,
     IndexExplosionError,
     InputSetExplosionError,
+    LabellingLimitError,
     NotFiniteStateError,
     ParseError,
     SLError,
@@ -379,7 +380,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (FuelExhaustedError, StateExplosionError,
-            IndexExplosionError, InputSetExplosionError) as e:
+            IndexExplosionError, InputSetExplosionError,
+            LabellingLimitError) as e:
         print(f"limit: {e}", file=sys.stderr)
         return 5
     except RecursionError:

@@ -161,17 +161,17 @@ class Space:
         members = _lifted(items, _canon.name_supply("%l", self._taken))
         canonical, _ = _canon.canonical_multiset(members, self.interface,
                                                  print_tail)
-        sid = self._ids.get(canonical)
+        sid = self._ids.get(canonical.printed)
         if sid is None:
             if len(self._items) >= self.state_limit:
                 raise StateExplosionError(self.state_limit)
             sid = len(self._items)
-            self._ids[canonical] = sid
+            self._ids[canonical.printed] = sid
             self._items.append(canonical)
         return sid
 
     def show(self, sid):
-        return " | ".join(print_tail(t) for t in self._items[sid]) or "0"
+        return " | ".join(self._items[sid].printed) or "0"
 
     def _steps(self, sid):
         """(action, replacement threads) for every move of a state."""
@@ -408,11 +408,12 @@ class Space:
         return steps
 
     def _intern_raw(self, members):
-        """Intern lifted members. Canonical tuples are sorted by printed
-        form, so members sorted that way that are interned already are that
-        state, whatever _canon makes of them; a miss becomes another key of
-        its state."""
-        key = tuple(sorted(members, key=print_tail))
+        """Intern lifted members. States are keyed by the printed forms of
+        their canonical tuple, which is sorted by printed form, and printing
+        is injective: so members whose sorted printed forms are a key are
+        that state, whatever _canon makes of them. A miss becomes another
+        key of its state."""
+        key = tuple(sorted(map(print_tail, members)))
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = self.intern(members)

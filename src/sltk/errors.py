@@ -76,6 +76,16 @@ class StateExplosionError(SLError):
         super().__init__(f"state space exceeded {limit} states")
 
 
+class LabellingLimitError(SLError):
+    """The search for a canonical labelling of a state's generated names
+    reached more leaves than its budget allows."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        super().__init__(f"canonical labelling search exceeded {limit} "
+                         f"leaves")
+
+
 class InputSetExplosionError(SLError):
     """Enumerating every input set would exceed the configured bound on
     the number of signals."""

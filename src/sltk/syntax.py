@@ -250,7 +250,8 @@ def next_gen_index(p):
 def canonicalize(threads, interface):
     """Canonical form of a thread multiset: generated and local names become
     %g0, %g1, ... while interface names stay fixed. Two multisets get equal
-    canonical forms exactly when one is a renaming of the other."""
+    canonical forms exactly when one is a renaming of the other, at any
+    size (see `_canon.canonical_multiset`)."""
     result, _ = _canon.canonical_multiset(threads, interface, print_thread)
     return result
 

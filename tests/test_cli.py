@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import sltk
+from sltk import _canon
 from sltk.cli import main
 from sltk.mealy import parse_mealy
 from sltk.syntax import parse_program
@@ -191,6 +193,30 @@ def test_step_mode_reads_stdin_lines(tmp_path):
     assert proc.returncode == 0
     assert "O={s3}" in proc.stdout
     assert "O={s4}" in proc.stdout
+
+
+# Two residual threads, each waiting on a private signal under a watch on
+# one shared local signal: labelling them canonically takes two leaves.
+TWIN_WAITERS_SL = """
+(input s1)
+(output s2)
+(run (new h (seq (thread (new p (watch h (await p))))
+                 (thread (new p (watch h (await p)))))))
+"""
+
+
+def test_step_mode_reports_the_labelling_budget_as_a_limit(
+        tmp_path, capsys, monkeypatch):
+    prog = put(tmp_path, "twins.sl", TWIN_WAITERS_SL)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+    code, out, _ = invoke(capsys, "step", prog)
+    assert code == 0
+    assert "(watch %g0 (await %g1))\n  (watch %g0 (await %g2))" in out
+    monkeypatch.setattr(_canon, "LEAF_LIMIT", 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+    code, _, err = invoke(capsys, "step", prog)
+    assert code == 5
+    assert err == "limit: canonical labelling search exceeded 1 leaves\n"
 
 
 def test_check_reactivity_verdicts(tmp_path, capsys):

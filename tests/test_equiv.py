@@ -521,29 +521,17 @@ def _weakly_shows(space, sid, s):
                for y in space.weak_tau(sid))
 
 
-def _suspends_under(space, sid, S):
-    return any(space.suspended(y)
-               for y in space.weak_tau(space.with_emits(sid, S)))
-
-
 def _observable(refinement, label, pair):
     """Whether the last step of a witness is a fact about its pair of
     states that no relation between the two spaces enters: one side and
-    not the other shows a barb, or suspends under a context."""
+    not the other shows a barb."""
     spaces = (refinement.sp1, refinement.sp2)
     (k1, sid1), (k2, sid2) = (refinement.states[u] for u in pair)
     barb = re.fullmatch(r"emitted (\S+) observable", label)
-    if barb:
-        fact = _weakly_shows
-        arg = barb[1]
-    else:
-        context = re.fullmatch(r"context emits \{(.*)\}, no suspension",
-                               label)
-        if not context:
-            return False
-        fact = _suspends_under
-        arg = frozenset(context[1].split(",")) - {""}
-    return fact(spaces[k1], sid1, arg) != fact(spaces[k2], sid2, arg)
+    if not barb:
+        return False
+    return (_weakly_shows(spaces[k1], sid1, barb[1]) !=
+            _weakly_shows(spaces[k2], sid2, barb[1]))
 
 
 def _reinterned(program, space, seed):

@@ -1,14 +1,19 @@
 """Laws of the shape-driven walkers in `_canon`, checked on generated source
-and tail terms, and the guard that keeps every node's SHAPE in step with
-its dataclass fields."""
+and tail terms; canonical forms, checked against brute force and for the
+work they do; and the guard that keeps every node's SHAPE in step with its
+dataclass fields."""
 
+import itertools
+import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sltk import _canon
 from sltk._canon import BIND, KEEP, SIG, SIGS, SUB
+from sltk.errors import LabellingLimitError
 from sltk.syntax import (
     NIL,
     PAUSE,
@@ -227,3 +232,146 @@ def test_every_node_shape_has_one_kind_per_field():
         for k, kind in enumerate(kinds):
             if kind is BIND:
                 assert kinds[k + 1:k + 2] == [SUB], cls
+
+
+# ---------------------------------------------------------------------------
+# canonical forms of multisets
+
+
+MULTISETS = st.one_of(
+    st.tuples(st.lists(source_terms(2), max_size=5), st.just(print_thread)),
+    st.tuples(st.lists(tail_terms(2), max_size=5), st.just(print_tail)))
+BINDER_FREE_MULTISETS = st.one_of(
+    st.tuples(st.lists(source_terms(2, False), max_size=4),
+              st.just(print_thread)),
+    st.tuples(st.lists(tail_terms(2, False), max_size=4),
+              st.just(print_tail)))
+# Renaming targets: never interface names, never names _canon makes.
+TARGETS = ["b", "c", "d", "e", "x", "y", "%r0", "%r1"]
+
+
+def renamable(items):
+    return sorted({n for t in items for n in _canon.occurrences(t)}
+                  - INTERFACE)
+
+
+def form(items, show):
+    return _canon.canonical_multiset(items, INTERFACE, show)[0]
+
+
+@LAWS
+@given(MULTISETS, st.permutations(TARGETS), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_renaming_and_order(multiset, targets, rng):
+    items, show = multiset
+    names = renamable(items)
+    m = dict(zip(names, targets))
+    other = [_canon.rename_all(t, m) for t in items]
+    rng.shuffle(other)
+    assert form(other, show) == form(items, show)
+
+
+def isomorphic(xs, ys, show):
+    """Whether some bijection of renamable names maps the binder-free
+    multiset xs onto ys, by trying every one."""
+    xn, yn = renamable(xs), renamable(ys)
+    if len(xn) != len(yn) or len(xs) != len(ys):
+        return False
+    target = sorted(map(show, ys))
+    return any(sorted(show(_canon.rename_all(t, dict(zip(xn, p))))
+                      for t in xs) == target
+               for p in itertools.permutations(yn))
+
+
+@LAWS
+@given(BINDER_FREE_MULTISETS, st.data())
+def test_equal_forms_exactly_for_a_bijection(multiset, data):
+    items, show = multiset
+    names = renamable(items)
+    pool = st.sampled_from(TARGETS[:4])
+    m = data.draw(st.fixed_dictionaries({n: pool for n in names}))
+    other = data.draw(st.permutations(
+        [_canon.rename_all(t, m) for t in items]))
+    assert len(renamable(items)) <= 4 and len(renamable(other)) <= 4
+    assert (form(items, show) == form(other, show)) == \
+        isomorphic(items, other, show)
+
+
+def ring(names):
+    """Waiters that each call the next one's signal, around a ring."""
+    n = len(names)
+    return [TPresent(names[k], TCall("K", (names[(k + 1) % n],)),
+                     BLeaf(TNIL)) for k in range(n)]
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_a_ring_has_one_form_whatever_its_names_and_order(n):
+    rng = random.Random(n)
+    forms = set()
+    for _ in range(20):
+        items = ring([f"w{k}" for k in rng.sample(range(100), n)])
+        rng.shuffle(items)
+        forms.add(form(items, print_tail))
+    assert len(forms) == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_names_refinement_cannot_split_still_get_one_form(seed):
+    # Each waiter calls its ring successor and one more name: every name
+    # sits once at each of the three places of the one shape, so colour
+    # refinement splits nothing, yet the names are not all alike and the
+    # leaves of the search differ.
+    rng = random.Random(seed)
+    n = 8
+    while True:
+        other = rng.sample(range(n), n)
+        if all(other[k] not in (k, (k + 1) % n) for k in range(n)):
+            break
+    forms = set()
+    for _ in range(20):
+        names = [f"w{k}" for k in rng.sample(range(100), n)]
+        items = [TPresent(names[k], TCall("K", (names[(k + 1) % n],
+                                                names[other[k]])),
+                          BLeaf(TNIL)) for k in range(n)]
+        rng.shuffle(items)
+        forms.add(form(items, print_tail))
+    assert len(forms) == 1
+
+
+class CountingShow:
+    def __init__(self, show):
+        self.show = show
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.show(t)
+
+
+def test_ground_items_are_printed_once_each():
+    show = CountingShow(print_tail)
+    items = [TCall("K", ("a",))] * 7
+    canonical, renaming = _canon.canonical_multiset(items, INTERFACE, show)
+    assert show.calls == 7
+    assert canonical == tuple(items) and renaming == {}
+    assert canonical.printed == ("(call K a)",) * 7
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_a_ring_costs_at_most_two_n_squared_prints(n):
+    show = CountingShow(print_tail)
+    form(ring([f"w{k}" for k in range(n)]), show)
+    assert show.calls <= 2 * n * n
+
+
+def test_labelling_search_stops_at_its_budget(monkeypatch):
+    # Four guards on one shared name, each holding a private name of its
+    # own: no refinement tells the private names apart, so the search
+    # reaches 4! = 24 leaves.
+    items = [TPresent("h", TCall("K", (f"p{k}",)), BLeaf(TNIL))
+             for k in range(4)]
+    renamed = [_canon.rename_all(t, {f"p{k}": f"q{3 - k}", "h": "g"})
+               for k, t in enumerate(items)]
+    assert form(renamed, print_tail) == form(items, print_tail)
+    monkeypatch.setattr(_canon, "LEAF_LIMIT", 23)
+    with pytest.raises(LabellingLimitError, match="23 leaves"):
+        form(items, print_tail)
