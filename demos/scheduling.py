@@ -40,9 +40,9 @@ def main():
         agree = (trace, res) == (reference, residual)
         print(f"random seed {seed}: same outputs and residual: {agree}")
 
-    states = check_strong_confluence(program, max_states=5000,
-                                     max_instants=3)
-    print(f"one-step diamond verified on {states} reachable states")
+    verdict = check_strong_confluence(program, max_states=5000,
+                                      max_instants=3)
+    print(f"one-step diamond verified on {verdict.states} reachable states")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import sys
 from . import analysis, cps, encodings, equiv, mealy, semantics
 from .errors import (
     ArityTooLargeError,
-    ConfluenceViolationError,
     FuelExhaustedError,
     HasSignalGenerationError,
     IndexExplosionError,
@@ -244,23 +243,22 @@ def _cmd_encode_cm(args):
 
 def _cmd_confluence(args):
     if args.file.endswith(".slt"):
-        program = parse_tail_program(_read(args.file))
-        verdict = equiv.confluence_check(program, depth=args.depth,
+        verdict = equiv.confluence_check(parse_tail_program(_read(args.file)),
+                                         depth=args.depth,
                                          state_limit=args.max_states)
-        if verdict:
-            print(f"ok: {verdict.states} states explored")
-            return 0
-        print(f"violation at {verdict.state}: {verdict.detail}")
-        return 2
-    program = parse_program(_read(args.file))
-    try:
-        count = semantics.check_strong_confluence(
-            program, max_states=args.max_states, max_instants=args.depth)
-    except ConfluenceViolationError as e:
-        print(f"violation: {e}")
-        return 2
-    print(f"ok: {count} states explored")
-    return 0
+    elif args.depth == 0:
+        print("error: --depth counts instants for a .sl file and must be at "
+              "least 1", file=sys.stderr)
+        return 1
+    else:
+        verdict = semantics.check_strong_confluence(
+            parse_program(_read(args.file)), max_states=args.max_states,
+            max_instants=args.depth)
+    if verdict:
+        print(f"ok: {verdict.states} states explored")
+        return 0
+    print(f"violation at {verdict.state}: {verdict.detail}")
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,8 @@ def _build_parser():
     cf = subs.add_parser("confluence-test",
                          help="one-step diamond check on reachable states")
     cf.add_argument("file")
-    cf.add_argument("--depth", type=_count, default=4)
+    cf.add_argument("--depth", type=_count, default=4,
+                    help="instants for a .sl file, moves for a .slt file")
     cf.add_argument("--max-states", type=_count, default=5000)
     cf.set_defaults(fn=_cmd_confluence)
 

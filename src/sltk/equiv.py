@@ -16,9 +16,9 @@ three modes (exact labelled bisimilarity by signature refinement over the
 settled states of both programs, trace comparison which is equal to the
 exact relation for this confluent language, and a bounded game that can
 only distinguish), and a diamond-property check for the transition system
-itself. Both checking modes run instants the same way, on raw lifted
-threads that one saturation loop drives until nothing can move, and
-intern only where the run stops. Exact mode relies on termination and
+itself on `semantics.diamond_walk`. Both checking modes run instants the
+same way, on raw lifted threads that one saturation loop drives until
+nothing can move, and intern only where the run stops. Exact mode relies on termination and
 confluence: internal moves lead every state to one suspended state, its
 settled state, which is bisimilar to it, so the refinement numbers and
 interns settled states only, and reaches the settled state of each
@@ -33,7 +33,6 @@ suspension and confluence diagnostics.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import _canon
@@ -45,7 +44,7 @@ from .errors import (
     StateExplosionError,
 )
 from .mealy import shortest_separating_word
-from .semantics import subsets
+from .semantics import diamond_walk, subsets
 from .syntax import program_names
 from .tailcore import (
     TCall,
@@ -773,30 +772,13 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
 # diamond property of the transition system
 
 
-@dataclass(frozen=True)
-class ConfluenceOk:
-    states: int
-
-    def __bool__(self):
-        return True
-
-
-@dataclass(frozen=True)
-class ConfluenceViolation:
-    state: str
-    detail: str
-
-    def __bool__(self):
-        return False
-
-
 def confluence_check(program, depth=6, state_limit=50_000):
-    """Explore the transition system and verify, at every visited state:
-    the one-step diamond for every pair of moves, that barbs persist
-    across moves, and that an input leaves the received signal
-    observable. Emissions are markers with no moves of their own."""
+    """Check the transition system's one-step diamond on every state within
+    `depth` moves of the initial one, and at every move that barbs persist
+    and that an input leaves the received signal observable. Emissions are
+    markers with no moves of their own. Returns the `diamond_walk`
+    verdict."""
     sp = space_for(program, state_limit=state_limit)
-    seed = sp.intern(program.initial)
 
     def moves(sid):
         out = [(TAU, t) for t in sp.tau(sid)]
@@ -804,32 +786,15 @@ def confluence_check(program, depth=6, state_limit=50_000):
             out.extend((("in", s), t) for t in targets)
         return out
 
-    seen = {seed: 0}
-    queue = deque([seed])
-    while queue:
-        sid = queue.popleft()
-        level = seen[sid]
-        succ = moves(sid)
-        for action, tgt in succ:
-            if not (sp.barbs(sid) <= sp.barbs(tgt)):
-                return ConfluenceViolation(
-                    sp.show(sid), f"barb lost across {action}")
-            if action[0] == "in" and action[1] not in sp.barbs(tgt):
-                return ConfluenceViolation(
-                    sp.show(sid), f"input {action[1]} left no emission")
-        for i, (a1, t1) in enumerate(succ):
-            for a2, t2 in succ[i + 1:]:
-                if t1 == t2:
-                    continue
-                rejoin1 = {t for a, t in moves(t1) if a == a2}
-                rejoin2 = {t for a, t in moves(t2) if a == a1}
-                if not (rejoin1 & rejoin2):
-                    return ConfluenceViolation(
-                        sp.show(sid),
-                        f"no rejoin for {a1} and {a2}")
-        if level < depth:
-            for _, tgt in succ:
-                if tgt not in seen:
-                    seen[tgt] = level + 1
-                    queue.append(tgt)
-    return ConfluenceOk(len(seen))
+    def barbs_kept(sid, action, tgt):
+        if not sp.barbs(sid) <= sp.barbs(tgt):
+            return f"barb lost across {action}"
+        if action[0] == "in" and action[1] not in sp.barbs(tgt):
+            return f"input {action[1]} left no emission"
+
+    def successors(sid, left, targets):
+        return [(t, left - 1) for t in targets] if left else []
+
+    return diamond_walk([(sp.intern(program.initial), depth)], moves,
+                        successors, key=lambda sid: sid, show=sp.show,
+                        check=barbs_kept)

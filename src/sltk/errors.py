@@ -103,7 +103,3 @@ class ArityTooLargeError(SLError):
 
 class NotFiniteStateError(SLError):
     """Exact equivalence asked of a program outside the finite fragment."""
-
-
-class ConfluenceViolationError(SLError):
-    """A reduction diamond failed to close (internal invariant break)."""

@@ -5,6 +5,11 @@ reduction rewrites the redex, possibly extending the shared signal
 environment (emission, fresh-name allocation) or spawning new threads. An
 instant runs threads until all are suspended, then the end-of-instant
 rewrite turns the suspended multiset into the next instant's program.
+
+Two drivers serve both languages: `run_threads` runs an instant under a
+scheduling policy, and `diamond_walk` checks the one-step diamond over a
+`moves` function, here for source programs in `check_strong_confluence`
+and in `equiv.confluence_check` for tail programs.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ import bisect
 import heapq
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from . import _canon
 from .errors import (
     ArityMismatchError,
-    ConfluenceViolationError,
     FuelExhaustedError,
     InputSetExplosionError,
     NotSuspendedError,
@@ -392,6 +397,86 @@ def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn,
 
 
 @dataclass(frozen=True)
+class ConfluenceOk:
+    """The diamond closed at every state walked; `states` counts them."""
+
+    states: int
+
+    def __bool__(self):
+        return True
+
+
+@dataclass(frozen=True)
+class ConfluenceViolation:
+    """The first state walked whose moves failed the diamond or the check."""
+
+    state: str
+    detail: str
+
+    def __bool__(self):
+        return False
+
+
+def diamond_walk(starts, moves, successors, key, show, check=None,
+                 max_states=None):
+    """Check the one-step diamond on every state a budgeted walk reaches.
+
+    `starts` lists (state, budget) pairs, `moves(state)` a state's (label,
+    target) pairs, and `successors(state, budget, targets)` the (state,
+    budget) pairs to walk after a state with those move targets. A state
+    whose key was walked before with at least its budget is skipped. Every
+    two moves of a state whose targets have different keys must rejoin:
+    the first target moves by the second label, the second by the first,
+    and both reach one key. `check(state, label, target)`, when given,
+    returns a failure detail for a move or None. States of one key are one
+    state to the walk: it asks `moves` once per key, of the first state
+    of that key it meets, and the key of each target once.
+
+    Returns ConfluenceOk counting the distinct keys walked, or the first
+    ConfluenceViolation; StateExplosionError when more than max_states
+    keys are walked.
+    """
+    work = deque(starts)
+    seen = {}
+    expanded = {}
+
+    def expand(state, k):
+        hit = expanded.get(k)
+        if hit is None:
+            succ = moves(state)
+            hit = expanded[k] = state, succ, [key(t) for _, t in succ]
+        return hit
+
+    def reach(target, k, label):
+        _, succ, keys = expand(target, k)
+        return {k2 for (a, _), k2 in zip(succ, keys) if a == label}
+
+    while work:
+        state, budget = work.popleft()
+        k = key(state)
+        if seen.get(k, -1) >= budget:
+            continue
+        seen[k] = budget
+        if max_states is not None and len(seen) > max_states:
+            raise StateExplosionError(max_states)
+        state, succ, keys = expand(state, k)
+        for label, target in succ:
+            detail = check and check(state, label, target)
+            if detail:
+                return ConfluenceViolation(show(state), detail)
+        for i, (a1, t1) in enumerate(succ):
+            for j in range(i + 1, len(succ)):
+                a2, t2 = succ[j]
+                if keys[i] != keys[j] and not (reach(t1, keys[i], a2)
+                                               & reach(t2, keys[j], a1)):
+                    return ConfluenceViolation(
+                        show(state), f"no rejoin for {a1} to {show(t1)}"
+                                     f" and {a2} to {show(t2)}")
+        work.extend(successors(state, budget, [t for _, t in succ]))
+    return ConfluenceOk(len(seen))
+
+
+@dataclass(frozen=True)
 class InstantResult:
     """One instant's outputs, the next instant's threads and the step count.
 
@@ -510,29 +595,17 @@ def _state_key(program, threads, env):
     return tuple(print_thread(t) for t in canon), items
 
 
-def _successors(threads, env, unfold):
-    out = []
-    for i, t in enumerate(threads):
-        env2 = env.copy()
-        r = try_step(t, env2, unfold)
-        if r is None:
-            continue
-        t2, spawned = r
-        nxt = list(threads)
-        nxt[i] = t2
-        nxt.extend(spawned)
-        out.append((i, tuple(nxt), env2))
-    return out
-
-
 def check_strong_confluence(program, max_states=5000, max_instants=2):
-    """Exhaustively check the one-step diamond on every reachable state.
+    """Check the one-step diamond on every state reachable in max_instants
+    instants, over every scheduling choice within an instant and every
+    input subset at each instant boundary.
 
-    Explores all scheduling choices within an instant, and every input subset
-    at each instant boundary, up to max_instants. Two distinct successors of
-    a state must rejoin in at most one step each, up to renaming. Returns the
-    number of states examined.
+    Every step has the one label "step", so two successors of a state must
+    rejoin in one step each, up to renaming. Returns the `diamond_walk`
+    verdict, whose count is of distinct states.
     """
+    if max_instants < 1:
+        raise ValueError("max_instants must be at least 1")
     unfold = CallBodies(program.defs, lambda body, m: substitute(body, m))
     input_subsets = subsets(program.inputs)
     start_counter = next_gen_index(program)
@@ -545,67 +618,37 @@ def check_strong_confluence(program, max_states=5000, max_instants=2):
         for inputs in input_subsets:
             env = Env(dom, start_counter)
             env.begin(inputs)
-            out.append((threads, env, instants_left))
+            out.append(((threads, env), instants_left))
         return out
 
-    queue = list(boundary_states(tuple(program.initial), max_instants - 1))
-    seen = {}
-    examined = 0
-    while queue:
-        threads, env, instants_left = queue.pop()
-        key = _state_key(program, threads, env)
-        if seen.get(key, -1) >= instants_left:
-            continue
-        seen[key] = instants_left
-        examined += 1
-        if examined > max_states:
-            raise StateExplosionError(max_states)
-        succ = _successors(threads, env, unfold)
-        for i, (ia, ta, ea) in enumerate(succ):
-            for ib, tb, eb in succ[i + 1:]:
-                _check_diamond(program, unfold, (ia, ta, ea), (ib, tb, eb))
-        if succ:
-            for _, t2, e2 in succ:
-                queue.append((t2, e2, instants_left))
-        else:
-            residual = end_of_instant(threads, env, unfold)
-            if instants_left > 0:
-                queue.extend(boundary_states(residual, instants_left - 1))
-    return examined
+    def moves(state):
+        threads, env = state
+        out = []
+        for i, t in enumerate(threads):
+            env2 = env.copy()
+            r = try_step(t, env2, unfold)
+            if r is not None:
+                nxt = list(threads)
+                nxt[i] = r[0]
+                nxt.extend(r[1])
+                out.append(("step", (tuple(nxt), env2)))
+        return out
 
+    def successors(state, instants_left, targets):
+        if targets:
+            return [(t, instants_left) for t in targets]
+        if instants_left == 0:
+            return []
+        threads, env = state
+        return boundary_states(end_of_instant(threads, env, unfold),
+                               instants_left - 1)
 
-def _check_diamond(program, unfold, a, b):
-    ia, ta, ea = a
-    ib, tb, eb = b
-    ka = _state_key(program, ta, ea)
-    kb = _state_key(program, tb, eb)
-    if ka == kb:
-        return
-    ra = _step_index(ta, ea, unfold, ib)
-    rb = _step_index(tb, eb, unfold, ia)
-    if ra is not None and rb is not None:
-        if _state_key(program, *ra) == _state_key(program, *rb):
-            return
-    for _, t2, e2 in _successors(ta, ea, unfold):
-        k2 = _state_key(program, t2, e2)
-        for _, t3, e3 in _successors(tb, eb, unfold):
-            if k2 == _state_key(program, t3, e3):
-                return
-    raise ConfluenceViolationError(
-        "diamond failed to close from "
-        + " | ".join(print_thread(t) for t in ta))
-
-
-def _step_index(threads, env, unfold, i):
-    env2 = env.copy()
-    r = try_step(threads[i], env2, unfold)
-    if r is None:
-        return None
-    t2, spawned = r
-    nxt = list(threads)
-    nxt[i] = t2
-    nxt.extend(spawned)
-    return tuple(nxt), env2
+    return diamond_walk(
+        boundary_states(tuple(program.initial), max_instants - 1),
+        moves, successors,
+        key=lambda state: _state_key(program, *state),
+        show=lambda state: " | ".join(map(print_thread, state[0])) or "0",
+        max_states=max_states)
 
 
 # Budget of `subsets`: 2**17 sets of up to 17 names take about 100 MB, and

@@ -25,11 +25,12 @@ Concrete syntax mirrors the source language:
                | (call ident sig*)
     branch    := texpr | (ite sig branch branch)
 
-`pause` and `await` are library constructors over this grammar, not AST
-nodes. The pause constructor guards on the reserved signal `%pause`, which
-no program may emit, so the guard suspends every instant and the branch
-picks the continuation; this avoids wrapping a generator around every
-pause and keeps images of the translation free of `new`.
+`pause` is a library constructor over this grammar, `pause_prefix`, not an
+AST node. It guards on the reserved signal `%pause`, which no program may
+emit, so the guard suspends every instant and the branch picks the
+continuation; this avoids wrapping a generator around every pause and
+keeps images of the translation free of `new`. `await` has no constructor
+here: the translation in `cps` builds each one as a recursive guard.
 """
 
 from __future__ import annotations
@@ -144,20 +145,6 @@ TNIL = TNil()
 def pause_prefix(branch):
     """pause.b: suspend for exactly one instant, then run the branch."""
     return TPresent(PAUSE_SIGNAL, TNIL, branch)
-
-
-def await_prefix(signal, cont, fresh_ident, define):
-    """await s.t: a recursive guard that waits for s across instants.
-
-    Emits one definition through `define(name, params, body)` and returns
-    the call that enters it.
-    """
-    params = tuple(sorted((_canon.free_signals(cont) | {signal})
-                          - {PAUSE_SIGNAL}))
-    name = fresh_ident()
-    body = TPresent(signal, cont, BLeaf(TCall(name, params)))
-    define(name, params, body)
-    return TCall(name, params)
 
 
 def tail_substitute(t, mapping):

@@ -124,9 +124,9 @@ def test_criterion_2_strong_confluence():
     assert len(programs) == 10
     total = 0
     for name, p in programs:
-        states = check_strong_confluence(p, max_states=5000, max_instants=3)
-        assert 1 <= states <= 5000, name
-        total += states
+        verdict = check_strong_confluence(p, max_states=5000, max_instants=3)
+        assert verdict and 1 <= verdict.states <= 5000, name
+        total += verdict.states
     report(2, f"10 programs, {total} states, zero violations")
 
 

@@ -395,11 +395,19 @@ def test_encode_cm_writes_valid_source(tmp_path, capsys):
 def test_confluence_test_on_source_and_tail(tmp_path, capsys):
     prog = put(tmp_path, "prog.sl", PROG_SL)
     code, out, _ = invoke(capsys, "confluence-test", prog)
-    assert (code, out) == (0, "ok: 37 states explored\n")
+    assert (code, out) == (0, "ok: 28 states explored\n")
 
     copy = put(tmp_path, "copy.slt", COPY_SLT)
     code, out, _ = invoke(capsys, "confluence-test", copy)
     assert (code, out) == (0, "ok: 2 states explored\n")
+
+    # --depth counts instants for source, moves for tail: zero instants
+    # would check no state
+    code, out, err = invoke(capsys, "confluence-test", prog, "--depth", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    code, out, _ = invoke(capsys, "confluence-test", copy, "--depth", "0")
+    assert (code, out) == (0, "ok: 1 states explored\n")
 
 
 def test_usage_and_file_errors_exit_1(tmp_path, capsys):

@@ -10,7 +10,6 @@ from sltk.equiv import (
     BOUNDED,
     EXACT,
     TRACE,
-    ConfluenceOk,
     Distinguished,
     Equivalent,
     Inconclusive,
@@ -27,7 +26,7 @@ from sltk.errors import (
     NotSuspendedError,
 )
 from sltk.mealy import mealy_trace_equiv, program_to_mealy
-from sltk.semantics import subsets
+from sltk.semantics import ConfluenceOk, subsets
 from sltk.tailcore import TEmit, TNIL, parse_tail_program
 
 from .corpus import (
@@ -296,6 +295,15 @@ def test_confluence_of_corpus_programs():
         verdict = confluence_check(p, depth=4)
         assert isinstance(verdict, ConfluenceOk), name
         assert verdict.states >= 1
+
+
+def test_confluence_counts_the_states_within_depth():
+    programs = dict(tail_corpus())
+    for name, depth, states in [("t_emit", 6, 1), ("t_chain", 6, 3),
+                                ("t_spawn", 4, 4), ("t_sticky", 2, 3),
+                                ("t_sticky", 6, 4)]:
+        assert confluence_check(programs[name], depth=depth) == \
+            ConfluenceOk(states), (name, depth)
 
 
 def test_emission_is_a_parallel_component():

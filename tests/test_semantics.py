@@ -11,6 +11,7 @@ from sltk.errors import (
     ArityMismatchError,
     FuelExhaustedError,
     NotSuspendedError,
+    StateExplosionError,
     UnboundIdentifierError,
     UnboundSignalError,
 )
@@ -19,12 +20,15 @@ from sltk.semantics import (
     DETERMINISTIC,
     RANDOM,
     CallBodies,
+    ConfluenceOk,
+    ConfluenceViolation,
     Env,
     Runner,
     can_step,
     canonical_residual,
     check_strong_confluence,
     decompose,
+    diamond_walk,
     end_of_instant,
     plug,
     run_trace,
@@ -240,8 +244,59 @@ def test_residuals_agree_across_schedulers():
 
 def test_confluence_explorer_covers_small_programs():
     for name, p in confluence_corpus()[:4]:
-        count = check_strong_confluence(p, max_states=5000, max_instants=2)
-        assert count >= 1, name
+        verdict = check_strong_confluence(p, max_states=5000, max_instants=2)
+        assert verdict and verdict.states >= 1, name
+
+
+def test_confluence_explorer_counts_distinct_states():
+    # the empty program's four input subsets, whatever the instants
+    p = prog("empty")
+    for k in (1, 4):
+        assert check_strong_confluence(p, max_instants=k) == ConfluenceOk(4)
+    with pytest.raises(ValueError):
+        check_strong_confluence(p, max_instants=0)
+    with pytest.raises(StateExplosionError):
+        check_strong_confluence(p, max_states=3)
+
+
+def _walk(graph, check=None, budget=5, max_states=None):
+    """diamond_walk over a toy system: graph maps a state to its (label,
+    target) moves, and each move spends one unit of budget."""
+    return diamond_walk(
+        [("s", budget)], lambda state: graph.get(state, []),
+        lambda state, left, targets: [(t, left - 1) for t in targets]
+        if left else [],
+        key=lambda state: state, show=str.upper, check=check,
+        max_states=max_states)
+
+
+DIAMOND = {"s": [("a", "x"), ("b", "y")], "x": [("b", "z")],
+           "y": [("a", "z")]}
+
+
+def test_diamond_walk_accepts_a_closed_diamond():
+    assert _walk(DIAMOND) == ConfluenceOk(4)
+    # the budget bounds the states walked, not the rejoin test
+    assert _walk(DIAMOND, budget=1) == ConfluenceOk(3)
+    with pytest.raises(StateExplosionError):
+        _walk(DIAMOND, max_states=3)
+
+
+def test_diamond_walk_reports_moves_that_never_rejoin():
+    # x and y rejoin, but only by a label neither of the first moves has
+    graph = {"s": [("a", "x"), ("b", "y")], "x": [("c", "z")],
+             "y": [("c", "z")]}
+    assert _walk(graph) == ConfluenceViolation(
+        "S", "no rejoin for a to X and b to Y")
+
+
+def test_diamond_walk_reports_the_first_move_failing_the_check():
+    def check(state, label, target):
+        return None if state == "s" else f"{label} to {target} refused"
+
+    verdict = _walk(DIAMOND, check=check)
+    assert not verdict
+    assert verdict == ConfluenceViolation("X", "b to z refused")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from sltk.tailcore import (
     TPresent,
     TSpawn,
     TailRunner,
-    await_prefix,
     canonicalize_tail,
     check_reactivity_tail,
     end_of_instant_tail,
@@ -189,26 +188,6 @@ def test_call_unfolding_keeps_a_free_reserved_name_free():
         " (def (A x) (new y (emit! x (present %r0 (emit! o 0) 0))))"
         " (run (thread! (emit! %r0 0) (call A y)))")
     assert run_trace_tail(p, [frozenset()]) == [(frozenset(), {"o"})]
-
-
-def test_await_prefix_builds_a_retry_definition():
-    defined = {}
-
-    def define(name, params, body):
-        defined[name] = (params, body)
-
-    call = await_prefix("s1", TEmit("s2", TNIL), lambda: "W0", define)
-    assert call == TCall("W0", ("s1", "s2"))
-    params, body = defined["W0"]
-    assert params == ("s1", "s2")
-    assert body == TPresent("s1", TEmit("s2", TNIL),
-                            BLeaf(TCall("W0", ("s1", "s2"))))
-
-
-def test_await_prefix_drops_the_pause_signal_from_params():
-    call = await_prefix("s1", pause_prefix(BLeaf(TNIL)), lambda: "W1",
-                        lambda *a: None)
-    assert call == TCall("W1", ("s1",))
 
 
 def test_canonicalize_tail_identifies_alpha_variants():
