@@ -16,7 +16,10 @@ Because constructor order is SHAPE order, a walker rebuilds a node as
 `type(t)(*fields)`. The six walkers below serve both families:
 `occurrences`, `free_signals`, `rename_all`, `substitute`, `freshen_apart`
 and `has_binder`. `substitute` and `freshen_apart` return a node itself
-when nothing below it changes.
+when nothing below it changes. The runners substitute at every call and
+every `new`, so `substitute` does not read the field table at each node:
+it is compiled once per node class from its SHAPE into a function with
+the fields unrolled, the way `dataclasses` writes `__init__`.
 
 A canonical form fixes the interface names and renames every other name by
 a bijection, to %g0, %g1, ..., so that two multisets are equal after
@@ -46,16 +49,21 @@ def name_supply(prefix, avoid):
             yield name
 
 
-class _FieldTable(dict):
-    """Maps a node class to its (field name, kind) pairs, built on first use
-    so that the walkers do not zip them again at every node they visit."""
+class _PerClass(dict):
+    """Maps a node class to what `build` makes of it, built on first use
+    so that the walkers do not build it again at every node they visit."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
 
     def __missing__(self, cls):
-        pairs = self[cls] = tuple(zip(cls.__match_args__, cls.SHAPE))
-        return pairs
+        value = self[cls] = self.build(cls)
+        return value
 
 
-_FIELDS = _FieldTable()
+# each node class's (field name, kind) pairs
+_FIELDS = _PerClass(lambda cls: tuple(zip(cls.__match_args__, cls.SHAPE)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,46 +144,73 @@ def substitute(t, sub):
     maps to that name, the binder is renamed to the smallest %rK that is
     neither a value nor a key among the keys free in the body, nor free in
     the body itself.
+
+    Each node class walks by its own function, compiled from its SHAPE on
+    first use (`_compile_substitute`).
     """
     if not sub:
         return t
-    out = []
-    changed = False
-    fields = iter(_FIELDS[type(t)])
-    for name, kind in fields:
-        v = getattr(t, name)
+    return _SUBSTITUTE[t.__class__](t, sub)
+
+
+def _compile_substitute(cls):
+    """The substitution function of one node class, `substitute` unrolled
+    over the class's fields the way `dataclasses` writes `__init__`: field
+    k is read into xk and its image built in yk, and the node is rebuilt
+    only when some yk is not xk."""
+    lines = []
+    fields = iter(enumerate(_FIELDS[cls]))
+    for k, (name, kind) in fields:
+        x, y = f"x{k}", f"y{k}"
         if kind is BIND:
-            body_name, _ = next(fields)
-            body = getattr(t, body_name)
-            inner = sub
-            if v in sub:
-                inner = {k: x for k, x in sub.items() if k != v}
-            if v in inner.values():
-                free = free_signals(body)
-                inner = {k: x for k, x in inner.items() if k in free}
-                if v in inner.values():
-                    avoid = set(inner.values()) | free | set(inner)
-                    fresh = next(name_supply("%r", avoid))
-                    inner[v] = fresh
-                    v = fresh
-                    changed = True
-            w = substitute(body, inner)
-            changed = changed or w is not body
-            out += (v, w)
-            continue
-        if kind is SUB:
-            w = substitute(v, sub)
+            j, (body_name, _) = next(fields)
+            bx, by = f"x{j}", f"y{j}"
+            lines += [
+                f"{x} = {y} = t.{name}",
+                f"{bx} = t.{body_name}",
+                "inner = sub",
+                f"if {y} in sub:",
+                f"    inner = {{a: b for a, b in sub.items() if a != {y}}}",
+                f"if {y} in inner.values():",
+                f"    free = free_signals({bx})",
+                "    inner = {a: b for a, b in inner.items() if a in free}",
+                f"    if {y} in inner.values():",
+                "        avoid = set(inner.values()) | free | set(inner)",
+                "        fresh = next(name_supply('%r', avoid))",
+                f"        inner[{y}] = fresh",
+                f"        {y} = fresh",
+                f"{by} = walk[{bx}.__class__]({bx}, inner) if inner else {bx}",
+            ]
+        elif kind is SUB:
+            lines += [f"{x} = t.{name}",
+                      f"{y} = walk[{x}.__class__]({x}, sub)"]
         elif kind is SIG:
-            w = sub.get(v, v)
+            lines += [f"{x} = t.{name}", f"{y} = sub.get({x}, {x})"]
         elif kind is SIGS:
-            w = tuple(sub.get(a, a) for a in v)
-            if w == v:
-                w = v
+            lines += [f"{x} = t.{name}",
+                      f"{y} = tuple(map(sub.get, {x}, {x}))",
+                      f"if {y} == {x}:",
+                      f"    {y} = {x}"]
         else:
-            w = v
-        changed = changed or w is not v
-        out.append(w)
-    return type(t)(*out) if changed else t
+            lines.append(f"{x} = {y} = t.{name}")
+    n = len(cls.SHAPE)
+    if n:
+        same = " and ".join(f"y{k} is x{k}" for k in range(n)
+                            if cls.SHAPE[k] is not KEEP) or "True"
+        args = ", ".join(f"y{k}" for k in range(n))
+        lines += [f"if {same}:", "    return t", f"return cls({args})"]
+    else:
+        lines.append("return t")
+    fn_name = f"substitute_{cls.__name__}"
+    src = f"def {fn_name}(t, sub):\n" + "".join(
+        f"    {line}\n" for line in lines)
+    namespace = {"cls": cls, "walk": _SUBSTITUTE,
+                 "free_signals": free_signals, "name_supply": name_supply}
+    exec(src, namespace)
+    return namespace[fn_name]
+
+
+_SUBSTITUTE = _PerClass(_compile_substitute)
 
 
 def freshen_apart(t, supply):
@@ -220,9 +255,9 @@ def has_binder(t):
 LEAF_LIMIT = 10_000
 
 
-class CanonicalForm(tuple):
-    """A canonical tuple of terms whose `printed` holds their printed
-    forms, in the same order."""
+class Printed(tuple):
+    """A tuple of terms whose `printed` holds their printed forms, in the
+    same order."""
 
     def __new__(cls, terms, printed):
         form = super().__new__(cls, terms)
@@ -236,7 +271,8 @@ def canonical_multiset(items, interface, show):
     The renamable names are the names outside the interface: the free
     ones and the binders, which are freshened apart first in the items
     that have them. An item with no renamable name is ground: it is its
-    own canonical form and is printed once. The other items split into
+    own canonical form and is printed once, or not at all when `items` is
+    a `Printed` that brings its printed forms. The other items split into
     components, the classes of items linked by shared renamable names,
     and `_label` names each component %g0, %g1, ... canonically.
     Components are sorted by their printed items under those local names
@@ -244,19 +280,20 @@ def canonical_multiset(items, interface, show):
     get equal tuples exactly when a bijection of renamable names maps one
     onto the other.
 
-    `show` is the family's printer. The canonical tuple is a
-    `CanonicalForm` sorted by printed form. The renaming maps the original
+    `show` is the family's printer. The canonical tuple is a `Printed`
+    sorted by printed form. The renaming maps the original
     free non-interface names to their %gN replacements (binder renamings
     are internal and omitted).
     """
     interface = set(interface)
+    printed = items.printed if isinstance(items, Printed) else None
     shown, pending, bound = [], [], []
-    for it in items:
+    for k, it in enumerate(items):
         names = []
         if _collect(it, names):
             bound.append(it)
         elif interface.issuperset(names):
-            shown.append((show(it), it))
+            shown.append((show(it) if printed is None else printed[k], it))
         else:
             pending.append((it, _renamable(names, interface)))
     binders = set()
@@ -284,7 +321,7 @@ def canonical_multiset(items, interface, show):
     for n in binders:
         del renaming[n]
     shown.sort(key=lambda pair: pair[0])
-    return (CanonicalForm([t for _, t in shown], tuple(s for s, _ in shown)),
+    return (Printed([t for _, t in shown], tuple(s for s, _ in shown)),
             renaming)
 
 

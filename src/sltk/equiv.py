@@ -157,8 +157,12 @@ class Space:
         self._trees = {}
 
     def intern(self, items):
-        members = _lifted(items, _canon.name_supply("%l", self._taken))
-        canonical, _ = _canon.canonical_multiset(members, self.interface,
+        """The id of the state of `items`. Items given as a
+        `_canon.Printed` must be lifted already, and their printed forms
+        are not computed again."""
+        if not isinstance(items, _canon.Printed):
+            items = _lifted(items, _canon.name_supply("%l", self._taken))
+        canonical, _ = _canon.canonical_multiset(items, self.interface,
                                                  print_tail)
         sid = self._ids.get(canonical.printed)
         if sid is None:
@@ -411,11 +415,13 @@ class Space:
         their canonical tuple, which is sorted by printed form, and printing
         is injective: so members whose sorted printed forms are a key are
         that state, whatever _canon makes of them. A miss becomes another
-        key of its state."""
-        key = tuple(sorted(map(print_tail, members)))
+        key of its state, and its members are not printed again."""
+        printed = tuple(map(print_tail, members))
+        key = tuple(sorted(printed))
         sid = self._ids.get(key)
         if sid is None:
-            sid = self._ids[key] = self.intern(members)
+            sid = self._ids[key] = self.intern(
+                _canon.Printed(members, printed))
         return sid
 
     def _settled(self, threads, marks):

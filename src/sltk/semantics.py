@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -55,9 +54,7 @@ from .syntax import (
 DETERMINISTIC = "deterministic"
 RANDOM = "random"
 DEFAULT_FUEL = 10 ** 6
-
-
-_GENERATED = re.compile(re.escape(GENERATED_PREFIX) + "(0|[1-9][0-9]*)")
+_PREFIX_LENGTH = len(GENERATED_PREFIX)
 
 
 class Env:
@@ -109,8 +106,12 @@ class Env:
     def present(self, signal):
         v = self.defined.get(signal)
         if v is None:
-            m = _GENERATED.fullmatch(signal)
-            if m is None or int(m[1]) >= self.counter:
+            # absent when it is %gK, with K below the counter and written
+            # in ASCII decimal digits without a leading zero
+            k = signal[_PREFIX_LENGTH:]
+            if (signal[:_PREFIX_LENGTH] != GENERATED_PREFIX
+                    or not k.isdigit() or not k.isascii()
+                    or (k[0] == "0" and k != "0") or int(k) >= self.counter):
                 raise UnboundSignalError(signal)
             return False
         return v
@@ -228,15 +229,48 @@ def plug(frames, t):
     return t
 
 
+class Blocked:
+    """What keeps a thread from moving, as a failed probe reports it.
+
+    `signal` is the absent signal the thread awaits, or None when only the
+    end of the instant moves it (it is paused or terminated). `watches`
+    lists the signals of the watches around the awaiting redex: the
+    end-of-instant rewrite leaves an awaiting thread as it is unless one of
+    them is present. A Blocked is false, so a probe's result is true
+    exactly when the thread can move.
+    """
+
+    __slots__ = ("signal", "watches")
+
+    def __init__(self, signal, watches=()):
+        self.signal = signal
+        self.watches = watches
+
+    def __bool__(self):
+        return False
+
+    def __repr__(self):
+        return f"Blocked({self.signal!r}, {self.watches!r})"
+
+
+NEXT_INSTANT = Blocked(None)
+
+
+def _awaiting(signal, frames):
+    return Blocked(signal, tuple(f.signal for f in frames
+                                 if isinstance(f, WatchFrame)))
+
+
 def try_step(t, env, unfold):
-    """One reduction of a single thread, or None when it cannot move now.
+    """One reduction of a single thread, or the Blocked value that keeps
+    it from moving now.
 
     On success returns (thread', spawned threads); emission and generation
     update env in place. `unfold(ident, args)` gives a call's body.
     """
     d = decompose(t)
     if d is None:
-        return None
+        return NEXT_INSTANT
     frames, redex = d
     if isinstance(redex, Seq):
         return plug(frames, redex.rest), ()
@@ -253,35 +287,29 @@ def try_step(t, env, unfold):
     if isinstance(redex, Await):
         if env.present(redex.signal):
             return plug(frames, NIL), ()
-        return None
+        return _awaiting(redex.signal, frames)
     if isinstance(redex, Spawn):
         return plug(frames, NIL), (redex.body,)
     if isinstance(redex, Pause):
-        return None
+        return NEXT_INSTANT
     raise TypeError(f"not a redex: {redex!r}")
 
 
 def can_step(t, env, unfold):
-    """Pure runnability test: suspended threads are terminated, blocked on an
-    absent signal, or paused for the instant."""
+    """Pure runnability test: True, or the Blocked value of a suspended
+    thread, which is terminated, blocked on an absent signal, or paused for
+    the instant."""
     d = decompose(t)
     if d is None:
-        return False
-    _, redex = d
+        return NEXT_INSTANT
+    frames, redex = d
     if isinstance(redex, Await):
-        return env.present(redex.signal)
+        if env.present(redex.signal):
+            return True
+        return _awaiting(redex.signal, frames)
     if isinstance(redex, Pause):
-        return False
+        return NEXT_INSTANT
     return True
-
-
-def waits_on(t):
-    """The signal a suspended thread awaits, or None when it is paused or
-    terminated."""
-    d = decompose(t)
-    if d is not None and isinstance(d[1], Await):
-        return d[1].signal
-    return None
 
 
 def _floor(t, env):
@@ -310,89 +338,155 @@ def end_of_instant(threads, env, unfold=None):
     return tuple(_floor(t, env) for t in threads)
 
 
-def run_threads(threads, policy, rng, fuel, try_step_fn, can_step_fn,
-                waits_on_fn, env):
-    """Drive a thread list to suspension under a scheduling policy.
+class Parking:
+    """The threads of a run that await an absent signal, by key.
 
-    The deterministic policy always steps the lowest-index runnable thread;
-    the random policy draws uniformly among runnable threads. Spawned
-    threads append at the end of the list.
-
-    The driver is event-driven. A thread found unable to step is parked on
-    the signal `waits_on_fn` names, or set aside for the instant when that is
-    None (paused or terminated). After each step the threads parked on the
-    signals `env.emitted` logged since the last step are woken. Presence
-    only grows within an instant, so the invariant holds: every runnable
-    thread is a candidate, every parked thread awaits an absent signal, and
-    every other thread is paused or terminated until the instant ends. An
-    instant thus costs a few probes per step and per thread, not a rescan of
-    every thread after every step.
+    `park(key, blocked)` files a thread under the signal it awaits and
+    under the signals of the watches around it. `wake(signals)` takes out
+    the threads that await one of the signals and `unwatch(signals)` those
+    inside a watch on one of them; both return their keys.
     """
-    threads = list(threads)
-    waiting = {}
-    steps = 0
-    logged = len(env.emitted)
 
-    def park(i):
-        s = waits_on_fn(threads[i])
-        if s is not None:
-            waiting.setdefault(s, []).append(i)
+    __slots__ = ("blocked", "waiting", "watched")
+
+    def __init__(self):
+        self.blocked = {}
+        self.waiting = {}
+        self.watched = {}
+
+    def park(self, key, blocked):
+        self.blocked[key] = blocked
+        self.waiting.setdefault(blocked.signal, set()).add(key)
+        for s in blocked.watches:
+            self.watched.setdefault(s, set()).add(key)
+
+    def wake(self, signals):
+        return self._take(self.waiting, signals)
+
+    def unwatch(self, signals):
+        return self._take(self.watched, signals)
+
+    def _take(self, index, signals):
+        out = []
+        for s in signals:
+            keys = index.pop(s, None)
+            if keys:
+                for key in keys:
+                    blocked = self.blocked.pop(key)
+                    _discard(self.waiting, blocked.signal, key)
+                    for w in blocked.watches:
+                        _discard(self.watched, w, key)
+                out.extend(keys)
+        return out
+
+
+def _discard(index, signal, key):
+    keys = index.get(signal)
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            del index[signal]
+
+
+def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
+                can_step_fn, env):
+    """Drive threads to suspension under a scheduling policy.
+
+    `threads` maps keys to threads in the order of their keys and is
+    updated in place; a spawned thread is added under the next key. The
+    deterministic policy always steps the runnable thread of the lowest
+    key; the random policy draws uniformly among runnable threads.
+
+    Scheduling is event-driven. `ready` lists the keys of the threads not
+    parked in `parking`; a parked thread awaits a signal absent when it
+    was parked. It probes the ready threads and the parked ones
+    that the signals logged in `env.emitted` wake, the inputs first. A
+    failed probe reports what blocks the thread (`Blocked`): a thread that
+    awaits an absent signal is parked on it, and any other, paused or
+    terminated, is set aside until the instant ends. After each step the
+    threads parked on the signals logged since the last step are woken.
+    Presence only grows within an instant, so the invariant holds: every
+    runnable thread is a candidate, every parked thread awaits an absent
+    signal, and every other thread is set aside. An instant thus costs a
+    few probes per step and per thread it wakes, not a rescan of every
+    thread after every step.
+
+    Returns the number of steps and the keys of the threads set aside.
+    The threads parked when the instant ends stay in `parking`.
+    """
+    steps = 0
+    stopped = []
+    next_key = next(reversed(threads), -1) + 1
+    logged = 0
+
+    def stop(key, blocked):
+        if blocked.signal is None:
+            stopped.append(key)
+        else:
+            parking.park(key, blocked)
 
     def woken():
         nonlocal logged
-        out = []
-        for s in env.emitted[logged:]:
-            out.extend(waiting.pop(s, ()))
-        logged = len(env.emitted)
+        emitted = env.emitted
+        if logged == len(emitted):
+            return ()
+        out = parking.wake(emitted[logged:])
+        logged = len(emitted)
         return out
 
     if policy == DETERMINISTIC:
-        heap = list(range(len(threads)))
+        heap = list(ready)
+        heap.extend(woken())
+        heapq.heapify(heap)
         while heap:
-            i = heapq.heappop(heap)
-            out = try_step_fn(threads[i])
-            if out is None:
-                park(i)
+            key = heapq.heappop(heap)
+            out = try_step_fn(threads[key])
+            if not out:
+                stop(key, out)
                 continue
             if steps >= fuel:
                 raise FuelExhaustedError(steps)
-            t2, spawned = out
-            threads[i] = t2
-            heapq.heappush(heap, i)
+            threads[key], spawned = out
+            heapq.heappush(heap, key)
             for t in spawned:
-                heapq.heappush(heap, len(threads))
-                threads.append(t)
+                threads[next_key] = t
+                heapq.heappush(heap, next_key)
+                next_key += 1
             for j in woken():
                 heapq.heappush(heap, j)
             steps += 1
-        return threads, steps
+        return steps, stopped
     if policy == RANDOM:
         runnable = []
-        for i, t in enumerate(threads):
-            if can_step_fn(t):
-                runnable.append(i)
+        for key in sorted([*ready, *woken()]):
+            probe = can_step_fn(threads[key])
+            if probe:
+                runnable.append(key)
             else:
-                park(i)
+                stop(key, probe)
         while runnable:
             if steps >= fuel:
                 raise FuelExhaustedError(steps)
             k = rng.randrange(len(runnable))
-            i = runnable[k]
-            t2, spawned = try_step_fn(threads[i])
-            threads[i] = t2
-            if not can_step_fn(t2):
+            key = runnable[k]
+            t2, spawned = try_step_fn(threads[key])
+            threads[key] = t2
+            probe = can_step_fn(t2)
+            if not probe:
                 del runnable[k]
-                park(i)
+                stop(key, probe)
             for t in spawned:
-                threads.append(t)
-                if can_step_fn(t):
-                    runnable.append(len(threads) - 1)
+                threads[next_key] = t
+                probe = can_step_fn(t)
+                if probe:
+                    runnable.append(next_key)
                 else:
-                    park(len(threads) - 1)
+                    stop(next_key, probe)
+                next_key += 1
             for j in woken():
                 bisect.insort(runnable, j)
             steps += 1
-        return threads, steps
+        return steps, stopped
     raise ValueError(f"unknown policy: {policy}")
 
 
@@ -518,9 +612,18 @@ class Runner:
     end-of-instant rewrite, less the terminated ones, are the next instant's
     program. One `Env`, whose domain is computed here, and one `CallBodies`
     serve every instant, so an instant costs the threads that run in it and
-    not the whole population. `gen_counter` and `threads` are the state
-    carried between instants; assigning them moves the runner to another
-    state of the same program.
+    not the whole population.
+
+    A thread that awaits an absent signal stays parked across instants,
+    filed in one `Parking` by that signal and by the watches around it. The
+    end-of-instant rewrite leaves it as it is unless one of those watches'
+    signals is present, so an instant probes and floors only the threads
+    that ran, paused or lost a watch, and those that an input or an
+    emission wakes. `gen_counter` and `threads` are the state carried
+    between instants; reading `threads` gives a new list. Assigning either
+    moves the runner to another state of the same program and drops the
+    parked index, so the next instant probes every thread. An instant that
+    raises leaves the runner in the state it started from.
     """
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0, fuel=DEFAULT_FUEL):
@@ -528,32 +631,67 @@ class Runner:
         self.policy = policy
         self.rng = random.Random(seed)
         self.fuel = fuel
-        self.gen_counter = next_gen_index(program)
-        self.threads = list(program.initial)
+        self._gen_counter = next_gen_index(program)
+        self.threads = program.initial
         self.env = Env(_env_domain(program, program.initial),
-                       self.gen_counter)
+                       self._gen_counter)
         # substitute is looked up at each call, so that a wrapper put on
         # the module attribute (bench/layers.py counts calls) sees them all
         self.unfold = CallBodies(program.defs,
                                  lambda body, m: substitute(body, m))
 
+    @property
+    def threads(self):
+        return list(self._threads.values())
+
+    @threads.setter
+    def threads(self, threads):
+        self._threads = dict(enumerate(threads))
+        self._residual = tuple(self._threads.values())
+        self._unpark()
+
+    @property
+    def gen_counter(self):
+        return self._gen_counter
+
+    @gen_counter.setter
+    def gen_counter(self, counter):
+        self._gen_counter = counter
+        self._unpark()
+
+    def _unpark(self):
+        self._ready = list(self._threads)
+        self._parking = Parking()
+
     def run_instant(self, inputs=frozenset()):
-        env, unfold = self.env, self.unfold
+        env, unfold, threads = self.env, self.unfold, self._threads
         env.begin(_checked_inputs(self.program, inputs))
-        env.counter = self.gen_counter
-        threads, steps = run_threads(
-            self.threads, self.policy, self.rng, self.fuel,
-            lambda t: try_step(t, env, unfold),
-            lambda t: can_step(t, env, unfold),
-            waits_on, env)
-        self.gen_counter = env.counter
+        env.counter = self._gen_counter
+        try:
+            steps, stopped = run_threads(
+                threads, self._ready, self._parking, self.policy, self.rng,
+                self.fuel, lambda t: try_step(t, env, unfold),
+                lambda t: can_step(t, env, unfold), env)
+            # a parked thread is its own floor unless a watch around it
+            # fires; every signal present now was logged in env.emitted
+            stopped += self._parking.unwatch(env.emitted)
+            floors = end_of_instant([threads[key] for key in stopped], env)
+        except BaseException:
+            self.threads = self._residual
+            raise
+        self._gen_counter = env.counter
         outputs = frozenset(s for s in self.program.outputs
                             if env.defined[s])
-        residual = tuple(t for t in end_of_instant(threads, env)
-                         if not isinstance(t, Nil))
+        self._ready = []
+        for key, t in zip(stopped, floors):
+            if isinstance(t, Nil):
+                del threads[key]
+            else:
+                threads[key] = t
+                self._ready.append(key)
         unfold.end_instant()
-        self.threads = list(residual)
-        return InstantResult(outputs, residual, steps)
+        self._residual = tuple(threads.values())
+        return InstantResult(outputs, self._residual, steps)
 
 
 def run_trace(program, input_sets, policy=DETERMINISTIC, seed=0,
@@ -627,7 +765,7 @@ def check_strong_confluence(program, max_states=5000, max_instants=2):
         for i, t in enumerate(threads):
             env2 = env.copy()
             r = try_step(t, env2, unfold)
-            if r is not None:
+            if r:
                 nxt = list(threads)
                 nxt[i] = r[0]
                 nxt.extend(r[1])

@@ -50,9 +50,12 @@ from .errors import (
 from .semantics import (
     DEFAULT_FUEL,
     DETERMINISTIC,
+    NEXT_INSTANT,
+    Blocked,
     CallBodies,
     Env,
     InstantResult,
+    Parking,
     _checked_inputs,
     _env_domain,
     _trace,
@@ -286,10 +289,11 @@ def parse_tail_program(text):
 
 
 def try_step_tail(t, env, unfold):
-    """One reduction at the root; returns (t', spawned) or None.
-    `unfold(ident, args)` gives a call's body."""
+    """One reduction at the root; returns (t', spawned), or the Blocked
+    value that keeps t from moving now. `unfold(ident, args)` gives a
+    call's body."""
     if isinstance(t, TNil):
-        return None
+        return NEXT_INSTANT
     if isinstance(t, TEmit):
         env.emit(t.signal)
         return t.next, []
@@ -303,22 +307,19 @@ def try_step_tail(t, env, unfold):
     if isinstance(t, TPresent):
         if env.present(t.signal):
             return t.then, []
-        return None
+        return Blocked(t.signal)
     raise TypeError(f"not a tail thread: {t!r}")
 
 
 def can_step_tail(t, env, unfold):
+    """True, or the Blocked value of a suspended tail thread: a guard waits
+    on its signal (%pause when paused), a terminated thread for the next
+    instant."""
     if isinstance(t, TNil):
-        return False
-    if isinstance(t, TPresent):
-        return env.present(t.signal)
+        return NEXT_INSTANT
+    if isinstance(t, TPresent) and not env.present(t.signal):
+        return Blocked(t.signal)
     return True
-
-
-def waits_on_tail(t):
-    """The signal a suspended tail thread tests (%pause when paused), or
-    None when it is terminated."""
-    return t.signal if isinstance(t, TPresent) else None
 
 
 def select_branch(b, present):
@@ -345,8 +346,10 @@ class TailRunner:
     """Instant-by-instant execution of a tail program, through the same
     `run_threads` driver as `Runner`, and like it with one `Env` and one
     `CallBodies` for the whole run. A waiting guard re-enters its loop
-    through a call at every instant; the memo gives it the body it had the
-    instant before. The residual omits terminated threads."""
+    through a call at every instant, so no thread stays parked across
+    instants: every instant probes and floors every thread. The memo gives
+    a guard the body it had the instant before. The residual omits
+    terminated threads."""
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0,
                  fuel=DEFAULT_FUEL):
@@ -365,15 +368,15 @@ class TailRunner:
         env, unfold = self.env, self.unfold
         env.begin(_checked_inputs(self.program, inputs))
         env.counter = self.gen_counter
-        threads, steps = run_threads(
-            self.threads, self.policy, self.rng, self.fuel,
-            lambda t: try_step_tail(t, env, unfold),
-            lambda t: can_step_tail(t, env, unfold),
-            waits_on_tail, env)
+        threads = dict(enumerate(self.threads))
+        steps, _ = run_threads(
+            threads, list(threads), Parking(), self.policy, self.rng,
+            self.fuel, lambda t: try_step_tail(t, env, unfold),
+            lambda t: can_step_tail(t, env, unfold), env)
         self.gen_counter = env.counter
         outputs = frozenset(s for s in self.program.outputs
                             if env.defined[s])
-        residual = tuple(t for t in end_of_instant_tail(threads, env)
+        residual = tuple(t for t in end_of_instant_tail(threads.values(), env)
                          if not isinstance(t, TNil))
         unfold.end_instant()
         self.threads = list(residual)

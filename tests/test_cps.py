@@ -8,7 +8,6 @@ from sltk.cps import NAIVE, CpsTranslator, cps_program
 from sltk.errors import IndexExplosionError
 from sltk.semantics import decompose, plug, run_trace
 from sltk.syntax import (
-    NIL,
     PAUSE,
     Await,
     Call,

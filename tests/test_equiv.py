@@ -27,7 +27,7 @@ from sltk.errors import (
 )
 from sltk.mealy import mealy_trace_equiv, program_to_mealy
 from sltk.semantics import ConfluenceOk, subsets
-from sltk.tailcore import TEmit, TNIL, parse_tail_program
+from sltk.tailcore import BLeaf, TEmit, TNIL, TPresent, parse_tail_program
 
 from .corpus import (
     TAIL_TEXTS,
@@ -889,6 +889,25 @@ def test_trace_mode_interns_only_instant_boundaries(monkeypatch):
     assert isinstance(bisim_check(p, p, mode=TRACE), Equivalent)
     assert len(spaces) == 2
     assert all(len(sp._items) <= 2 for sp in spaces)
+
+
+def test_a_raw_intern_prints_each_member_once(monkeypatch):
+    printed = Counter()
+
+    def counting(t, original=equiv.print_tail):
+        printed[t] += 1
+        return original(t)
+
+    monkeypatch.setattr(equiv, "print_tail", counting)
+    sp = space_for(guard_loop(3))
+    members = [TPresent(f"i{k}", TEmit("o1", TNIL), BLeaf(TNIL))
+               for k in (1, 2, 3)] + [TEmit("i2", TNIL)]
+    # a miss prints the members for its key, and _canon prints none again
+    sid = sp._intern_raw(members)
+    assert sorted(printed.values()) == [1] * len(members)
+    printed.clear()
+    assert sp._intern_raw(members[::-1]) == sid
+    assert sorted(printed.values()) == [1] * len(members)
 
 
 def test_trace_mode_reports_a_divergent_instant():

@@ -2,7 +2,8 @@
 
 The layers run from the error types up to the command line; a module may
 import only modules listed before it. `__init__` re-exports the package and
-is exempt.
+is exempt. No module of the package or of its tests imports a name it
+never reads.
 """
 
 import ast
@@ -16,6 +17,7 @@ LAYERS = ["errors", "_canon", "syntax", "semantics", "analysis", "tailcore",
           "mealy", "cps", "encodings", "equiv", "cli"]
 
 SOURCE = Path(sltk.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _tree(name):
@@ -74,3 +76,27 @@ def test_imports_only_earlier_layers(name):
         for module in _sltk_imports(node):
             assert module in below, (
                 f"{name}.py:{node.lineno}: imports {module}, a later layer")
+
+
+def _unread_imports(tree):
+    """(line, name) for each name an import binds and the module never
+    reads. `from __future__` imports bind nothing to read."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(
+    [p for p in SOURCE.glob("*.py") if p.stem != "__init__"]
+    + list(TESTS.glob("*.py"))), ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_read(path):
+    unread = _unread_imports(ast.parse(path.read_text()))
+    assert not unread, ", ".join(f"{path.name}:{line}: {name}"
+                                 for line, name in unread)

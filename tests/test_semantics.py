@@ -313,9 +313,9 @@ def _rescanning_run_threads(threads, policy, rng, fuel, try_step_fn,
             out = None
             for i, t in enumerate(threads):
                 out = try_step_fn(t)
-                if out is not None:
+                if out:
                     break
-            if out is None:
+            if not out:
                 return threads, steps
             if steps >= fuel:
                 raise FuelExhaustedError(steps)
@@ -507,6 +507,100 @@ def test_probes_stay_within_a_constant_of_the_work(looping_runs):
             assert probes <= 3 * work, (key, probes, work)
 
 
+def _counting_try_step(counts):
+    """A wrapper of semantics.try_step that counts its calls, the steps
+    they take and the threads those steps spawn."""
+    def counting(t, env, unfold, original=semantics.try_step):
+        out = original(t, env, unfold)
+        counts["calls"] += 1
+        if out:
+            counts["steps"] += 1
+            counts["spawned"] += len(out[1])
+        return out
+    return counting
+
+
+def test_parked_threads_are_not_probed_again():
+    # Most of the looping machine's threads await an absent signal inside
+    # a watch. They stay parked across instants, so over 400 instants
+    # `Runner` probes about once per step and per spawned thread; probing
+    # every thread at every instant costs over three times that.
+    counts = dict.fromkeys(("calls", "steps", "spawned"), 0)
+    runner = Runner(encode_counter_machine(LOOPING))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "try_step", _counting_try_step(counts))
+        steps = sum(runner.run_instant().steps for _ in range(400))
+    assert steps == counts["steps"] > 20_000
+    assert counts["calls"] <= 1.5 * (steps + counts["spawned"]), counts
+
+
+def _records(runner, instants):
+    """Per-instant (outputs, steps, gen counter, residual), or the error
+    that ended the run."""
+    out = []
+    for _ in range(instants):
+        try:
+            res = runner.run_instant()
+        except UnboundSignalError as e:
+            out.append(repr(e))
+            break
+        out.append((res.outputs, res.steps, runner.gen_counter, res.residual))
+    return out
+
+
+@pytest.mark.parametrize("policy, seed", PROBED_SCHEDULES)
+@pytest.mark.parametrize("assign", ["threads", "gen_counter", "rewind"])
+def test_assigning_the_state_drops_the_parked_index(policy, seed, assign):
+    p = encode_counter_machine(LOOPING)
+    runner = Runner(p, policy=policy, seed=seed)
+    for _ in range(100):
+        runner.run_instant()
+    threads, counter = runner.threads, runner.gen_counter
+    if assign == "threads":
+        runner.threads = threads
+    elif assign == "gen_counter":
+        runner.gen_counter = counter
+    else:
+        # generated names at or past the counter are unbound again, so a
+        # probe of a thread that awaits one raises
+        counter = runner.gen_counter = 0
+    fresh = Runner(p, policy=policy, seed=seed)
+    fresh.threads, fresh.gen_counter = threads, counter
+    fresh.rng.setstate(runner.rng.getstate())
+    counts = dict.fromkeys(("calls", "steps", "spawned"), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "try_step", _counting_try_step(counts))
+        got = _records(runner, 1)
+    if assign == "rewind":
+        assert len(got) == 1 and got[0].startswith("UnboundSignalError")
+        assert runner.threads == threads and runner.gen_counter == 0
+    else:
+        # the first instant probes every thread, parked or not
+        if policy == DETERMINISTIC:
+            assert counts["calls"] >= len(threads) > 50
+        got += _records(runner, 19)
+    assert got == _records(fresh, 20)
+
+
+@pytest.mark.parametrize("policy, seed", PROBED_SCHEDULES)
+def test_an_instant_that_raises_leaves_the_runner_where_it_was(policy,
+                                                              seed):
+    p = encode_counter_machine(LOOPING)
+    runner = Runner(p, policy=policy, seed=seed)
+    for _ in range(30):
+        runner.run_instant()
+    threads, counter = runner.threads, runner.gen_counter
+    runner.fuel = 3
+    with pytest.raises(FuelExhaustedError):
+        runner.run_instant()
+    assert runner.threads == threads and runner.gen_counter == counter
+    runner.fuel = DEFAULT_FUEL
+    fresh = Runner(p, policy=policy, seed=seed)
+    fresh.threads, fresh.gen_counter = threads, counter
+    fresh.rng.setstate(runner.rng.getstate())
+    assert _records(runner, 20) == _records(fresh, 20)
+
+
 # ---------------------------------------------------------------------------
 # one environment and one call memo per run, counted
 
@@ -566,8 +660,10 @@ def test_unbound_names_still_raise():
             runner.run_instant({"s1"})
         env = runner.env
         assert env.counter == runner.gen_counter > 0
+        # a generated name is %g and ASCII decimal digits, no leading zero
         for name in ("s9", "x", "%r0", "%g01", f"%g{env.counter}",
-                     f"%g{env.counter + 5}"):
+                     f"%g{env.counter + 5}", "%g", "%g00", "%g-1", "%g+1",
+                     "%g 1", "%g1_0", "%g\u0661", "%g\u00b9", "%G1"):
             with pytest.raises(UnboundSignalError):
                 env.present(name)
             with pytest.raises(UnboundSignalError):

@@ -11,13 +11,10 @@ from sltk.syntax import (
     NIL,
     PAUSE,
     Await,
-    Call,
     Emit,
     New,
-    Nil,
     Pause,
     Seq,
-    Spawn,
     Watch,
     canonicalize,
     canonicalize_with_renaming,

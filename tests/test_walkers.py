@@ -138,6 +138,50 @@ def test_freshening_a_binder_free_term_changes_nothing(t):
     assert next(supply) == "%u0"
 
 
+def interpreted_substitute(t, sub):
+    """`_canon.substitute` as the field table drives it at every node: the
+    reference that the functions compiled per node class must equal."""
+    if not sub:
+        return t
+    out = []
+    changed = False
+    fields = iter(_canon._FIELDS[type(t)])
+    for name, kind in fields:
+        v = getattr(t, name)
+        if kind is BIND:
+            body_name, _ = next(fields)
+            body = getattr(t, body_name)
+            inner = sub
+            if v in sub:
+                inner = {k: x for k, x in sub.items() if k != v}
+            if v in inner.values():
+                free = _canon.free_signals(body)
+                inner = {k: x for k, x in inner.items() if k in free}
+                if v in inner.values():
+                    avoid = set(inner.values()) | free | set(inner)
+                    fresh = next(_canon.name_supply("%r", avoid))
+                    inner[v] = fresh
+                    v = fresh
+                    changed = True
+            w = interpreted_substitute(body, inner)
+            changed = changed or w is not body
+            out += (v, w)
+            continue
+        if kind is SUB:
+            w = interpreted_substitute(v, sub)
+        elif kind is SIG:
+            w = sub.get(v, v)
+        elif kind is SIGS:
+            w = tuple(sub.get(a, a) for a in v)
+            if w == v:
+                w = v
+        else:
+            w = v
+        changed = changed or w is not v
+        out.append(w)
+    return type(t)(*out) if changed else t
+
+
 def eager_substitute(t, sub):
     """Substitution as `_canon.substitute` did it before its binder check
     became lazy: every binder's body is walked for its free names, and only
@@ -210,6 +254,29 @@ def test_lazy_binder_check_equals_the_eager_one(t, data):
     values = st.sampled_from(binders) if binders else NAMES
     sub = data.draw(st.dictionaries(NAMES, values, max_size=3))
     assert _canon.substitute(t, sub) == eager_substitute(t, sub)
+
+
+def assert_shares_alike(got, want, t):
+    """got and want keep the same subterms of t, node for node."""
+    assert (got is t) == (want is t), (got, t)
+    if want is not t:
+        for name, kind in _canon._FIELDS[type(t)]:
+            if kind is SUB:
+                assert_shares_alike(getattr(got, name), getattr(want, name),
+                                    getattr(t, name))
+
+
+@LAWS
+@given(NESTED, st.data())
+def test_compiled_substitution_equals_the_interpreted_walker(t, data):
+    # keys drawn from the free names and values from the binders' names,
+    # with %r0 among the names, make the captures that rename a binder
+    keys = st.sampled_from(sorted(_canon.free_signals(t) | {"d"}))
+    values = st.sampled_from(sorted(binder_names(t)) + ["a", "%r0"])
+    sub = data.draw(st.dictionaries(keys, values, max_size=3))
+    got, want = _canon.substitute(t, sub), interpreted_substitute(t, sub)
+    assert got == want
+    assert_shares_alike(got, want, t)
 
 
 @LAWS
