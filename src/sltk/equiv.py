@@ -24,11 +24,14 @@ settled state, which is bisimilar to it, so the refinement numbers and
 interns settled states only, and reaches the settled state of each
 context set by adding one signal at a time to a smaller set's. Trace
 mode relies on confluence: it interns only instant boundaries, and
-memoizes the instant of each boundary state as a decision tree over the
-input signals the instant tests, split lazily, so that it runs once per
-class of input sets that the game queries rather than once per input
-set. The interned moves (`tau`, `ins`, `with_emits`, `eoi`) serve the
-suspension and confluence diagnostics.
+grows the instant of each boundary state as a decision tree over the
+input signals the instant tests, in one run that forks wherever an
+input decides how it goes on, so that the instant runs once per state
+rather than once per input set. The game walks the two states' trees
+together and plays the nonempty meets of their classes of input sets,
+each as its smallest member, rather than every input set. The interned
+moves (`tau`, `ins`, `with_emits`, `eoi`) serve the suspension and
+confluence diagnostics.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ from .errors import (
     StateExplosionError,
 )
 from .mealy import shortest_separating_word
-from .semantics import diamond_walk, subsets
+from .semantics import check_enumerable, diamond_walk, subsets
 from .syntax import program_names
 from .tailcore import (
+    BIte,
     TCall,
     TEmit,
     TNew,
@@ -99,16 +103,61 @@ def _marked(items):
 
 
 class _Split:
-    """An inner node of an instant tree: the runs below it split on
-    `signal`, and branches[False] and branches[True] hold the subtrees of
-    the input sets without and with it. A branch is None until a query
-    takes it."""
+    """An inner node of an instant tree: the run forked on `signal`, and
+    branches[False] and branches[True] hold the subtrees of the input sets
+    without and with it."""
 
     __slots__ = ("signal", "branches")
 
     def __init__(self, signal):
         self.signal = signal
         self.branches = [None, None]
+
+
+class _Leaf:
+    """A leaf of an instant tree: the universe signals its path marked,
+    and the lifted members where the next instant starts, interned as
+    `sid` the first time a query or a meet reaches the leaf."""
+
+    __slots__ = ("marks", "members", "sid")
+
+    def __init__(self, marks, members):
+        self.marks = marks
+        self.members = members
+        self.sid = None
+
+
+class _Exhausted:
+    """A leaf whose path ran out of fuel after `steps` steps: reaching it
+    raises FuelExhaustedError."""
+
+    __slots__ = ("steps",)
+    sid = None
+
+    def __init__(self, steps):
+        self.steps = steps
+
+
+def _select(waiting, marks, decided, universe):
+    """(None, the branches other than 0 that the conditional trees of the
+    guards parked in `waiting` pick at the end of the instant), or (s,
+    None) for the first universe signal a tree tests that neither `marks`
+    nor `decided` settles."""
+    chosen = []
+    for guards in waiting.values():
+        for t in guards:
+            b = t.branch
+            while b.__class__ is BIte:
+                s = b.signal
+                if s in marks or decided.get(s):
+                    b = b.then
+                elif s in universe and s not in decided:
+                    return s, None
+                else:
+                    b = b.other
+            if b.tail.__class__ is not TNil:
+                chosen.append(b.tail)
+    return None, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +180,10 @@ class Space:
     settled state after one more emission, cached by state id and signal,
     and `settle_eoi(sid)` for the settled state after the end of the
     instant, cached by state id. Trace mode asks `instant(sid, S)`, which
-    interns instant boundaries only and keeps per state a decision tree
-    whose leaves hold the outputs and the next state of one class of input
-    sets.
+    interns instant boundaries only; per state it grows, in one forking
+    run, a decision tree whose leaves hold the outputs and the next state
+    of one class of input sets, and the trace game walks two such trees
+    together (`_tree`, `_reach`).
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -296,92 +346,107 @@ class Space:
 
     def instant(self, sid, inputs):
         """(outputs, next state) of the instant from state sid under the
-        context's `inputs`, a subset of the universe.
-
-        Each state keeps a decision tree over the universe signals its
-        instant tests, built lazily: a query walks the tree by `inputs`
-        and runs the instant only when it reaches a branch no query took
-        before. A leaf holds the signals the run marked and the next
-        state, the same for every input set that reaches it."""
-        node = self._trees.get(sid)
+        context's `inputs`, a subset of the universe: the leaf that the
+        path of `inputs` reaches in the state's instant tree. A leaf holds
+        the signals the run marked and the next state, the same for every
+        input set that reaches it."""
+        node = self._tree(sid)
         while node.__class__ is _Split:
             node = node.branches[node.signal in inputs]
-        if node is None:
-            node = self._run(sid, inputs, FUEL)
-        marks, nxt = node
+        marks, nxt = self._reach(node)
         return marks | (inputs & self._universe), nxt
 
-    def _run(self, sid, inputs, fuel):
-        """Run the instant from state sid for `inputs` and hang its leaf
-        where the path of `inputs` in the tree ends.
+    def _tree(self, sid):
+        """The instant tree of state sid, built on first use."""
+        tree = self._trees.get(sid)
+        if tree is None:
+            tree = self._trees[sid] = self._build(sid)
+        return tree
 
-        The run marks at its start each signal the path found present and
-        runs `_saturate` on raw lifted threads, which parks each guard until
-        its signal is marked. When nothing can move, it splits on the
-        smallest universe signal not yet decided that a parked guard waits
-        on, and at the end of the instant on each such signal that a
-        conditional tree tests; `inputs` decides each split. No input off
-        the path changes the outputs or the next state, and by confluence
-        an input marked when nothing can move, not at the start of the
-        instant, leaves the same state. Only the state where the next
-        instant starts is interned."""
-        decided = {}
-        self._trees.setdefault(sid, None)
-        holder, slot = self._trees, sid
-        while holder[slot] is not None:
-            node = holder[slot]
-            decided[node.signal] = side = node.signal in inputs
-            holder, slot = node.branches, side
+    def _reach(self, leaf):
+        """(marks, next state) of a leaf of an instant tree. The next state
+        is interned the first time the leaf is reached, and a leaf whose
+        path ran out of fuel raises FuelExhaustedError each time."""
+        if leaf.sid is None:
+            if leaf.__class__ is _Exhausted:
+                raise FuelExhaustedError(leaf.steps)
+            leaf.sid = self._intern_raw(leaf.members)
+            leaf.members = None
+        return leaf.marks, leaf.sid
+
+    def _build(self, sid):
+        """The instant tree of state sid, grown by one run that forks.
+
+        The run lifts the state's items and runs `_saturate` on raw lifted
+        threads, which parks each guard until its signal is marked. When
+        nothing can move, it forks on the smallest universe signal, in
+        sorted order, that a parked guard waits on and the path has not
+        decided: the absent side goes on with the same marks and parked
+        guards, and the present side, on copies of the set and the dict
+        (the parked tuples are shared), marks the signal, wakes its guards
+        and saturates on. At the end of the instant it
+        forks the same way on each undecided universe signal that a
+        conditional tree tests. No input off a path changes its outputs or
+        its next state, and by confluence an input marked when nothing can
+        move, not at the start of the instant, leaves the same state. Fuel
+        is counted per path from the state's start, and a path that runs
+        out ends in an `_Exhausted` leaf. More inputs run more steps, so a
+        path whose present signals hold those of a path that ran out ends
+        there too, without running. Nothing is interned here, and nothing
+        of the run is kept but the tree."""
         # a prefix of its own: intern restarts its %l supply at every call
         supply = _canon.name_supply("%i", self._taken)
         universe = self._universe
-        work, waiting, steps = [], {}, 0
-        marks = {s for s, side in decided.items() if side}
-
-        def decide(s):
-            nonlocal holder, slot
-            node = holder[slot] = _Split(s)
-            decided[s] = present = s in inputs
-            holder, slot = node.branches, present
-            return present
-
+        work, marks = [], set()
         for t in self._items[sid]:
             _lift(t, work, marks, supply)
-        while True:
-            steps = self._saturate(work, marks, waiting, supply, steps, fuel)
-            # split on the smallest universe signal, in sorted order, that a
-            # guard waits on and no split decided; a signal leaves `waiting`
-            # only once it is marked, and only one decided present gives the
-            # worklist more to run
-            for s in self.universe:
-                if s in waiting and s not in decided and decide(s):
-                    marks.add(s)
-                    work.extend(waiting.pop(s))
-                    break
-            else:
-                break
-
-        def present(s):
-            if s in marks:
-                return True
-            if s in universe and s not in decided:
-                decide(s)
-            return decided.get(s, False)
-
-        # eoi; an else-branch that emits at once leaves a marker
-        members = _lifted((select_branch(t.branch, present)
-                           for guards in waiting.values() for t in guards),
-                          supply)
-        holder[slot] = leaf = (frozenset(marks & universe),
-                               self._intern_raw(members))
-        return leaf
+        root = [None]
+        runs = [(work, marks, {}, {}, 0, root, 0)]
+        # the signals decided present on each path that ran out of fuel
+        exhausted = []
+        while runs:
+            work, marks, waiting, decided, steps, holder, slot = runs.pop()
+            if exhausted and any(all(decided.get(s) for s in e)
+                                 for e in exhausted):
+                holder[slot] = _Exhausted(FUEL + 1)
+                continue
+            try:
+                steps = self._saturate(work, marks, waiting, supply, steps,
+                                       FUEL)
+            except FuelExhaustedError as e:
+                holder[slot] = _Exhausted(e.steps)
+                exhausted.append([s for s, side in decided.items() if side])
+                continue
+            while True:
+                # a signal leaves `waiting` only once it is marked
+                s = next((s for s in self.universe
+                          if s in waiting and s not in decided), None)
+                if s is not None:
+                    parked = dict(waiting)
+                    fork = (list(parked.pop(s)), marks | {s}, parked)
+                else:
+                    s, chosen = _select(waiting, marks, decided, universe)
+                    if s is None:
+                        # an else-branch that emits at once leaves a marker
+                        holder[slot] = _Leaf(frozenset(marks & universe),
+                                             _lifted(chosen, supply))
+                        break
+                    # nothing is left to run: the sides share the guards
+                    fork = ([], marks, waiting)
+                node = holder[slot] = _Split(s)
+                runs.append((*fork, {**decided, s: True}, steps,
+                             node.branches, True))
+                decided[s] = False
+                holder, slot = node.branches, False
+        return root[0]
 
     def _saturate(self, work, marks, waiting, supply, steps, fuel):
         """Run the raw lifted threads of `work` until none can move and
         return `steps` plus the steps taken. A call unfolds through
         `_bodies`, a guard whose signal is in `marks` fires, and any other
-        guard parks in `waiting` under its signal until that signal is
-        marked. More than `fuel` steps raise FuelExhaustedError."""
+        guard parks in `waiting`, in a tuple under its signal, until that
+        signal is marked. More than `fuel` steps raise
+        FuelExhaustedError."""
         while work:
             t = work.pop()
             if isinstance(t, TCall):
@@ -394,11 +459,7 @@ class Space:
             elif t.signal in marks:
                 t = t.then
             else:
-                parked = waiting.get(t.signal)
-                if parked is not None:
-                    parked.append(t)
-                else:
-                    waiting[t.signal] = [t]
+                waiting[t.signal] = waiting.get(t.signal, ()) + (t,)
                 continue
             steps += 1
             if steps > fuel:
@@ -700,14 +761,40 @@ class _Refinement:
 # trace mode
 
 
-def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
-    def step(pair, I):
-        o1, n1 = sp1.instant(pair[0], I)
-        o2, n2 = sp2.instant(pair[1], I)
-        return o1, o2, (n1, n2)
+def _meets(tree1, tree2):
+    """Every nonempty meet of a class of input sets of one instant tree
+    with a class of the other, as (smallest member, leaf1, leaf2).
 
-    found = shortest_separating_word((seed1, seed2), subsets(universe),
-                                     step, depth)
+    One stack holds a walk through both trees together: a signal already
+    decided on the path is followed, and an undecided signal that either
+    tree tests forks the walk. A meet's members are the input sets that
+    hold the signals decided present and lack those decided absent, so its
+    smallest member is the set of the signals decided present."""
+    out = []
+    stack = [(tree1, tree2, {})]
+    while stack:
+        a, b, decided = stack.pop()
+        while True:
+            node = a if a.__class__ is _Split else b
+            if node.__class__ is not _Split:
+                break
+            s = node.signal
+            side = decided.get(s)
+            if side is None:
+                stack.append((a, b, {**decided, s: True}))
+                decided[s] = side = False
+            if node is a:
+                a = a.branches[side]
+            else:
+                b = b.branches[side]
+        out.append((frozenset(s for s, side in decided.items() if side),
+                    a, b))
+    return out
+
+
+def _trace_verdict(found, depth):
+    """The verdict of a trace game from what `shortest_separating_word`
+    found."""
     if found is not None:
         word, o1, o2 = found
         labels = tuple(f"inputs {_show_set(X)}" for X in word[:-1])
@@ -717,6 +804,30 @@ def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
     if depth is not None:
         return Inconclusive(depth)
     return Equivalent()
+
+
+def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
+    """Compare the instant machines of two spaces breadth first.
+
+    From a state pair the game plays the nonempty meets of the two states'
+    classes of input sets (`_meets`), in `subsets` order of their smallest
+    members P, with outputs `marks | P` on each side. Every member of a
+    meet reaches the same two leaves and contains P, so a member separates
+    the pair only if P does: the game finds the word, the outputs and the
+    order of pairs that playing every input set in `subsets` order finds,
+    and reaches the leaves in the same order."""
+    check_enumerable(universe)
+
+    def moves(pair):
+        meets = _meets(sp1._tree(pair[0]), sp2._tree(pair[1]))
+        meets.sort(key=lambda meet: (len(meet[0]), sorted(meet[0])))
+        for P, leaf1, leaf2 in meets:
+            marks1, n1 = sp1._reach(leaf1)
+            marks2, n2 = sp2._reach(leaf2)
+            yield P, marks1 | P, marks2 | P, (n1, n2)
+
+    return _trace_verdict(
+        shortest_separating_word((seed1, seed2), moves, depth), depth)
 
 
 # ---------------------------------------------------------------------------

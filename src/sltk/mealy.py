@@ -283,13 +283,15 @@ class MealyWitness:
                         for X in self.word)
 
 
-def shortest_separating_word(start, letters, step, depth=None):
+def shortest_separating_word(start, moves, depth=None):
     """Breadth-first search over pairs of states of two instant machines.
 
-    `step(pair, letter)` gives the two output sets and the next pair.
-    Returns (word, out1, out2) for a shortest word on whose last letter the
-    outputs differ, or None when no word of at most `depth` letters (any
-    length when depth is None) separates the machines.
+    `moves(pair)` yields (letter, out1, out2, next pair) for the letters
+    to try from `pair`, in order; the search stops reading it at the
+    first letter whose outputs differ. Returns (word, out1, out2) for a
+    shortest word on whose last letter the outputs differ, or None when
+    no word of at most `depth` letters (any length when depth is None)
+    separates the machines.
     """
     seen = {start}
     queue = deque([(start, ())])
@@ -297,8 +299,7 @@ def shortest_separating_word(start, letters, step, depth=None):
         pair, word = queue.popleft()
         if depth is not None and len(word) >= depth:
             continue
-        for X in letters:
-            out1, out2, nxt = step(pair, X)
+        for X, out1, out2, nxt in moves(pair):
             if out1 != out2:
                 return word + (X,), out1, out2
             if nxt not in seen:
@@ -312,14 +313,15 @@ def mealy_trace_equiv(m1, m2):
     on which the two machines emit different output sets."""
     if (m1.n, m1.m) != (m2.n, m2.m):
         raise ValueError("machines have different interfaces")
+    letters = input_subsets(m1.n)
 
-    def step(pair, X):
+    def moves(pair):
         s1, s2 = pair
-        return (m1.output[(s1, X)], m2.output[(s2, X)],
-                (m1.next_state[(s1, X)], m2.next_state[(s2, X)]))
+        for X in letters:
+            yield (X, m1.output[(s1, X)], m2.output[(s2, X)],
+                   (m1.next_state[(s1, X)], m2.next_state[(s2, X)]))
 
-    found = shortest_separating_word((m1.init, m2.init),
-                                     input_subsets(m1.n), step)
+    found = shortest_separating_word((m1.init, m2.init), moves)
     if found is None:
         return MealyEquivalent()
     return MealyWitness(found[0])

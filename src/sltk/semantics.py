@@ -790,16 +790,23 @@ def check_strong_confluence(program, max_states=5000, max_instants=2):
 
 
 # Budget of `subsets`: 2**17 sets of up to 17 names take about 100 MB, and
-# the trace game and Mealy extraction visit each set at every state.
+# Mealy extraction visits each set at every state. The trace game, which
+# may meet as many classes of input sets at a state pair, keeps it too.
 MAX_ENUMERATED_SIGNALS = 17
+
+
+def check_enumerable(names):
+    """Raise InputSetExplosionError for more than MAX_ENUMERATED_SIGNALS
+    names."""
+    if len(names) > MAX_ENUMERATED_SIGNALS:
+        raise InputSetExplosionError(MAX_ENUMERATED_SIGNALS, len(names))
 
 
 def subsets(names):
     """Every subset of names, smallest first, equal sizes in sorted order.
     More than MAX_ENUMERATED_SIGNALS names raise InputSetExplosionError
     before any set is built."""
-    if len(names) > MAX_ENUMERATED_SIGNALS:
-        raise InputSetExplosionError(MAX_ENUMERATED_SIGNALS, len(names))
+    check_enumerable(names)
     out = [frozenset()]
     for n in names:
         out += [s | {n} for s in out]

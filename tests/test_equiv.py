@@ -25,7 +25,11 @@ from sltk.errors import (
     InputSetExplosionError,
     NotSuspendedError,
 )
-from sltk.mealy import mealy_trace_equiv, program_to_mealy
+from sltk.mealy import (
+    mealy_trace_equiv,
+    program_to_mealy,
+    shortest_separating_word,
+)
 from sltk.semantics import ConfluenceOk, subsets
 from sltk.tailcore import BLeaf, TEmit, TNIL, TPresent, parse_tail_program
 
@@ -770,44 +774,51 @@ def test_instant_trees_answer_queries_in_any_order(order):
     _check_instants(_instant_programs(), order)
 
 
-def _count_runs(monkeypatch):
-    """(space, state id) of every run of an instant from now on."""
-    runs = []
-    run = equiv.Space._run
+def _leaves(tree):
+    if tree.__class__ is equiv._Split:
+        return sum(map(_leaves, tree.branches))
+    return 1
 
-    def counted(space, sid, inputs, fuel):
-        runs.append((space, sid))
-        return run(space, sid, inputs, fuel)
 
-    monkeypatch.setattr(equiv.Space, "_run", counted)
-    return runs
+def _count_builds(monkeypatch):
+    """(space, state id, leaves) of every instant tree built from now on."""
+    builds = []
+    build = equiv.Space._build
+
+    def counted(space, sid):
+        tree = build(space, sid)
+        builds.append((space, sid, _leaves(tree)))
+        return tree
+
+    monkeypatch.setattr(equiv.Space, "_build", counted)
+    return builds
 
 
 def test_trace_game_runs_one_instant_per_boundary_state(monkeypatch):
     # no guard of this program waits on s1, s2 or s3, so each state's tree
     # is one leaf, where every input set used to run the instant again
-    runs = _count_runs(monkeypatch)
+    builds = _count_builds(monkeypatch)
     with pytest.raises(StateExplosionError):
         bisim_check(tp(RECURSIVE_NU), tp(RECURSIVE_NU), mode=TRACE,
                     state_limit=200)
-    assert set(Counter(runs).values()) == {1}
-    for space in {sp for sp, _ in runs}:
-        sids = sorted(sid for sp, sid in runs if sp is space)
+    assert {leaves for _, _, leaves in builds} == {1}
+    for space in {sp for sp, _, _ in builds}:
+        sids = [sid for sp, sid, _ in builds if sp is space]
         # the last state may be left when the other space runs out
         assert sids == list(range(len(sids)))
         assert len(sids) >= len(space._items) - 1 >= 199
 
 
 def test_instant_trees_split_only_on_tested_signals(monkeypatch):
-    # runs per state of each space, for all eight input sets of s1 s2 s3
-    runs = _count_runs(monkeypatch)
+    # leaves per state of each space, for all eight input sets of s1 s2 s3
+    builds = _count_builds(monkeypatch)
     # only the boundary tests s2: two classes
     assert bisim_check(tp(BOUNDARY_ITE), tp(BOUNDARY_ITE), mode=TRACE)
-    assert set(Counter(runs).values()) == {2}
-    runs.clear()
+    assert {leaves for _, _, leaves in builds} == {2}
+    builds.clear()
     # guards wait on s1 and s2, never on s3: four classes from the seed
     assert bisim_check(tp(SELF_EMITTED), tp(SELF_EMITTED), mode=TRACE)
-    assert [n for (_, sid), n in Counter(runs).items() if sid == 0] == [4, 4]
+    assert [leaves for _, sid, leaves in builds if sid == 0] == [4, 4]
 
 
 def test_trace_mode_queries_only_the_input_sets_it_needs():
@@ -829,6 +840,30 @@ def test_trace_mode_queries_only_the_input_sets_it_needs():
     assert verdict.render() == "inputs {s1} emit {s1,s3} versus {s1}"
     with pytest.raises(FuelExhaustedError):
         bisim_check(tp(diverging), tp(diverging), mode=TRACE)
+
+
+def test_a_diverging_input_runs_out_of_fuel_once_per_tree(monkeypatch):
+    # the guard on i7, the last signal decided, diverges on 64 paths of
+    # each tree; the first to run out stands for the others
+    guards = "(present i7 (call F) 0)"
+    for k in range(6, 0, -1):
+        guards = f"(thread! (present i{k} (emit! o1 0) 0) {guards})"
+    p = tp(f"(input i1 i2 i3 i4 i5 i6 i7)\n(output o1)\n"
+           f"(def (F) (call F))\n(run {guards})")
+    ran_out = []
+    saturate = equiv.Space._saturate
+
+    def counted(space, *args):
+        try:
+            return saturate(space, *args)
+        except FuelExhaustedError:
+            ran_out.append(space)
+            raise
+
+    monkeypatch.setattr(equiv.Space, "_saturate", counted)
+    with pytest.raises(FuelExhaustedError):
+        bisim_check(p, p, mode=TRACE)
+    assert len(ran_out) == len(set(ran_out)) == 2
 
 
 def test_wide_input_set_enumeration_is_refused(monkeypatch):
@@ -876,6 +911,23 @@ def guard_loop(n):
               "(run (call L))")
 
 
+def test_the_game_walks_both_trees_together(monkeypatch):
+    # ten guards on ten inputs: 1,024 classes on each side and 1,024
+    # meets, where pairing the two lists of classes would try 2**20
+    played = []
+    meets = equiv._meets
+
+    def counted(tree1, tree2):
+        out = meets(tree1, tree2)
+        played.append(len(out))
+        return out
+
+    monkeypatch.setattr(equiv, "_meets", counted)
+    p = guard_loop(10)
+    assert isinstance(bisim_check(p, p, mode=TRACE), Equivalent)
+    assert played == [1024]
+
+
 def test_trace_mode_interns_only_instant_boundaries(monkeypatch):
     spaces = []
 
@@ -908,6 +960,48 @@ def test_a_raw_intern_prints_each_member_once(monkeypatch):
     printed.clear()
     assert sp._intern_raw(members[::-1]) == sid
     assert sorted(printed.values()) == [1] * len(members)
+
+
+def letter_game(p1, p2, depth=None):
+    """The trace game over letters: every input set, in `subsets` order,
+    goes through `Space.instant` into the one product search."""
+    universe = sorted(equiv.program_universe(p1) | equiv.program_universe(p2))
+    sp1, sp2 = equiv.Space(p1, universe), equiv.Space(p2, universe)
+    letters = subsets(universe)
+
+    def moves(pair):
+        for X in letters:
+            o1, n1 = sp1.instant(pair[0], X)
+            o2, n2 = sp2.instant(pair[1], X)
+            yield X, o1, o2, (n1, n2)
+
+    start = (sp1.intern(p1.initial), sp2.intern(p2.initial))
+    return equiv._trace_verdict(
+        shortest_separating_word(start, moves, depth), depth)
+
+
+def _ring_pairs():
+    for n_inputs in (2, 3, 4):
+        for seed in range(40):
+            a, b = random_ring_programs(seeded(seed), n_inputs=n_inputs)
+            yield from ((a, b), (a, a), (b, b))
+
+
+@pytest.mark.parametrize("pairs, mode, depths", [
+    (_ring_pairs, TRACE, (None,)),
+    (lambda: itertools.combinations_with_replacement(
+        [p for _, p in tail_corpus()], 2), TRACE, (None,)),
+    (lambda: itertools.combinations_with_replacement(
+        [p for _, p in finite_corpus()], 2), BOUNDED, (1, 2, 3)),
+], ids=["rings", "tail-corpus", "finite-corpus-bounded"])
+def test_the_meet_game_plays_as_the_letter_game(pairs, mode, depths):
+    kinds = set()
+    for p1, p2 in pairs():
+        for depth in depths:
+            verdict = bisim_check(p1, p2, mode=mode, depth=depth)
+            assert verdict == letter_game(p1, p2, depth)
+            kinds.add(type(verdict))
+    assert len(kinds) >= 2
 
 
 def test_trace_mode_reports_a_divergent_instant():
