@@ -10,9 +10,12 @@ the tail threads themselves: each instant is a saturation over a set of
 threads, with calls unfolded through a memo of instantiated bodies. For
 programs without signal generation a set emits the same signals and leaves
 the same guards as multiset execution, so the reachable states are finite.
-Extraction keeps this instant loop of its own, apart from
-`equiv.Space.instant`, so that it stays an independent reference for the
-trace mode of the equivalence checker.
+Saturation is monotone, so the instant of a state under an input set
+resumes its instant under the set without its largest wire: one run per
+added signal, visited depth first over the subset lattice. Extraction
+keeps this instant loop of its own, apart from `equiv.Space.instant`, so
+that it stays an independent reference for the trace mode of the
+equivalence checker.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .tailcore import (
     TEmit,
     TNew,
     TNIL,
+    TNil,
     TPresent,
     TSpawn,
     pause_prefix,
@@ -74,7 +78,12 @@ def input_subsets(n):
 
 def validate_mealy(machine):
     """None when the machine is total and monotone, else a concrete witness
-    of the first monotonicity failure found."""
+    of the first monotonicity failure found: the first state, then the
+    first pair of input sets X < Y in `input_subsets` order.
+
+    A row is monotone when every covering pair X < X | {x} is, so a state
+    costs n 2^n checks; only a state that fails them is scanned pair by
+    pair for its first witness."""
     if machine.n > MAX_VALIDATE_ARITY:
         raise ArityTooLargeError(
             f"cannot validate tables over {machine.n} inputs")
@@ -83,16 +92,18 @@ def validate_mealy(machine):
         for X in subsets:
             if (q, X) not in machine.next_state or (q, X) not in machine.output:
                 raise ValueError(f"table missing entry for ({q}, {set(X)})")
+    wires = range(1, machine.n + 1)
     for q in machine.states:
+        out = {X: machine.output[(q, X)] for X in subsets}
+        if all(out[X] <= out[X | {x}]
+               for X in subsets for x in wires if x not in X):
+            continue
         for X in subsets:
             for Y in subsets:
-                if not X < Y:
-                    continue
-                ox = machine.output[(q, X)]
-                oy = machine.output[(q, Y)]
-                missing = ox - oy
-                if missing:
-                    return MonotonicityViolation(X, Y, q, min(missing))
+                if X < Y:
+                    missing = out[X] - out[Y]
+                    if missing:
+                        return MonotonicityViolation(X, Y, q, min(missing))
     return None
 
 
@@ -140,14 +151,21 @@ def mealy_to_program(machine):
 
 def _call_bodies(defs):
     """Unfold calls through a memo: one instantiated body per call, shared
-    by every occurrence of that call.
+    by every occurrence of that call. A call object met before is looked up
+    by identity, without hashing it again; the entry keeps the object alive,
+    so its id is not reused.
 
     A chain of bare calls resolves to the body it ends in; a chain that
     closes on itself has no productive body at all and is rejected.
     """
     memo = {}
+    by_id = {}
 
     def unfold(call):
+        known = by_id.get(id(call))
+        if known is not None:
+            return known[1]
+        first = call
         body = memo.get(call)
         chain = {}
         while body is None:
@@ -164,26 +182,33 @@ def _call_bodies(defs):
                 call, body = body, memo.get(body)
         for c in chain:
             memo[c] = body
+        by_id[id(first)] = (first, body)
         return body
     return unfold
 
 
-def closure(threads, emitted, unfold):
-    """Saturate one instant over a set of tail threads, given the signals
-    present so far, inputs included. Returns the guards still waiting at
-    the end and the emitted signals.
+class _Run:
+    """One instant's saturation so far: the threads it has seen, by
+    identity, a tuple of the guards parked on each signal not yet emitted,
+    and the signals emitted, inputs included."""
+
+    __slots__ = ("seen", "waiting", "emitted")
+
+    def __init__(self, seen, waiting, emitted):
+        self.seen = seen
+        self.waiting = waiting
+        self.emitted = emitted
+
+
+def _saturate(run, work, unfold):
+    """Run the threads of `work` to the end of the instant inside `run`.
 
     Emissions and spawns are lifted, calls unfold, and a guard parks on its
     signal until that signal is emitted. A thread counts once, by identity:
     every thread is a subterm of the program or of a memoized call body, so
-    one that comes back within the instant is the same object. Exact for
-    programs without signal generation: running the threads as a multiset
-    emits the same signals and leaves the same guards, up to copies.
+    one that comes back within the instant is the same object.
     """
-    emitted = set(emitted)
-    seen = {}
-    waiting = {}
-    work = list(threads)
+    seen, waiting, emitted = run.seen, run.waiting, run.emitted
     while work:
         t = work.pop()
         if id(t) in seen:
@@ -193,7 +218,7 @@ def closure(threads, emitted, unfold):
             if t.signal in emitted:
                 work.append(t.then)
             else:
-                waiting.setdefault(t.signal, []).append(t)
+                waiting[t.signal] = waiting.get(t.signal, ()) + (t,)
         elif isinstance(t, TCall):
             work.append(unfold(t))
         elif isinstance(t, TEmit):
@@ -206,7 +231,57 @@ def closure(threads, emitted, unfold):
             work.append(t.next)
         elif isinstance(t, TNew):
             raise HasSignalGenerationError()
-    return [g for gs in waiting.values() for g in gs], emitted
+
+
+def closure(threads, emitted, unfold):
+    """Saturate one instant over a set of tail threads, given the signals
+    present so far, inputs included. Returns the run: the guards still
+    waiting at the end, per signal, and the emitted signals.
+
+    Exact for programs without signal generation: running the threads as
+    a multiset emits the same signals and leaves the same guards, up to
+    copies.
+    """
+    run = _Run({}, {}, set(emitted))
+    _saturate(run, list(threads), unfold)
+    return run
+
+
+def _with_signal(run, signal, unfold):
+    """The run that `run` becomes once `signal` is emitted as well.
+
+    Saturation is monotone and confluent, so marking a signal after a run
+    has settled leaves the guards and emissions of a run that had it from
+    the start. Only the guards the signal wakes run again. When there is
+    one, the new run copies the dicts of `run` (the parked tuples are
+    shared); otherwise it shares them outright.
+    """
+    if signal in run.emitted:
+        return run
+    emitted = run.emitted | {signal}
+    woken = run.waiting.get(signal)
+    if not woken:
+        return _Run(run.seen, run.waiting, emitted)
+    waiting = dict(run.waiting)
+    del waiting[signal]
+    child = _Run(dict(run.seen), waiting, emitted)
+    _saturate(child, [g.then for g in woken], unfold)
+    return child
+
+
+def _boundary(run):
+    """The threads a settled run leaves for the next instant: each parked
+    guard's branch taken by the instant's emissions, without the ones that
+    have ended."""
+    present = run.emitted.__contains__
+    threads = []
+    for gs in run.waiting.values():
+        for g in gs:
+            b = g.branch
+            t = b.tail if isinstance(b, BLeaf) else select_branch(b, present)
+            if not isinstance(t, TNil):
+                threads.append(t)
+    return threads
 
 
 def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
@@ -216,7 +291,14 @@ def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
     A state is where an instant stands once its input-free part has run:
     the guards that the threads of the instant boundary leave when
     saturated with no input, and the signals they emit. It is computed
-    once per boundary.
+    once per boundary, and a bare call in a boundary counts as its
+    memoized body, so equal calls close once.
+
+    The run of a state under input set X resumes the run under
+    X - {max X} with max X marked, so each input set costs the guards its
+    largest wire wakes. The input sets are visited depth first, so at most
+    n + 1 runs are alive at a time. States are named in the order of their
+    first transition, input sets in `input_subsets` order.
     """
     if any(_canon.has_binder(t) for t in program.all_threads()):
         raise HasSignalGenerationError()
@@ -225,38 +307,52 @@ def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
     in_name = {x: s for x, s in enumerate(program.inputs, start=1)}
     out_index = {s: j for j, s in enumerate(program.outputs, start=1)}
     subsets = input_subsets(n)
-    entered, guards_of = {}, {}
+    entered = {}
 
     def enter(threads):
-        key = frozenset(map(id, threads))
+        """The state a boundary enters, and its run when first entered."""
+        key = frozenset([id(unfold(t)) if isinstance(t, TCall) else id(t)
+                         for t in threads])
         q = entered.get(key)
-        if q is None:
-            guards, emitted = closure(threads, (), unfold)
-            q = entered[key] = (frozenset(map(id, guards)),
-                                frozenset(emitted))
-            guards_of[q] = guards
-        return q
+        if q is not None:
+            return q, None
+        run = closure(threads, (), unfold)
+        q = entered[key] = (
+            frozenset([id(g) for gs in run.waiting.values() for g in gs]),
+            frozenset(run.emitted))
+        return q, run
 
-    q0 = enter(program.initial)
-    names = {q0: "q0"}
-    queue = deque([q0])
+    def rows(root):
+        """Input set -> (next boundary, output wires), from a state's run."""
+        row = {}
+
+        def visit(X, run, first):
+            row[X] = (_boundary(run),
+                      frozenset([out_index[s] for s in run.emitted
+                                 if s in out_index]))
+            for x in range(first, n + 1):
+                visit(X | {x}, _with_signal(run, in_name[x], unfold), x + 1)
+
+        visit(frozenset(), root, 1)
+        return row
+
+    queue = deque([enter(program.initial)])
+    names = {queue[0][0]: "q0"}
     next_state, output = {}, {}
     while queue:
-        q = queue.popleft()
+        q, run = queue.popleft()
+        row = rows(run)
         for X in subsets:
-            left, emitted = closure(guards_of[q],
-                                    q[1].union(in_name[x] for x in X), unfold)
-            q2 = enter([select_branch(g.branch, emitted.__contains__)
-                        for g in left])
+            threads, out = row[X]
+            q2, run2 = enter(threads)
             if q2 not in names:
                 if len(names) >= state_limit:
                     raise StateExplosionError(state_limit)
                 names[q2] = f"q{len(names)}"
-                queue.append(q2)
+                queue.append((q2, run2))
             key = (names[q], X)
             next_state[key] = names[q2]
-            output[key] = frozenset(out_index[s] for s in emitted
-                                    if s in out_index)
+            output[key] = out
     return MonotonicMealy(tuple(names.values()), "q0", n,
                           len(program.outputs), next_state, output)
 

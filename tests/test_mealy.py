@@ -1,5 +1,9 @@
+from collections import deque
+
 import pytest
 
+from sltk import mealy
+from sltk._canon import has_binder
 from sltk.errors import (
     HasSignalGenerationError,
     ParseError,
@@ -7,6 +11,7 @@ from sltk.errors import (
     StateExplosionError,
 )
 from sltk.mealy import (
+    DEFAULT_STATE_LIMIT,
     MealyEquivalent,
     MealyWitness,
     MonotonicMealy,
@@ -21,10 +26,13 @@ from sltk.mealy import (
 )
 from sltk.cps import cps_program
 from sltk.equiv import _has_new
+from sltk.syntax import Program
 from sltk.tailcore import (
+    TCall,
     parse_tail_program,
     print_tail_program,
     run_trace_tail,
+    select_branch,
 )
 
 from .corpus import (
@@ -33,6 +41,7 @@ from .corpus import (
     random_tail_program,
     seeded,
     source_corpus,
+    tail_corpus,
 )
 
 
@@ -279,3 +288,188 @@ def test_extraction_names_an_unguarded_call_cycle():
     chain = r"unguarded call cycle: A\(\) = B\(\) = A\(\)"
     with pytest.raises(SLError, match=chain):
         program_to_mealy(p)
+
+
+# ---------------------------------------------------------------------------
+# extraction against the per-input-set reference loop
+
+
+def reference_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
+    """Extraction as first written: every state's guards closed afresh
+    under every input set, `select_branch` on every guard left, and
+    boundaries keyed by the identity of their threads."""
+    if any(has_binder(t) for t in program.all_threads()):
+        raise HasSignalGenerationError()
+    unfold = mealy._call_bodies(program.defs)
+    n = len(program.inputs)
+    in_name = {x: s for x, s in enumerate(program.inputs, start=1)}
+    out_index = {s: j for j, s in enumerate(program.outputs, start=1)}
+    entered, guards_of = {}, {}
+
+    def settle(threads, emitted):
+        run = mealy.closure(threads, emitted, unfold)
+        return [g for gs in run.waiting.values() for g in gs], run.emitted
+
+    def enter(threads):
+        key = frozenset(map(id, threads))
+        q = entered.get(key)
+        if q is None:
+            guards, emitted = settle(threads, ())
+            q = entered[key] = (frozenset(map(id, guards)),
+                                frozenset(emitted))
+            guards_of[q] = guards
+        return q
+
+    q0 = enter(program.initial)
+    names = {q0: "q0"}
+    queue = deque([q0])
+    next_state, output = {}, {}
+    while queue:
+        q = queue.popleft()
+        for X in input_subsets(n):
+            left, emitted = settle(guards_of[q],
+                                   q[1].union(in_name[x] for x in X))
+            q2 = enter([select_branch(g.branch, emitted.__contains__)
+                        for g in left])
+            if q2 not in names:
+                if len(names) >= state_limit:
+                    raise StateExplosionError(state_limit)
+                names[q2] = f"q{len(names)}"
+                queue.append(q2)
+            next_state[(names[q], X)] = names[q2]
+            output[(names[q], X)] = frozenset(
+                out_index[s] for s in emitted if s in out_index)
+    return MonotonicMealy(tuple(names.values()), "q0", n,
+                          len(program.outputs), next_state, output)
+
+
+def outcome(extract, program, **kwargs):
+    """The printed machine, or the type and message of the error."""
+    try:
+        return print_mealy(extract(program, **kwargs))
+    except SLError as e:
+        return type(e), str(e)
+
+
+def oracle_programs():
+    yield from ((f"tail {name}", p) for name, p in tail_corpus())
+    yield from ((f"cps {name}", cps_program(p).program)
+                for name, p in source_corpus())
+    for k in range(60):
+        yield f"random {k}", random_tail_program(seeded(k))
+    for n in range(1, 7):
+        for k in range(3):
+            machine = random_monotone_mealy(seeded(k), n=n)
+            yield f"table n={n} {k}", mealy_to_program(machine)
+
+
+def test_extraction_prints_what_the_reference_loop_prints():
+    extracted = 0
+    for name, p in oracle_programs():
+        got = outcome(program_to_mealy, p)
+        assert got == outcome(reference_mealy, p), name
+        extracted += isinstance(got, str)
+    assert extracted > 100
+
+
+def arity_mismatch():
+    p = parse_tail_program("""
+(input s1)
+(output s2)
+(def (A x) (present x (emit! s2 0) 0))
+(run 0)
+""")
+    return Program(p.inputs, p.outputs, p.defs, (TCall("A", ()),))
+
+
+@pytest.mark.parametrize("program, kwargs, error", [
+    (lambda: parse_tail_program(TAIL_TEXTS["t_local"]), {},
+     HasSignalGenerationError),
+    (lambda: parse_tail_program(
+        "(input s1)\n(output s2)\n(def (A) (call B))\n(def (B) (call A))\n"
+        "(run (present s1 (call A) 0))"), {}, SLError),
+    (arity_mismatch, {}, SLError),
+    (lambda: parse_tail_program(TAIL_TEXTS["t_alternate"]),
+     {"state_limit": 1}, StateExplosionError),
+])
+def test_extraction_fails_as_the_reference_loop_fails(program, kwargs, error):
+    p = program()
+    got = outcome(program_to_mealy, p, **kwargs)
+    assert got == outcome(reference_mealy, p, **kwargs)
+    assert got[0] is error and isinstance(got[1], str)
+
+
+def test_a_round_trip_closes_each_state_once(monkeypatch):
+    machine = random_monotone_mealy(seeded(3), n=6, n_states=2)
+    program = mealy_to_program(machine)
+    calls = []
+    closure = mealy.closure
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(mealy, "closure", counted)
+    back = program_to_mealy(program)
+    assert len(back.states) == 2
+    assert len(calls) == 2
+    assert isinstance(mealy_trace_equiv(machine, back), MealyEquivalent)
+
+
+def test_at_most_one_run_per_wire_is_alive(monkeypatch):
+    live, peak = [0], [0]
+
+    class Counted(mealy._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(mealy, "_Run", Counted)
+    wires = range(1, 13)
+    body = "0"
+    for x in wires:
+        body = f"(thread! (present i{x} (emit! o{x} 0) 0) {body})"
+    p = parse_tail_program(
+        f"(input {' '.join(f'i{x}' for x in wires)})\n"
+        f"(output {' '.join(f'o{x}' for x in wires)})\n(run {body})")
+    machine = program_to_mealy(p)
+    assert len(machine.states) == 2
+    assert machine.output[("q0", frozenset(wires))] == frozenset(wires)
+    assert peak[0] <= 13
+
+
+# ---------------------------------------------------------------------------
+# monotonicity witnesses
+
+
+def full_scan_violation(machine):
+    """The first failing pair over all pairs X < Y of every state."""
+    for q in machine.states:
+        for X in input_subsets(machine.n):
+            for Y in input_subsets(machine.n):
+                missing = machine.output[(q, X)] - machine.output[(q, Y)]
+                if X < Y and missing:
+                    return MonotonicityViolation(X, Y, q, min(missing))
+    return None
+
+
+def test_validate_reports_the_witness_of_the_full_scan():
+    rng = seeded(5)
+    found = 0
+    for k in range(200):
+        n = 1 + k % 4
+        machine = random_monotone_mealy(rng, n=n, m=3)
+        output = dict(machine.output)
+        for key in rng.sample(sorted(output, key=str), rng.randrange(3)):
+            output[key] = frozenset(j for j in (1, 2, 3)
+                                    if rng.random() < 0.5)
+        table = MonotonicMealy(machine.states, machine.init, n, 3,
+                               machine.next_state, output)
+        witness = validate_mealy(table)
+        assert witness == full_scan_violation(table), k
+        found += witness is not None
+    assert found > 50
