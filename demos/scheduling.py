@@ -6,13 +6,8 @@ schedules all reproduce the deterministic run, and an exhaustive check
 confirms the one-step diamond on every reachable state.
 """
 
-from sltk.semantics import (
-    RANDOM,
-    Runner,
-    canonical_residual,
-    check_strong_confluence,
-)
-from sltk.syntax import parse_program
+from sltk.semantics import RANDOM, Runner, check_strong_confluence
+from sltk.syntax import canonicalize, parse_program
 
 CROSS_TALK = """
 (input s1 s2)
@@ -27,7 +22,7 @@ def outputs_under(program, policy, seed):
     runner = Runner(program, policy=policy, seed=seed)
     trace = [sorted(runner.run_instant(frozenset()).outputs)
              for _ in range(3)]
-    return trace, canonical_residual(program, runner.threads)
+    return trace, canonicalize(runner.threads, program.interface)
 
 
 def main():

@@ -1,10 +1,11 @@
 """Generic walkers and canonical forms for the two term families.
 
 Source threads (`syntax.Thread`) and tail threads (`tailcore.Tail` and
-`tailcore.Branch`) describe every node class once, by a `SHAPE` class
-attribute: one kind per dataclass field, in constructor order. The walkers
-pair it with the field names in `__match_args__`, which a dataclass lists
-in that same order.
+`tailcore.Branch`) describe every node class once, by its field names in
+`__slots__` and a `SHAPE` class attribute that gives one kind per field,
+both in constructor order. Their common base `Term` compiles each node
+class's constructor, equality, hash and repr from them and sets
+`__match_args__` to the field names, which the walkers pair with SHAPE.
 
     SIG    one signal name
     SIGS   a tuple of signal names (the arguments of a call)
@@ -19,7 +20,7 @@ and `has_binder`. `substitute` and `freshen_apart` return a node itself
 when nothing below it changes. The runners substitute at every call and
 every `new`, so `substitute` does not read the field table at each node:
 it is compiled once per node class from its SHAPE into a function with
-the fields unrolled, the way `dataclasses` writes `__init__`.
+the fields unrolled, the way `Term` writes `__init__`.
 
 A canonical form fixes the interface names and renames every other name by
 a bijection, to %g0, %g1, ..., so that two multisets are equal after
@@ -47,6 +48,78 @@ def name_supply(prefix, avoid):
         k += 1
         if name not in avoid:
             yield name
+
+
+class Term:
+    """Base of the node classes of both term families, and of the context
+    frames of `semantics.decompose`.
+
+    A node class declares its field names in `__slots__` and their kinds
+    in `SHAPE`, in constructor order, and may name `defaults` for its last
+    fields, as `namedtuple` does: `class Call(Thread, defaults=((),))`.
+    `__init_subclass__` then compiles its `__init__`, `__eq__`, `__hash__`
+    and `__repr__` (`_compile_node`) and sets `__match_args__` to the
+    field names. Nodes are immutable: `__init__` writes through the slot
+    descriptors, and assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, defaults=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "SHAPE" in cls.__dict__:
+            _compile_node(cls, tuple(defaults))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a node through its constructor
+        return self.__class__, tuple(getattr(self, name)
+                                     for name in self.__slots__)
+
+
+def _compile_node(cls, defaults):
+    """Write the methods of one node class from its fields, the way
+    `dataclasses` does for a frozen dataclass: equality and hash compare
+    the tuple of fields between nodes of one class, and repr reads
+    `Name(field=value, ...)`."""
+    names = tuple(cls.__slots__)
+    if len(names) != len(cls.SHAPE):
+        raise TypeError(f"{cls.__name__}: one SHAPE kind per slot")
+    cls.__match_args__ = names
+    n = len(names)
+    first_default = n - len(defaults)
+    params = ", ".join(["self"] + [
+        name if k < first_default else f"{name}=d{k - first_default}"
+        for k, name in enumerate(names)])
+    fields = "".join(f"self.{name}, " for name in names)
+    same = " and ".join(f"self.{name} == other.{name}" for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    src = "".join([
+        f"def __init__({params}):\n",
+        "".join(f"    set{k}(self, {name})\n"
+                for k, name in enumerate(names)) or "    pass\n",
+        "def __eq__(self, other):\n",
+        "    if other.__class__ is not self.__class__:\n",
+        "        return NotImplemented\n",
+        f"    return self is other or ({same or 'True'})\n",
+        "def __hash__(self):\n",
+        f"    return hash(({fields}))\n",
+        "def __repr__(self):\n",
+        f"    return f'{cls.__qualname__}({shown})'\n",
+    ])
+    namespace = {f"d{k}": d for k, d in enumerate(defaults)}
+    namespace.update((f"set{k}", cls.__dict__[name].__set__)
+                     for k, name in enumerate(names))
+    exec(src, namespace)
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        fn = namespace[method]
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, fn)
 
 
 class _PerClass(dict):
@@ -155,7 +228,7 @@ def substitute(t, sub):
 
 def _compile_substitute(cls):
     """The substitution function of one node class, `substitute` unrolled
-    over the class's fields the way `dataclasses` writes `__init__`: field
+    over the class's fields the way `_compile_node` writes `__init__`: field
     k is read into xk and its image built in yk, and the node is rebuilt
     only when some yk is not xk."""
     lines = []

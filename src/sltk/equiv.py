@@ -209,11 +209,17 @@ class Space:
     def intern(self, items):
         """The id of the state of `items`. Items given as a
         `_canon.Printed` must be lifted already, and their printed forms
-        are not computed again."""
+        are not computed again.
+
+        A state keeps one member per printed form: equal threads have the
+        same moves, and emission is idempotent, so P | P behaves as P."""
         if not isinstance(items, _canon.Printed):
             items = _lifted(items, _canon.name_supply("%l", self._taken))
         canonical, _ = _canon.canonical_multiset(items, self.interface,
                                                  print_tail)
+        if len(set(canonical.printed)) < len(canonical):
+            distinct = dict(zip(canonical.printed, canonical))
+            canonical = _canon.Printed(distinct.values(), tuple(distinct))
         sid = self._ids.get(canonical.printed)
         if sid is None:
             if len(self._items) >= self.state_limit:
@@ -472,13 +478,14 @@ class Space:
         return steps
 
     def _intern_raw(self, members):
-        """Intern lifted members. States are keyed by the printed forms of
-        their canonical tuple, which is sorted by printed form, and printing
-        is injective: so members whose sorted printed forms are a key are
-        that state, whatever _canon makes of them. A miss becomes another
-        key of its state, and its members are not printed again."""
+        """Intern lifted members. States are keyed by the distinct printed
+        forms of their canonical tuple, which is sorted by printed form, and
+        printing is injective: so members whose distinct sorted printed
+        forms are a key are that state, whatever _canon makes of them. A
+        miss becomes another key of its state, and its members are not
+        printed again."""
         printed = tuple(map(print_tail, members))
-        key = tuple(sorted(printed))
+        key = tuple(sorted(set(printed)))
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = self.intern(

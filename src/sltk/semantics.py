@@ -6,6 +6,13 @@ environment (emission, fresh-name allocation) or spawning new threads. An
 instant runs threads until all are suspended, then the end-of-instant
 rewrite turns the suspended multiset into the next instant's program.
 
+`try_step` on a thread decomposes it, reduces the redex and plugs the
+result back into the context. `Runner` instead keeps a running thread
+decomposed, as a `Focus`: a step rewrites the hole and descends only into
+what it put there (refocusing; Danvy and Nielsen, "Refocusing in reduction
+semantics", BRICS RS-04-26, 2004), so a step costs the redex, not the
+whole thread. `decompose` and the focused step share one descent.
+
 Two drivers serve both languages: `run_threads` runs an instant under a
 scheduling policy, and `diamond_walk` checks the one-step diamond over a
 `moves` function, here for source programs in `check_strong_confluence`
@@ -43,7 +50,6 @@ from .syntax import (
     Seq,
     Spawn,
     Watch,
-    canonicalize,
     canonicalize_with_renaming,
     next_gen_index,
     print_thread,
@@ -171,58 +177,62 @@ class CallBodies:
         self.current = {}
 
 
-@dataclass(frozen=True)
-class SeqAfter:
+class SeqAfter(_canon.Term):
     """Context frame [.];rest."""
 
-    rest: object
+    __slots__ = ("rest",)
+    SHAPE = (_canon.SUB,)
 
 
-@dataclass(frozen=True)
-class WatchFrame:
+class WatchFrame(_canon.Term):
     """Context frame watch s [.]."""
 
-    signal: str
+    __slots__ = ("signal",)
+    SHAPE = (_canon.SIG,)
+
+
+def _descend(frames, t):
+    """Push onto `frames` the context frames of t above its redex, outermost
+    first, and return the redex, or t itself when it is terminated (Nil).
+
+    `decompose` descends from an empty context and a focused step from the
+    context of the redex it reduced. A sequence whose head is itself a
+    sequence is malformed and rejected.
+    """
+    while True:
+        if t.__class__ is Seq:
+            first = t.first
+            head = first.__class__
+            if head is Nil:
+                return t
+            if head is Seq:
+                raise ValueError("sequence not right-associated")
+            frames.append(SeqAfter(t.rest))
+            if head is not Watch or first.body.__class__ is Nil:
+                return first
+            t = first
+        if t.__class__ is not Watch or t.body.__class__ is Nil:
+            return t
+        frames.append(WatchFrame(t.signal))
+        t = t.body
 
 
 def decompose(t):
     """Split a thread into (context frames, redex), or None when terminated.
 
-    Frames are listed outermost first. The split is unique; a sequence whose
-    head is itself a sequence is malformed and rejected.
+    Frames are listed outermost first. The split is unique.
     """
     frames = []
-    while True:
-        if isinstance(t, Nil):
-            if frames:
-                raise ValueError("terminated thread under a context")
-            return None
-        if isinstance(t, Seq):
-            first = t.first
-            if isinstance(first, Nil):
-                return tuple(frames), t
-            if isinstance(first, Seq):
-                raise ValueError("sequence not right-associated")
-            if isinstance(first, Watch) and not isinstance(first.body, Nil):
-                frames.append(SeqAfter(t.rest))
-                frames.append(WatchFrame(first.signal))
-                t = first.body
-                continue
-            frames.append(SeqAfter(t.rest))
-            return tuple(frames), first
-        if isinstance(t, Watch):
-            if isinstance(t.body, Nil):
-                return tuple(frames), t
-            frames.append(WatchFrame(t.signal))
-            t = t.body
-            continue
-        return tuple(frames), t
+    redex = _descend(frames, t)
+    if redex.__class__ is Nil:
+        return None
+    return tuple(frames), redex
 
 
 def plug(frames, t):
     """Rebuild a thread from context frames and a hole filler."""
     for f in reversed(frames):
-        if isinstance(f, WatchFrame):
+        if f.__class__ is WatchFrame:
             t = Watch(f.signal, t)
         else:
             t = seq_of(t, f.rest)
@@ -261,53 +271,99 @@ def _awaiting(signal, frames):
                                  if isinstance(f, WatchFrame)))
 
 
+class Focus:
+    """A thread split at its redex, as the runner steps it: `frames`, the
+    context frames outermost first, and `hole`, the redex. A step rewrites
+    the hole and descends into what it put there, pushing that part's
+    frames; the context around the hole is not rebuilt. A NIL hole under
+    a frame is the redex that frame makes of its terminated body, 0;rest
+    or watch s 0, and reducing it pops the frame. `thread` is the thread
+    focused, until the first step changes it.
+    """
+
+    __slots__ = ("frames", "hole", "thread")
+
+    def __init__(self, t):
+        self.frames = []
+        self.hole = _descend(self.frames, t)
+        self.thread = t
+
+
+def unfocus(f):
+    """The thread a `Focus` stands for, plugged when it has stepped."""
+    return f.thread if f.thread is not None else plug(f.frames, f.hole)
+
+
+def _step(f, env, unfold):
+    """Reduce the hole of a `Focus` in place and return (f, spawned), or
+    the Blocked value that keeps it from moving now."""
+    redex = f.hole
+    cls = redex.__class__
+    frames = f.frames
+    spawned = ()
+    if cls is Nil:
+        if not frames:
+            return NEXT_INSTANT
+        frame = frames.pop()
+        if frame.__class__ is SeqAfter:
+            f.hole = _descend(frames, frame.rest)
+    elif cls is Emit:
+        env.emit(redex.signal)
+        f.hole = NIL
+    elif cls is Call:
+        f.hole = _descend(frames, unfold(redex.ident, redex.args))
+    elif cls is Await:
+        if not env.present(redex.signal):
+            return _awaiting(redex.signal, frames)
+        f.hole = NIL
+    elif cls is Pause:
+        return NEXT_INSTANT
+    elif cls is Seq:
+        f.hole = _descend(frames, redex.rest)
+    elif cls is Watch:
+        f.hole = NIL
+    elif cls is Spawn:
+        f.hole = NIL
+        spawned = (redex.body,)
+    elif cls is New:
+        g = env.fresh()
+        f.hole = _descend(frames, substitute(redex.body, {redex.bound: g}))
+    else:
+        raise TypeError(f"not a redex: {redex!r}")
+    f.thread = None
+    return f, spawned
+
+
 def try_step(t, env, unfold):
     """One reduction of a single thread, or the Blocked value that keeps
     it from moving now.
 
     On success returns (thread', spawned threads); emission and generation
-    update env in place. `unfold(ident, args)` gives a call's body.
+    update env in place. `unfold(ident, args)` gives a call's body. A
+    plain thread is focused, stepped and plugged; a `Focus` steps in place
+    and comes back as thread'.
     """
-    d = decompose(t)
-    if d is None:
-        return NEXT_INSTANT
-    frames, redex = d
-    if isinstance(redex, Seq):
-        return plug(frames, redex.rest), ()
-    if isinstance(redex, Emit):
-        env.emit(redex.signal)
-        return plug(frames, NIL), ()
-    if isinstance(redex, Watch):
-        return plug(frames, NIL), ()
-    if isinstance(redex, New):
-        g = env.fresh()
-        return plug(frames, substitute(redex.body, {redex.bound: g})), ()
-    if isinstance(redex, Call):
-        return plug(frames, unfold(redex.ident, redex.args)), ()
-    if isinstance(redex, Await):
-        if env.present(redex.signal):
-            return plug(frames, NIL), ()
-        return _awaiting(redex.signal, frames)
-    if isinstance(redex, Spawn):
-        return plug(frames, NIL), (redex.body,)
-    if isinstance(redex, Pause):
-        return NEXT_INSTANT
-    raise TypeError(f"not a redex: {redex!r}")
+    if t.__class__ is Focus:
+        return _step(t, env, unfold)
+    f = Focus(t)
+    out = _step(f, env, unfold)
+    if not out:
+        return out
+    return unfocus(f), out[1]
 
 
 def can_step(t, env, unfold):
     """Pure runnability test: True, or the Blocked value of a suspended
     thread, which is terminated, blocked on an absent signal, or paused for
-    the instant."""
-    d = decompose(t)
-    if d is None:
-        return NEXT_INSTANT
-    frames, redex = d
-    if isinstance(redex, Await):
+    the instant. A `Focus` is read at its hole."""
+    f = t if t.__class__ is Focus else Focus(t)
+    redex = f.hole
+    cls = redex.__class__
+    if cls is Await:
         if env.present(redex.signal):
             return True
-        return _awaiting(redex.signal, frames)
-    if isinstance(redex, Pause):
+        return _awaiting(redex.signal, f.frames)
+    if cls is Pause or (cls is Nil and not f.frames):
         return NEXT_INSTANT
     return True
 
@@ -389,7 +445,7 @@ def _discard(index, signal, key):
 
 
 def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
-                can_step_fn, env):
+                can_step_fn, env, enter=None, leave=None):
     """Drive threads to suspension under a scheduling policy.
 
     `threads` maps keys to threads in the order of their keys and is
@@ -411,6 +467,11 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
     few probes per step and per thread it wakes, not a rescan of every
     thread after every step.
 
+    `enter(key)` is called when a thread becomes a candidate, ready, woken
+    or spawned, and `leave(key)` when it is set aside or parked; both may
+    replace `threads[key]`, so that the step functions see another form of
+    the thread while it runs.
+
     Returns the number of steps and the keys of the threads set aside.
     The threads parked when the instant ends stay in `parking`.
     """
@@ -419,7 +480,15 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
     next_key = next(reversed(threads), -1) + 1
     logged = 0
 
+    def start(keys):
+        if enter is not None:
+            for key in keys:
+                enter(key)
+        return keys
+
     def stop(key, blocked):
+        if leave is not None:
+            leave(key)
         if blocked.signal is None:
             stopped.append(key)
         else:
@@ -432,10 +501,10 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
             return ()
         out = parking.wake(emitted[logged:])
         logged = len(emitted)
-        return out
+        return start(out)
 
     if policy == DETERMINISTIC:
-        heap = list(ready)
+        heap = start(list(ready))
         heap.extend(woken())
         heapq.heapify(heap)
         while heap:
@@ -450,6 +519,8 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
             heapq.heappush(heap, key)
             for t in spawned:
                 threads[next_key] = t
+                if enter is not None:
+                    enter(next_key)
                 heapq.heappush(heap, next_key)
                 next_key += 1
             for j in woken():
@@ -458,7 +529,7 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
         return steps, stopped
     if policy == RANDOM:
         runnable = []
-        for key in sorted([*ready, *woken()]):
+        for key in sorted([*start(list(ready)), *woken()]):
             probe = can_step_fn(threads[key])
             if probe:
                 runnable.append(key)
@@ -477,7 +548,9 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
                 stop(key, probe)
             for t in spawned:
                 threads[next_key] = t
-                probe = can_step_fn(t)
+                if enter is not None:
+                    enter(next_key)
+                probe = can_step_fn(threads[next_key])
                 if probe:
                     runnable.append(next_key)
                 else:
@@ -619,10 +692,19 @@ class Runner:
     end-of-instant rewrite leaves it as it is unless one of those watches'
     signals is present, so an instant probes and floors only the threads
     that ran, paused or lost a watch, and those that an input or an
-    emission wakes. `gen_counter` and `threads` are the state carried
-    between instants; reading `threads` gives a new list. Assigning either
-    moves the runner to another state of the same program and drops the
-    parked index, so the next instant probes every thread. An instant that
+    emission wakes.
+
+    A thread runs focused (`Focus`): it is decomposed when it is first
+    spawned or given to the runner, steps at its hole, and is plugged
+    when it is set aside or parked, if it has stepped. Its focus is kept
+    under its key, and the end-of-instant rewrite applies to it too, so a
+    thread that runs again, woken or in the next instant, does not
+    decompose again.
+
+    `gen_counter` and `threads` are the state carried between instants;
+    reading `threads` gives a new list. Assigning either moves the runner
+    to another state of the same program and drops the parked index and
+    the foci, so the next instant probes every thread. An instant that
     raises leaves the runner in the state it started from.
     """
 
@@ -662,16 +744,28 @@ class Runner:
     def _unpark(self):
         self._ready = list(self._threads)
         self._parking = Parking()
+        self._foci = {}
 
     def run_instant(self, inputs=frozenset()):
-        env, unfold, threads = self.env, self.unfold, self._threads
+        env, unfold, threads, foci = (self.env, self.unfold, self._threads,
+                                      self._foci)
         env.begin(_checked_inputs(self.program, inputs))
         env.counter = self._gen_counter
+
+        def enter(key):
+            f = foci.pop(key, None)
+            threads[key] = Focus(threads[key]) if f is None else f
+
+        def leave(key):
+            f = threads[key]
+            threads[key] = f.thread = unfocus(f)
+            foci[key] = f
+
         try:
             steps, stopped = run_threads(
                 threads, self._ready, self._parking, self.policy, self.rng,
                 self.fuel, lambda t: try_step(t, env, unfold),
-                lambda t: can_step(t, env, unfold), env)
+                lambda t: can_step(t, env, unfold), env, enter, leave)
             # a parked thread is its own floor unless a watch around it
             # fires; every signal present now was logged in env.emitted
             stopped += self._parking.unwatch(env.emitted)
@@ -686,12 +780,34 @@ class Runner:
         for key, t in zip(stopped, floors):
             if isinstance(t, Nil):
                 del threads[key]
+                foci.pop(key, None)
             else:
                 threads[key] = t
                 self._ready.append(key)
+                f = foci.get(key)
+                if f is not None:
+                    _floor_focus(f, t, env)
         unfold.end_instant()
         self._residual = tuple(threads.values())
         return InstantResult(outputs, self._residual, steps)
+
+
+def _floor_focus(f, floor, env):
+    """The end-of-instant rewrite of a thread set aside or unwatched, on
+    its focus: the context is cut at its outermost watch on a present
+    signal, and the hole, paused or cut, becomes NIL. `floor` is the
+    thread's rewrite by `end_of_instant`, which the focus then stands
+    for."""
+    frames = f.frames
+    for k, frame in enumerate(frames):
+        if frame.__class__ is WatchFrame and env.present(frame.signal):
+            del frames[k:]
+            f.hole = NIL
+            break
+    else:
+        if f.hole.__class__ is Pause:
+            f.hole = NIL
+    f.thread = floor
 
 
 def run_trace(program, input_sets, policy=DETERMINISTIC, seed=0,
@@ -714,10 +830,6 @@ def _trace(runner, input_sets):
             raise
         trace.append((frozenset(inputs), res.outputs))
     return trace
-
-
-def canonical_residual(program, threads):
-    return canonicalize(threads, program.interface)
 
 
 # ---------------------------------------------------------------------------

@@ -34,76 +34,62 @@ from .errors import (
 GENERATED_PREFIX = "%g"
 
 
-class Thread:
+class Thread(_canon.Term):
     """Base class for source thread expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nil(Thread):
+    __slots__ = ()
     SHAPE = ()
 
-    def __repr__(self):
-        return "Nil()"
 
-
-@dataclass(frozen=True)
 class Seq(Thread):
     """T1;T2. Invariant: first is never itself a Seq (right association)."""
 
+    __slots__ = ("first", "rest")
     SHAPE = (SUB, SUB)
-    first: Thread
-    rest: Thread
 
 
-@dataclass(frozen=True)
 class Emit(Thread):
+    __slots__ = ("signal",)
     SHAPE = (SIG,)
-    signal: str
 
 
-@dataclass(frozen=True)
 class New(Thread):
     """Signal generation: nu s T."""
 
+    __slots__ = ("bound", "body")
     SHAPE = (BIND, SUB)
-    bound: str
-    body: Thread
 
 
-@dataclass(frozen=True)
 class Spawn(Thread):
     """thread T: run T as a separate thread of the program."""
 
+    __slots__ = ("body",)
     SHAPE = (SUB,)
-    body: Thread
 
 
-@dataclass(frozen=True)
 class Await(Thread):
+    __slots__ = ("signal",)
     SHAPE = (SIG,)
-    signal: str
 
 
-@dataclass(frozen=True)
 class Watch(Thread):
     """watch s T: abort the residual of T if s is present at instant end."""
 
+    __slots__ = ("signal", "body")
     SHAPE = (SIG, SUB)
-    signal: str
-    body: Thread
 
 
-@dataclass(frozen=True)
-class Call(Thread):
+class Call(Thread, defaults=((),)):
+    __slots__ = ("ident", "args")
     SHAPE = (KEEP, SIGS)
-    ident: str
-    args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class Pause(Thread):
+    __slots__ = ()
     SHAPE = ()
 
 

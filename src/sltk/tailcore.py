@@ -36,7 +36,6 @@ here: the translation in `cps` builds each one as a recursive guard.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import _canon
 from ._canon import BIND, KEEP, SIG, SIGS, SUB
@@ -75,71 +74,52 @@ from .syntax import (
 PAUSE_SIGNAL = "%pause"
 
 
-class Tail:
+class Tail(_canon.Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TNil(Tail):
     __slots__ = ()
     SHAPE = ()
 
-    def __repr__(self):
-        return "TNil()"
 
-
-@dataclass(frozen=True)
 class TEmit(Tail):
+    __slots__ = ("signal", "next")
     SHAPE = (SIG, SUB)
-    signal: str
-    next: Tail
 
 
-@dataclass(frozen=True)
 class TNew(Tail):
+    __slots__ = ("bound", "body")
     SHAPE = (BIND, SUB)
-    bound: str
-    body: Tail
 
 
-@dataclass(frozen=True)
 class TSpawn(Tail):
+    __slots__ = ("spawned", "next")
     SHAPE = (SUB, SUB)
-    spawned: Tail
-    next: Tail
 
 
-@dataclass(frozen=True)
 class TPresent(Tail):
+    __slots__ = ("signal", "then", "branch")
     SHAPE = (SIG, SUB, SUB)
-    signal: str
-    then: Tail
-    branch: "Branch"
 
 
-@dataclass(frozen=True)
 class TCall(Tail):
+    __slots__ = ("ident", "args")
     SHAPE = (KEEP, SIGS)
-    ident: str
-    args: tuple
 
 
-class Branch:
+class Branch(_canon.Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BLeaf(Branch):
+    __slots__ = ("tail",)
     SHAPE = (SUB,)
-    tail: Tail
 
 
-@dataclass(frozen=True)
 class BIte(Branch):
+    __slots__ = ("signal", "then", "other")
     SHAPE = (SIG, SUB, SUB)
-    signal: str
-    then: Branch
-    other: Branch
 
 
 TNIL = TNil()

@@ -37,7 +37,6 @@ from sltk.mealy import mealy_to_program, mealy_trace_equiv, program_to_mealy
 from sltk.semantics import (
     RANDOM,
     Runner,
-    canonical_residual,
     check_strong_confluence,
     run_trace,
 )
@@ -59,6 +58,7 @@ from sltk.tailcore import (
 )
 
 from .corpus import (
+    canonical_residual,
     confluence_corpus,
     finite_corpus,
     random_input_word,

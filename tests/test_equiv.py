@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from sltk import equiv, semantics
+from sltk.cps import cps_program
 from sltk.equiv import (
     BOUNDED,
     EXACT,
@@ -31,9 +32,11 @@ from sltk.mealy import (
     shortest_separating_word,
 )
 from sltk.semantics import ConfluenceOk, subsets
+from sltk.syntax import parse_program
 from sltk.tailcore import BLeaf, TEmit, TNIL, TPresent, parse_tail_program
 
 from .corpus import (
+    PILED_WAITERS,
     TAIL_TEXTS,
     finite_corpus,
     random_finite_program,
@@ -253,6 +256,21 @@ def test_trace_mode_overruns_budget_on_generation_recursion():
     with pytest.raises(StateExplosionError):
         bisim_check(tp(RECURSIVE_NU), tp(RECURSIVE_NU), mode=TRACE,
                     state_limit=200)
+
+
+def test_equal_members_are_one_member_of_a_state():
+    # Every instant of the image adds one more copy of a waiter it already
+    # holds. A state keeps one member per printed form, so the space
+    # closes within the state budget, at the size of the extracted machine.
+    image = cps_program(parse_program(PILED_WAITERS)).program
+    verdict = bisim_check(image, image, mode=TRACE, state_limit=500)
+    assert isinstance(verdict, Equivalent)
+    assert len(program_to_mealy(image).states) == 4
+    space = equiv.Space(image, sorted(equiv.program_universe(image)))
+    waiter = TPresent("i2", TNIL, BLeaf(TNIL))
+    assert space.intern([waiter, waiter]) == space.intern([waiter])
+    assert space.show(space.intern([waiter] * 3)) == \
+        "(present i2 0 0)"
 
 
 def test_trace_mode_decides_generation_with_dead_binders():

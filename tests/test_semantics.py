@@ -25,7 +25,6 @@ from sltk.semantics import (
     Env,
     Runner,
     can_step,
-    canonical_residual,
     check_strong_confluence,
     decompose,
     diamond_walk,
@@ -64,6 +63,7 @@ from sltk.tailcore import (
 from .corpus import (
     FRESH_CAPTURE,
     SOURCE_TEXTS,
+    canonical_residual,
     confluence_corpus,
     source_corpus,
     tail_corpus,
@@ -532,6 +532,35 @@ def test_parked_threads_are_not_probed_again():
         steps = sum(runner.run_instant().steps for _ in range(400))
     assert steps == counts["steps"] > 20_000
     assert counts["calls"] <= 1.5 * (steps + counts["spawned"]), counts
+
+
+@pytest.mark.parametrize("policy, seed", PROBED_SCHEDULES)
+def test_a_running_thread_is_decomposed_and_plugged_rarely(policy, seed):
+    # A thread is decomposed when it is spawned or first given to the
+    # runner and keeps its focus across steps and instants; it is plugged
+    # when it stops after stepping. Decomposing and plugging at every step
+    # and every probe costs one plug per step and, under the random
+    # policy, over two decompositions per step.
+    counts = dict.fromkeys(("decompose", "Focus", "plug"), 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    runner = Runner(encode_counter_machine(LOOPING), policy=policy,
+                    seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("decompose", "plug"):
+            mp.setattr(semantics, name,
+                       counting(name, getattr(semantics, name)))
+        mp.setattr(semantics.Focus, "__init__",
+                   counting("Focus", semantics.Focus.__init__))
+        steps = sum(runner.run_instant().steps for _ in range(400))
+    assert steps > 20_000
+    assert counts["plug"] <= 0.3 * steps, counts
+    assert counts["decompose"] + counts["Focus"] <= 0.3 * steps, counts
 
 
 def _records(runner, instants):

@@ -1,9 +1,11 @@
 """Laws of the shape-driven walkers in `_canon`, checked on generated source
 and tail terms; canonical forms, checked against brute force and for the
-work they do; and the guard that keeps every node's SHAPE in step with its
-dataclass fields."""
+work they do; and the node classes themselves: the guard that keeps every
+node's SHAPE in step with its fields, and their equality, hash and repr."""
 
+import copy
 import itertools
+import pickle
 import random
 from functools import lru_cache
 
@@ -299,6 +301,78 @@ def test_every_node_shape_has_one_kind_per_field():
         for k, kind in enumerate(kinds):
             if kind is BIND:
                 assert kinds[k + 1:k + 2] == [SUB], cls
+
+
+# Every node class occurs in these terms; each prints as its dataclass
+# form did.
+REPRS = [
+    (seq_of(Emit("a"), NIL), "Seq(first=Emit(signal='a'), rest=Nil())"),
+    (New("x", Await("x")), "New(bound='x', body=Await(signal='x'))"),
+    (Spawn(PAUSE), "Spawn(body=Pause())"),
+    (Watch("b", Call("A")),
+     "Watch(signal='b', body=Call(ident='A', args=()))"),
+    (Call("A", ("a", "b")), "Call(ident='A', args=('a', 'b'))"),
+    (TEmit("a", TNIL), "TEmit(signal='a', next=TNil())"),
+    (TNew("x", TCall("K", ("x",))),
+     "TNew(bound='x', body=TCall(ident='K', args=('x',)))"),
+    (TSpawn(TNIL, TNIL), "TSpawn(spawned=TNil(), next=TNil())"),
+    (TPresent("a", TNIL, BIte("b", BLeaf(TNIL), BLeaf(TCall("K", ())))),
+     "TPresent(signal='a', then=TNil(), branch=BIte(signal='b', "
+     "then=BLeaf(tail=TNil()), other=BLeaf(tail=TCall(ident='K', "
+     "args=()))))"),
+]
+
+
+def nodes(t):
+    """t and every node below it."""
+    yield t
+    for name, kind in _canon._FIELDS[type(t)]:
+        if kind is SUB:
+            yield from nodes(getattr(t, name))
+
+
+def test_every_node_class_has_slots_and_stays_as_built():
+    classes = {c for base in (Thread, Tail, Branch)
+               for c in base.__subclasses__()}
+    samples = {type(n): n for t, _ in REPRS for n in nodes(t)}
+    assert set(samples) == classes
+    for cls, node in samples.items():
+        assert not hasattr(node, "__dict__"), cls
+        assert cls.__slots__ == cls.__match_args__, cls
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, getattr(node, name))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        assert copy.deepcopy(node) == pickle.loads(pickle.dumps(node)) == node
+
+
+def test_nodes_print_as_their_dataclass_forms_did():
+    for t, text in REPRS:
+        assert repr(t) == text
+    assert Call("A") == Call("A", ())
+    assert Emit("a") != Await("a") and NIL != TNIL
+
+
+def printed(t):
+    """t's family and printed form."""
+    if isinstance(t, Thread):
+        return Thread, print_thread(t)
+    return Tail, print_tail(t)
+
+
+@LAWS
+@given(TERMS, TERMS)
+def test_equality_and_hash_follow_printed_forms(s, t):
+    # renaming a name that does not occur rebuilds every node
+    copy = _canon.rename_all(t, {"z": "z"})
+    assert copy is not t and copy == t and hash(copy) == hash(t)
+    same = printed(s) == printed(t)
+    assert (s == t) == same and (s != t) == (not same)
+    if same:
+        assert hash(s) == hash(t)
 
 
 # ---------------------------------------------------------------------------
