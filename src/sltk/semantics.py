@@ -7,11 +7,13 @@ instant runs threads until all are suspended, then the end-of-instant
 rewrite turns the suspended multiset into the next instant's program.
 
 `try_step` on a thread decomposes it, reduces the redex and plugs the
-result back into the context. `Runner` instead keeps a running thread
-decomposed, as a `Focus`: a step rewrites the hole and descends only into
-what it put there (refocusing; Danvy and Nielsen, "Refocusing in reduction
-semantics", BRICS RS-04-26, 2004), so a step costs the redex, not the
-whole thread. `decompose` and the focused step share one descent.
+result back into the context. `Runner` instead keeps every thread
+decomposed, as a `Focus`, from when it is given or spawned until it ends:
+a step rewrites the hole and descends only into what it put there
+(refocusing; Danvy and Nielsen, "Refocusing in reduction semantics", BRICS
+RS-04-26, 2004), so a step costs the redex, not the whole thread, and the
+end-of-instant rewrite works on the focus too. `decompose` and the focused
+step share one descent.
 
 Two drivers serve both languages: `run_threads` runs an instant under a
 scheduling policy, and `diamond_walk` checks the one-step diamond over a
@@ -278,7 +280,7 @@ class Focus:
     frames; the context around the hole is not rebuilt. A NIL hole under
     a frame is the redex that frame makes of its terminated body, 0;rest
     or watch s 0, and reducing it pops the frame. `thread` is the thread
-    focused, until the first step changes it.
+    the focus stands for, or None from a change until `unfocus` plugs it.
     """
 
     __slots__ = ("frames", "hole", "thread")
@@ -290,13 +292,18 @@ class Focus:
 
 
 def unfocus(f):
-    """The thread a `Focus` stands for, plugged when it has stepped."""
-    return f.thread if f.thread is not None else plug(f.frames, f.hole)
+    """The thread a `Focus` stands for. A changed focus is plugged once and
+    the thread kept in `f.thread`; a focus with no frames is its hole."""
+    t = f.thread
+    if t is None:
+        t = f.thread = plug(f.frames, f.hole) if f.frames else f.hole
+    return t
 
 
 def _step(f, env, unfold):
-    """Reduce the hole of a `Focus` in place and return (f, spawned), or
-    the Blocked value that keeps it from moving now."""
+    """Reduce the hole of a `Focus` in place and return (f, spawned), the
+    spawned threads focused, or the Blocked value that keeps it from
+    moving now."""
     redex = f.hole
     cls = redex.__class__
     frames = f.frames
@@ -324,7 +331,7 @@ def _step(f, env, unfold):
         f.hole = NIL
     elif cls is Spawn:
         f.hole = NIL
-        spawned = (redex.body,)
+        spawned = (Focus(redex.body),)
     elif cls is New:
         g = env.fresh()
         f.hole = _descend(frames, substitute(redex.body, {redex.bound: g}))
@@ -340,8 +347,8 @@ def try_step(t, env, unfold):
 
     On success returns (thread', spawned threads); emission and generation
     update env in place. `unfold(ident, args)` gives a call's body. A
-    plain thread is focused, stepped and plugged; a `Focus` steps in place
-    and comes back as thread'.
+    plain thread is focused, stepped and plugged; a `Focus` steps in place,
+    comes back as thread' and spawns focused threads.
     """
     if t.__class__ is Focus:
         return _step(t, env, unfold)
@@ -349,7 +356,7 @@ def try_step(t, env, unfold):
     out = _step(f, env, unfold)
     if not out:
         return out
-    return unfocus(f), out[1]
+    return unfocus(f), tuple(map(unfocus, out[1]))
 
 
 def can_step(t, env, unfold):
@@ -368,30 +375,40 @@ def can_step(t, env, unfold):
     return True
 
 
-def _floor(t, env):
-    if isinstance(t, Nil):
-        return NIL
-    if isinstance(t, Seq):
-        return Seq(_floor(t.first, env), t.rest)
-    if isinstance(t, Await):
-        return t
-    if isinstance(t, Pause):
-        return NIL
-    if isinstance(t, Watch):
-        if env.present(t.signal):
-            return NIL
-        return Watch(t.signal, _floor(t.body, env))
-    raise NotSuspendedError(print_thread(t))
+def _floor(f, env):
+    """The end-of-instant rewrite of a suspended thread, on its focus in
+    place: the frames are cut at the outermost watch on a present signal,
+    and the hole, paused or cut, becomes NIL. Returns the thread."""
+    frames = f.frames
+    for k, frame in enumerate(frames):
+        if frame.__class__ is WatchFrame and env.present(frame.signal):
+            del frames[k:]
+            break
+    else:
+        cls = f.hole.__class__
+        if cls is Await or (cls is Nil and not frames):
+            return unfocus(f)
+        if cls is not Pause:
+            raise NotSuspendedError(print_thread(unfocus(f)))
+    f.hole = NIL
+    f.thread = None
+    return unfocus(f)
 
 
 def end_of_instant(threads, env, unfold=None):
     """Rewrite a fully suspended multiset into the next instant's program.
-    Given the run's unfolder, first check that every thread is suspended."""
+
+    A `Focus` is rewritten in place and a plain thread is focused first;
+    either way the rewritten threads are returned plugged. A thread that
+    can still step raises NotSuspendedError, unless a present watch cuts
+    the part that can; given the run's unfolder, every thread is first
+    checked to be suspended."""
+    foci = [t if t.__class__ is Focus else Focus(t) for t in threads]
     if unfold is not None:
-        for t in threads:
-            if can_step(t, env, unfold):
-                raise NotSuspendedError(print_thread(t))
-    return tuple(_floor(t, env) for t in threads)
+        for f in foci:
+            if can_step(f, env, unfold):
+                raise NotSuspendedError(print_thread(unfocus(f)))
+    return tuple(_floor(f, env) for f in foci)
 
 
 class Parking:
@@ -445,7 +462,7 @@ def _discard(index, signal, key):
 
 
 def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
-                can_step_fn, env, enter=None, leave=None):
+                can_step_fn, env):
     """Drive threads to suspension under a scheduling policy.
 
     `threads` maps keys to threads in the order of their keys and is
@@ -459,18 +476,13 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
     that the signals logged in `env.emitted` wake, the inputs first. A
     failed probe reports what blocks the thread (`Blocked`): a thread that
     awaits an absent signal is parked on it, and any other, paused or
-    terminated, is set aside until the instant ends. After each step the
-    threads parked on the signals logged since the last step are woken.
+    terminated, is set aside until the instant ends. After a step that
+    logged signals, the threads parked on them are woken.
     Presence only grows within an instant, so the invariant holds: every
     runnable thread is a candidate, every parked thread awaits an absent
     signal, and every other thread is set aside. An instant thus costs a
     few probes per step and per thread it wakes, not a rescan of every
     thread after every step.
-
-    `enter(key)` is called when a thread becomes a candidate, ready, woken
-    or spawned, and `leave(key)` when it is set aside or parked; both may
-    replace `threads[key]`, so that the step functions see another form of
-    the thread while it runs.
 
     Returns the number of steps and the keys of the threads set aside.
     The threads parked when the instant ends stay in `parking`.
@@ -478,17 +490,10 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
     steps = 0
     stopped = []
     next_key = next(reversed(threads), -1) + 1
+    emitted = env.emitted
     logged = 0
 
-    def start(keys):
-        if enter is not None:
-            for key in keys:
-                enter(key)
-        return keys
-
     def stop(key, blocked):
-        if leave is not None:
-            leave(key)
         if blocked.signal is None:
             stopped.append(key)
         else:
@@ -496,16 +501,12 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
 
     def woken():
         nonlocal logged
-        emitted = env.emitted
-        if logged == len(emitted):
-            return ()
         out = parking.wake(emitted[logged:])
         logged = len(emitted)
-        return start(out)
+        return out
 
     if policy == DETERMINISTIC:
-        heap = start(list(ready))
-        heap.extend(woken())
+        heap = [*ready, *woken()]
         heapq.heapify(heap)
         while heap:
             key = heapq.heappop(heap)
@@ -519,17 +520,16 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
             heapq.heappush(heap, key)
             for t in spawned:
                 threads[next_key] = t
-                if enter is not None:
-                    enter(next_key)
                 heapq.heappush(heap, next_key)
                 next_key += 1
-            for j in woken():
-                heapq.heappush(heap, j)
+            if len(emitted) != logged:
+                for j in woken():
+                    heapq.heappush(heap, j)
             steps += 1
         return steps, stopped
     if policy == RANDOM:
         runnable = []
-        for key in sorted([*start(list(ready)), *woken()]):
+        for key in sorted([*ready, *woken()]):
             probe = can_step_fn(threads[key])
             if probe:
                 runnable.append(key)
@@ -548,16 +548,15 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
                 stop(key, probe)
             for t in spawned:
                 threads[next_key] = t
-                if enter is not None:
-                    enter(next_key)
-                probe = can_step_fn(threads[next_key])
+                probe = can_step_fn(t)
                 if probe:
                     runnable.append(next_key)
                 else:
                     stop(next_key, probe)
                 next_key += 1
-            for j in woken():
-                bisect.insort(runnable, j)
+            if len(emitted) != logged:
+                for j in woken():
+                    bisect.insort(runnable, j)
             steps += 1
         return steps, stopped
     raise ValueError(f"unknown policy: {policy}")
@@ -694,18 +693,17 @@ class Runner:
     that ran, paused or lost a watch, and those that an input or an
     emission wakes.
 
-    A thread runs focused (`Focus`): it is decomposed when it is first
-    spawned or given to the runner, steps at its hole, and is plugged
-    when it is set aside or parked, if it has stepped. Its focus is kept
-    under its key, and the end-of-instant rewrite applies to it too, so a
-    thread that runs again, woken or in the next instant, does not
-    decompose again.
+    Every thread is kept as a `Focus`, from when it is given to the runner
+    or spawned until it ends: it steps at its hole, the end-of-instant
+    rewrite cuts and fills it in place, and it is plugged once at the end
+    of an instant in which it changed, so a thread that runs again, woken
+    or in the next instant, does not decompose again.
 
     `gen_counter` and `threads` are the state carried between instants;
     reading `threads` gives a new list. Assigning either moves the runner
-    to another state of the same program and drops the parked index and
-    the foci, so the next instant probes every thread. An instant that
-    raises leaves the runner in the state it started from.
+    to another state of the same program and drops the parked index, so
+    the next instant probes every thread. An instant that raises leaves
+    the runner in the state it started from.
     """
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0, fuel=DEFAULT_FUEL):
@@ -724,12 +722,12 @@ class Runner:
 
     @property
     def threads(self):
-        return list(self._threads.values())
+        return list(self._residual)
 
     @threads.setter
     def threads(self, threads):
-        self._threads = dict(enumerate(threads))
-        self._residual = tuple(self._threads.values())
+        self._residual = tuple(threads)
+        self._threads = {k: Focus(t) for k, t in enumerate(self._residual)}
         self._unpark()
 
     @property
@@ -744,28 +742,16 @@ class Runner:
     def _unpark(self):
         self._ready = list(self._threads)
         self._parking = Parking()
-        self._foci = {}
 
     def run_instant(self, inputs=frozenset()):
-        env, unfold, threads, foci = (self.env, self.unfold, self._threads,
-                                      self._foci)
+        env, unfold, threads = self.env, self.unfold, self._threads
         env.begin(_checked_inputs(self.program, inputs))
         env.counter = self._gen_counter
-
-        def enter(key):
-            f = foci.pop(key, None)
-            threads[key] = Focus(threads[key]) if f is None else f
-
-        def leave(key):
-            f = threads[key]
-            threads[key] = f.thread = unfocus(f)
-            foci[key] = f
-
         try:
             steps, stopped = run_threads(
                 threads, self._ready, self._parking, self.policy, self.rng,
                 self.fuel, lambda t: try_step(t, env, unfold),
-                lambda t: can_step(t, env, unfold), env, enter, leave)
+                lambda t: can_step(t, env, unfold), env)
             # a parked thread is its own floor unless a watch around it
             # fires; every signal present now was logged in env.emitted
             stopped += self._parking.unwatch(env.emitted)
@@ -778,36 +764,13 @@ class Runner:
                             if env.defined[s])
         self._ready = []
         for key, t in zip(stopped, floors):
-            if isinstance(t, Nil):
+            if t.__class__ is Nil:
                 del threads[key]
-                foci.pop(key, None)
             else:
-                threads[key] = t
                 self._ready.append(key)
-                f = foci.get(key)
-                if f is not None:
-                    _floor_focus(f, t, env)
         unfold.end_instant()
-        self._residual = tuple(threads.values())
+        self._residual = tuple(map(unfocus, threads.values()))
         return InstantResult(outputs, self._residual, steps)
-
-
-def _floor_focus(f, floor, env):
-    """The end-of-instant rewrite of a thread set aside or unwatched, on
-    its focus: the context is cut at its outermost watch on a present
-    signal, and the hole, paused or cut, becomes NIL. `floor` is the
-    thread's rewrite by `end_of_instant`, which the focus then stands
-    for."""
-    frames = f.frames
-    for k, frame in enumerate(frames):
-        if frame.__class__ is WatchFrame and env.present(frame.signal):
-            del frames[k:]
-            f.hole = NIL
-            break
-    else:
-        if f.hole.__class__ is Pause:
-            f.hole = NIL
-    f.thread = floor
 
 
 def run_trace(program, input_sets, policy=DETERMINISTIC, seed=0,
