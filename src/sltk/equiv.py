@@ -18,11 +18,12 @@ exact relation for this confluent language, and a bounded game that can
 only distinguish), and a diamond-property check for the transition system
 itself on `semantics.diamond_walk`. Both checking modes run instants the
 same way, on raw lifted threads that one saturation loop drives until
-nothing can move, and intern only where the run stops. Exact mode relies on termination and
-confluence: internal moves lead every state to one suspended state, its
-settled state, which is bisimilar to it, so the refinement numbers and
-interns settled states only, and reaches the settled state of each
-context set by adding one signal at a time to a smaller set's. Trace
+nothing can move, and intern only where the run stops. Exact mode relies
+on termination and confluence: internal moves lead every state to one
+suspended state, its settled state, which is bisimilar to it, so the
+refinement numbers and interns settled states only. It refines on the
+end of each settled state's instant and on one move per universe signal:
+emissions commute, so a context emits a set one signal at a time. Trace
 mode relies on confluence: it interns only instant boundaries, and
 grows the instant of each boundary state as a decision tree over the
 input signals the instant tests, in one run that forks wherever an
@@ -47,7 +48,7 @@ from .errors import (
     StateExplosionError,
 )
 from .mealy import shortest_separating_word
-from .semantics import check_enumerable, diamond_walk, subsets
+from .semantics import check_enumerable, diamond_walk
 from .syntax import program_names
 from .tailcore import (
     BIte,
@@ -176,14 +177,14 @@ class Space:
 
     The checking modes use none of these. They run `_saturate` on raw
     lifted threads and intern only the state where it stops. Exact mode
-    asks for settled states: `settle(sid)`, `settle_with(sid, s)` for the
-    settled state after one more emission, cached by state id and signal,
-    and `settle_eoi(sid)` for the settled state after the end of the
-    instant, cached by state id. Trace mode asks `instant(sid, S)`, which
-    interns instant boundaries only; per state it grows, in one forking
-    run, a decision tree whose leaves hold the outputs and the next state
-    of one class of input sets, and the trace game walks two such trees
-    together (`_tree`, `_reach`).
+    asks for settled states, once per state and move, so none of them is
+    cached: `settle(sid)`, `settle_with(sid, s)` for the settled state
+    after one more emission, and `settle_eoi(sid)` for the settled state
+    after the end of the instant. Trace mode asks `instant(sid, S)`,
+    which interns instant boundaries only; per state it grows, in one
+    forking run, a decision tree whose leaves hold the outputs and the
+    next state of one class of input sets, and the trace game walks two
+    such trees together (`_tree`, `_reach`).
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -201,8 +202,6 @@ class Space:
         self._barbs = {}
         self._eoi = {}
         self._emits = {}
-        self._added = {}
-        self._ends = {}
         self._bodies = {}
         self._trees = {}
 
@@ -511,31 +510,24 @@ class Space:
         return self._settled(self._items[sid], set())
 
     def settle_with(self, sid, signal):
-        """settle(with_emits(sid, {signal})) for a suspended state sid.
-        An emission marked once the state has settled leaves the same
+        """settle(with_emits(sid, {signal})) for a suspended state sid,
+        which is sid itself where the signal is marked already. An
+        emission marked once the state has settled leaves the same
         suspended state as one marked at the start of the run, so the
         settled state of a context set is reached one signal at a time."""
-        hit = self._added.get((sid, signal))
-        if hit is None:
-            items = self._items[sid]
-            if signal in _marked(items):
-                hit = sid
-            else:
-                hit = self._settled(items, {signal})
-            self._added[sid, signal] = hit
-        return hit
+        items = self._items[sid]
+        if signal in _marked(items):
+            return sid
+        return self._settled(items, {signal})
 
     def settle_eoi(self, sid):
         """settle(eoi(sid)) for a suspended state sid: each guard's branch
         picked by the marked set, then run until nothing can move."""
-        hit = self._ends.get(sid)
-        if hit is None:
-            items = self._items[sid]
-            S = _marked(items)
-            hit = self._ends[sid] = self._settled(
-                [select_branch(t.branch, S.__contains__)
-                 for t in items if isinstance(t, TPresent)], set())
-        return hit
+        items = self._items[sid]
+        S = _marked(items)
+        return self._settled([select_branch(t.branch, S.__contains__)
+                              for t in items if isinstance(t, TPresent)],
+                             set())
 
     def weak_in(self, sid, signal):
         out = set()
@@ -623,41 +615,35 @@ class _Refinement:
     1996): x is bisimilar to settle(x) and shares its block in every
     round, so only settled states are numbered. They are the settled
     states of the two seeds and those reached from a settled state y by
-    y_S = settle(with_emits(y, S)) for every context set S and by
-    settle(eoi(y)). Neither is built through the interned moves: with s
-    the largest signal of S, y_S is y_{S - {s}} with s marked and settled,
-    since an emission marked once a run has settled leaves the same
-    suspended state as one marked at its start. That step is memoized per
-    settled state and signal and is y itself when s is marked already.
-    Every y_{S - {s}} is numbered too, so the 2^|universe| context sets
-    of all numbered states cost at most one run per numbered state and
-    signal it has not marked, and the rest are lookups.
+    y_s = settle_with(y, s) for each universe signal s and by
+    settle_eoi(y). Emissions commute, so the settled state after a
+    context emits a set S is reached one signal at a time, each step a
+    numbered state with its own end of instant: a partition stable under
+    single signals and the end of the instant is stable under every
+    context set, and the converse holds as well.
 
     The partition starts as one block. Each round gives every settled
     state y a signature built from the previous partition: its own block;
-    its barbs; and for each context set S the pair (block(y_S),
-    block(settle(eoi(y_S)))). The entry for S = {} is (block(y),
-    block(settle(eoi(y)))), so it carries the end of the instant, and the
-    entries for S = {s} carry every input move on s, whose target settles
-    to y_S. States with equal signatures share the next block, and the
-    rounds stop when the number of blocks stops growing.
+    its barbs; block(settle_eoi(y)); and block(y_s) for each universe
+    signal s, whose input move settles to y_s. States with equal
+    signatures share the next block, and the rounds stop when the number
+    of blocks stops growing.
 
     A pair first split in round k differs in a part of its round-k
     signature. In round 1 that part is a barb, an observable fact. Later
     it names a pair split in an earlier round. The witness is the chain
-    of such steps from the two seeds whose labels come first in a fixed
-    order of label kinds, signals and context sets, so it does not depend
-    on the order in which states were numbered, and it has fewer steps
-    than the refinement has rounds.
+    of such steps from the two seeds whose ranks come first in a fixed
+    order (a barb, then the end of the instant, then a signal), so it
+    does not depend on the order in which states were numbered, and it
+    has fewer steps than the refinement has rounds.
     """
 
     def __init__(self, sp1, sp2, universe):
+        # numbered states carry the context's markers: up to 2^|universe|
+        check_enumerable(universe)
         self.sp1 = sp1
         self.sp2 = sp2
-        self.subsets = subsets(universe)
-        index = {S: i for i, S in enumerate(self.subsets)}
-        # each set after {} is an earlier one plus its largest signal
-        self.fold = [(index[S - {max(S)}], max(S)) for S in self.subsets[1:]]
+        self.universe = tuple(sorted(universe))
 
     def run(self, seed1, seed2):
         u, v = self._union(seed1, seed2)
@@ -668,10 +654,9 @@ class _Refinement:
             self.rounds += 1
             ids = {}
             nxt = [ids.setdefault(
-                (block[x], self.barbs[x],
-                 tuple([(block[y], block[e]) for y, e in contexts])),
+                (block[x], self.barbs[x], tuple([block[y] for y in moves])),
                 len(ids))
-                for x, contexts in enumerate(self.contexts)]
+                for x, moves in enumerate(self.moves)]
             if len(ids) == len(set(block)):
                 break
             block = nxt
@@ -683,13 +668,12 @@ class _Refinement:
     def _union(self, seed1, seed2):
         """Number the settled states of both spaces apart, as `states`, in
         the order a search from the seeds' settled states reaches them, and
-        record per state its barbs, as `barbs`, and its contexts, as
-        `contexts`: for the i-th context set S the pair of numbers of y_S
-        and settle(eoi(y_S)). Returns the numbers of the seeds' settled
+        record per state its barbs, as `barbs`, and its moves, as `moves`:
+        the numbers of settle_eoi(y) and then of y_s for each universe
+        signal s in sorted order. Returns the numbers of the seeds' settled
         states."""
         spaces = (self.sp1, self.sp2)
-        self.states, self.number, self.barbs = [], {}, []
-        ends, emits = [], []
+        self.states, self.number, self.barbs, self.moves = [], {}, [], []
 
         def number(k, sid):
             n = self.number.get((k, sid))
@@ -704,24 +688,17 @@ class _Refinement:
         for k, sid in self.states:
             sp = spaces[k]
             self.barbs.append(sp.barbs(sid))
-            ends.append(number(k, sp.settle_eoi(sid)))
-            emits.append([number(k, y) for y in self.contexts_of(sp, sid)])
-        self.contexts = [[(y, ends[y]) for y in ys] for ys in emits]
+            self.moves.append(
+                [number(k, sp.settle_eoi(sid))] +
+                [number(k, sp.settle_with(sid, s)) for s in self.universe])
         return seeds
-
-    def contexts_of(self, sp, y):
-        """y_S for every context set S, in `subsets` order, for a settled
-        state y of space sp: each y_S is y_{S - {s}}, found earlier in the
-        list, with s = max S added and settled."""
-        ys = [y]
-        for base, s in self.fold:
-            ys.append(sp.settle_with(ys[base], s))
-        return ys
 
     def explain(self, u, v):
         """The chain of (label, pair) steps that explains why the states
         u and v are split and whose ranks come first in lexicographic
-        order."""
+        order. A run of signal steps up to an end of instant or a barb is
+        one step `context emits S`, with `, instant ends` where the end of
+        the instant closes it."""
         reasons = {}
         best = {}
         stack = [(u, v)]
@@ -732,35 +709,45 @@ class _Refinement:
                 continue
             if pair not in reasons:
                 reasons[pair] = self._reasons(*pair)
-            todo = [nxt for _, _, nxt in reasons[pair]
+            todo = [nxt for _, nxt in reasons[pair]
                     if nxt is not None and nxt not in best]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            best[pair] = min(
-                (((rank, label, pair),) + (best[nxt] if nxt else ())
-                 for rank, label, nxt in reasons[pair]),
-                key=lambda chain: [rank for rank, _, _ in chain])
-        return tuple((label, pair) for _, label, pair in best[u, v])
+            best[pair] = min((((rank, pair),) + (best[nxt] if nxt else ())
+                              for rank, nxt in reasons[pair]),
+                             key=lambda chain: [rank for rank, _ in chain])
+        steps, emitted = [], []
+        for (kind, s), pair in best[u, v]:
+            if not emitted:
+                start = pair
+            if kind == 3:
+                emitted.append(s)
+                continue
+            context = f"context emits {_show_set(emitted)}"
+            if kind == 2:
+                steps.append((f"{context}, instant ends", start))
+            else:
+                if emitted:
+                    steps.append((context, start))
+                steps.append((f"emitted {s} observable", pair))
+            emitted = []
+        return tuple(steps)
 
     def _reasons(self, u, v):
-        """Every (rank, label, next pair) in which the signatures of u and
-        v differ in the round that first splits them. The next pair is None
-        for an observable fact; the rank orders labels by kind, then by
-        signal or by context set, smallest first."""
+        """Every (rank, next pair) in which the signatures of u and v
+        differ in the round that first splits them. The next pair is None
+        for an observable fact. A rank is (1, s) for a barb s, (2, "") for
+        the end of the instant and (3, s) for a universe signal s."""
         k = next(k for k, block in enumerate(self.partitions)
                  if block[u] != block[v])
         block = self.partitions[k - 1]
-        out = {((1, s), f"emitted {s} observable", None)
-               for s in self.barbs[u] ^ self.barbs[v]}
-        for i, ((x, ex), (y, ey)) in enumerate(zip(self.contexts[u],
-                                                   self.contexts[v])):
-            label = f"context emits {_show_set(self.subsets[i])}"
+        out = {((1, s), None) for s in self.barbs[u] ^ self.barbs[v]}
+        for i, (x, y) in enumerate(zip(self.moves[u], self.moves[v])):
             if block[x] != block[y]:
-                out.add(((2, i, 0), label, (x, y)))
-            elif block[ex] != block[ey]:
-                out.add(((2, i, 1), f"{label}, instant ends", (ex, ey)))
+                rank = (3, self.universe[i - 1]) if i else (2, "")
+                out.add((rank, (x, y)))
         return out
 
 

@@ -864,9 +864,9 @@ def check_strong_confluence(program, max_states=5000, max_instants=2):
         max_states=max_states)
 
 
-# Budget of `subsets`: 2**17 sets of up to 17 names take about 100 MB, and
-# Mealy extraction visits each set at every state. The trace game, which
-# may meet as many classes of input sets at a state pair, keeps it too.
+# Budget of `subsets`: 2**17 sets of up to 17 names take about 100 MB. Mealy
+# extraction visits each set per state, the trace game may meet as many input
+# set classes, and exact mode numbers a state per set of context markers.
 MAX_ENUMERATED_SIGNALS = 17
 
 

@@ -650,6 +650,16 @@ def _walking_settle(space, sid):
     return sid
 
 
+def _context_sets(space, y):
+    """{S: settled state after the context emits S} for every subset S of
+    the universe, from a settled state y: each set after {} is an earlier
+    set plus its largest signal, reached by `Space.settle_with`."""
+    out = {}
+    for S in subsets(space.universe):
+        out[S] = space.settle_with(out[S - {max(S)}], max(S)) if S else y
+    return out
+
+
 def test_one_signal_fold_equals_the_interned_path():
     programs = [p for _, p in finite_corpus()]
     rng = seeded(5)
@@ -657,12 +667,12 @@ def test_one_signal_fold_equals_the_interned_path():
     checked = 0
     for p in programs:
         space = space_for(p)
-        refinement = equiv._Refinement(space, space, space.universe)
         closure = _full_closure(space, space.intern(p.initial))
         for y in sorted(x for x in closure if space.suspended(x)):
-            folded = refinement.contexts_of(space, y)
-            assert folded == [_walking_settle(space, space.with_emits(y, S))
-                              for S in refinement.subsets], space.show(y)
+            folded = _context_sets(space, y)
+            assert folded == {S: _walking_settle(space,
+                                                 space.with_emits(y, S))
+                              for S in folded}, space.show(y)
             assert space.settle_eoi(y) == \
                 _walking_settle(space, space.eoi(y)), space.show(y)
             checked += 1
@@ -706,6 +716,46 @@ def test_exact_mode_runs_instants_on_raw_threads(monkeypatch):
     # a run per signal not yet marked, not one per context set
     numbered = len(refinements[0].states)
     assert len(runs) <= numbered * len(spaces[0].universe)
+
+
+def _settled_closure(refinement, seed1, seed2):
+    """The (k, sid) pairs that the settled states of the two seeds reach
+    by every context set and by settle_eoi."""
+    spaces = (refinement.sp1, refinement.sp2)
+    seen = {(0, spaces[0].settle(seed1)), (1, spaces[1].settle(seed2))}
+    todo = list(seen)
+    while todo:
+        k, y = todo.pop()
+        sp = spaces[k]
+        for x in [*_context_sets(sp, y).values(), sp.settle_eoi(y)]:
+            if (k, x) not in seen:
+                seen.add((k, x))
+                todo.append((k, x))
+    return seen
+
+
+def test_exact_mode_asks_each_settled_state_one_move_per_signal(
+        monkeypatch):
+    calls = Counter()
+    for name in ("settle_with", "settle_eoi"):
+        def counted(space, *args, name=name,
+                    method=getattr(equiv.Space, name)):
+            calls[name] += 1
+            return method(space, *args)
+        monkeypatch.setattr(equiv.Space, name, counted)
+    pairs = list(itertools.combinations_with_replacement(
+        _seeded_spaces(p for _, p in finite_corpus()), 2))
+    guards = one_shot_guards(6)
+    pairs.append(tuple((space, space.intern(guards.initial))
+                       for space in (space_for(guards), space_for(guards))))
+    for left, right in pairs:
+        calls.clear()
+        refinement, _ = _refine(left, right)
+        numbered = len(refinement.states)
+        assert calls == {"settle_with": numbered * len(left[0].universe),
+                         "settle_eoi": numbered}
+        assert set(refinement.states) == \
+            _settled_closure(refinement, left[1], right[1])
 
 
 # ---------------------------------------------------------------------------
