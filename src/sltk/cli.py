@@ -375,7 +375,8 @@ def main(argv=None):
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
+        # a missing file, a directory or a file that is not UTF-8 text
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (FuelExhaustedError, StateExplosionError,

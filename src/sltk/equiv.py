@@ -161,6 +161,33 @@ def _select(waiting, marks, decided, universe):
     return None, chosen
 
 
+class _Parked:
+    """A suspended state taken apart for its moves, from its canonical
+    `_canon.Printed` tuple: `guards` holds its guards parked by signal and
+    `shown` their printed forms in the same order; `marks` holds its
+    marked signals, `markers` their markers and `marked` the markers'
+    printed forms, in the same order."""
+
+    __slots__ = ("guards", "shown", "marks", "markers", "marked")
+
+    def __init__(self, items):
+        guards, shown, self.markers, self.marked = {}, {}, [], []
+        for t, p in zip(items, items.printed):
+            if isinstance(t, TEmit):
+                self.markers.append(t)
+                self.marked.append(p)
+            else:
+                guards.setdefault(t.signal, []).append(t)
+                shown.setdefault(t.signal, []).append(p)
+        self.guards = {s: tuple(g) for s, g in guards.items()}
+        self.shown = {s: tuple(p) for s, p in shown.items()}
+        self.marks = frozenset(t.signal for t in self.markers)
+
+
+# nothing parked: the start of `settle` and `settle_eoi`
+_Parked.EMPTY = _Parked(_canon.Printed((), ()))
+
+
 # ---------------------------------------------------------------------------
 # reachable state space
 
@@ -177,10 +204,14 @@ class Space:
 
     The checking modes use none of these. They run `_saturate` on raw
     lifted threads and intern only the state where it stops. Exact mode
-    asks for settled states, once per state and move, so none of them is
+    asks for settled states, once per state and move, so no move is
     cached: `settle(sid)`, `settle_with(sid, s)` for the settled state
     after one more emission, and `settle_eoi(sid)` for the settled state
-    after the end of the instant. Trace mode asks `instant(sid, S)`,
+    after the end of the instant. What is cached is each state taken
+    apart for its `settle_with` moves (`_Parked`): its guards parked by
+    signal, its marks and the printed forms of its members, so that a
+    move runs only the guards it wakes and prints only the members it
+    makes. Trace mode asks `instant(sid, S)`,
     which interns instant boundaries only; per state it grows, in one
     forking run, a decision tree whose leaves hold the outputs and the
     next state of one class of input sets, and the trace game walks two
@@ -194,6 +225,12 @@ class Space:
         self.interface = set(universe) | {PAUSE_SIGNAL}
         self.state_limit = state_limit
         self._taken = self.interface | program_names(program)
+        self._binds = _has_new(program)
+        # without binders every name a state holds is an interface name or
+        # a parameter's argument, so no state has a name to rename
+        params = {x for d in self.defs.values() for x in d.params}
+        self._ground = (not self._binds and
+                        self._taken - params <= self.interface)
         self._ids = {}
         self._items = []
         self._tau = {}
@@ -204,6 +241,7 @@ class Space:
         self._emits = {}
         self._bodies = {}
         self._trees = {}
+        self._parked = {}
 
     def intern(self, items):
         """The id of the state of `items`. Items given as a
@@ -211,20 +249,33 @@ class Space:
         are not computed again.
 
         A state keeps one member per printed form: equal threads have the
-        same moves, and emission is idempotent, so P | P behaves as P."""
+        same moves, and emission is idempotent, so P | P behaves as P. It
+        is keyed by the set of those printed forms. In a ground space no
+        member has a name to rename, so the members sorted by printed form
+        are the canonical tuple, with no call to `canonical_multiset`."""
         if not isinstance(items, _canon.Printed):
             items = _lifted(items, _canon.name_supply("%l", self._taken))
-        canonical, _ = _canon.canonical_multiset(items, self.interface,
-                                                 print_tail)
-        if len(set(canonical.printed)) < len(canonical):
-            distinct = dict(zip(canonical.printed, canonical))
-            canonical = _canon.Printed(distinct.values(), tuple(distinct))
-        sid = self._ids.get(canonical.printed)
+            if self._ground:
+                items = _canon.Printed(items, tuple(map(print_tail, items)))
+        if self._ground:
+            distinct = dict(zip(items.printed, items))
+            printed = sorted(distinct)
+            canonical = _canon.Printed([distinct[p] for p in printed],
+                                       tuple(printed))
+        else:
+            canonical, _ = _canon.canonical_multiset(items, self.interface,
+                                                     print_tail)
+            if len(set(canonical.printed)) < len(canonical):
+                distinct = dict(zip(canonical.printed, canonical))
+                canonical = _canon.Printed(distinct.values(),
+                                           tuple(distinct))
+        key = frozenset(canonical.printed)
+        sid = self._ids.get(key)
         if sid is None:
             if len(self._items) >= self.state_limit:
                 raise StateExplosionError(self.state_limit)
             sid = len(self._items)
-            self._ids[canonical.printed] = sid
+            self._ids[key] = sid
             self._items.append(canonical)
         return sid
 
@@ -477,31 +528,49 @@ class Space:
         return steps
 
     def _intern_raw(self, members):
-        """Intern lifted members. States are keyed by the distinct printed
-        forms of their canonical tuple, which is sorted by printed form, and
-        printing is injective: so members whose distinct sorted printed
-        forms are a key are that state, whatever _canon makes of them. A
-        miss becomes another key of its state, and its members are not
-        printed again."""
-        printed = tuple(map(print_tail, members))
-        key = tuple(sorted(set(printed)))
+        """Intern lifted members, printed here unless they come as a
+        `_canon.Printed`. States are keyed by the set of the printed forms
+        of their canonical tuple, and printing is injective: so members
+        whose printed forms make up a key are that state, whatever _canon
+        makes of them. A miss becomes another key of its state, and its
+        members are not printed again."""
+        if not isinstance(members, _canon.Printed):
+            members = _canon.Printed(members, tuple(map(print_tail, members)))
+        key = frozenset(members.printed)
         sid = self._ids.get(key)
         if sid is None:
-            sid = self._ids[key] = self.intern(
-                _canon.Printed(members, printed))
+            sid = self._ids[key] = self.intern(members)
         return sid
 
-    def _settled(self, threads, marks):
+    def _settled(self, threads, marks, parked=_Parked.EMPTY):
         """Intern the suspended state that internal moves reach from the
-        raw `threads` with the signals `marks` marked."""
+        raw `threads` with the signals `marks` and those of `parked`
+        marked and the guards of `parked` parked, those on a marked signal
+        woken. Only what the run made is printed: the printed forms of the
+        guards that stay parked and of the markers of `parked` are carried
+        over."""
         supply = _canon.name_supply("%i", self._taken)
-        work, waiting = [], {}
+        marks |= parked.marks
+        work, waiting = [], dict(parked.guards)
         for t in threads:
             _lift(t, work, marks, supply)
+        for s in marks & waiting.keys():
+            work += waiting.pop(s)
         self._saturate(work, marks, waiting, supply, 0, FUEL)
-        return self._intern_raw(
-            [t for guards in waiting.values() for t in guards] +
-            [TEmit(s, TNIL) for s in marks])
+        members, printed = list(parked.markers), list(parked.marked)
+        for s in marks - parked.marks:
+            marker = TEmit(s, TNIL)
+            members.append(marker)
+            printed.append(print_tail(marker))
+        for s, guards in waiting.items():
+            members += guards
+            # guards only join the tuple of their signal, which leaves
+            # `waiting` once the signal is marked
+            kept = parked.shown.get(s, ())
+            printed += kept
+            if len(kept) < len(guards):
+                printed += map(print_tail, guards[len(kept):])
+        return self._intern_raw(_canon.Printed(members, printed))
 
     def settle(self, sid):
         """The suspended state that internal moves reach from sid. Where
@@ -514,11 +583,18 @@ class Space:
         which is sid itself where the signal is marked already. An
         emission marked once the state has settled leaves the same
         suspended state as one marked at the start of the run, so the
-        settled state of a context set is reached one signal at a time."""
-        items = self._items[sid]
-        if signal in _marked(items):
+        settled state of a context set is reached one signal at a time.
+
+        The move starts from the state's parked guards (`_Parked`, taken
+        apart once per state): it wakes the guards on `signal` and leaves
+        the others parked, so only the guards and markers it makes are
+        printed."""
+        parked = self._parked.get(sid)
+        if parked is None:
+            parked = self._parked[sid] = _Parked(self._items[sid])
+        if signal in parked.marks:
             return sid
-        return self._settled(items, {signal})
+        return self._settled((), {signal}, parked)
 
     def settle_eoi(self, sid):
         """settle(eoi(sid)) for a suspended state sid: each guard's branch
@@ -872,7 +948,7 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     acyclic = not _calls_cyclic(p1) and not _calls_cyclic(p2)
     if acyclic:
         return _Refinement(sp1, sp2, universe).run(seed1, seed2)
-    if not _has_new(p1) and not _has_new(p2):
+    if not sp1._binds and not sp2._binds:
         return _trace_game(sp1, seed1, sp2, seed2, universe)
     raise NotFiniteStateError(
         "definitions are recursive and generate signals; "

@@ -421,6 +421,18 @@ def test_usage_and_file_errors_exit_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_unreadable_files_exit_1(tmp_path, capsys):
+    copy = put(tmp_path, "copy.slt", COPY_SLT)
+    latin = tmp_path / "latin.slt"
+    latin.write_bytes(b"(input s\xe9)\n(run 0)\n")
+    for argv in (("run", str(tmp_path)),
+                 ("run-tail", copy, "--inputs", str(tmp_path)),
+                 ("equiv", copy, str(latin))):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+
+
 @pytest.mark.parametrize("command, flag", [
     ("run", "--instants"), ("run", "--fuel"), ("run-tail", "--instants"),
     ("step", "--fuel"), ("check-reactivity", "--unfold-depth"),

@@ -33,7 +33,8 @@ from sltk.mealy import (
 )
 from sltk.semantics import ConfluenceOk, subsets
 from sltk.syntax import parse_program
-from sltk.tailcore import BLeaf, TEmit, TNIL, TPresent, parse_tail_program
+from sltk.tailcore import (
+    BLeaf, TEmit, TNIL, TPresent, parse_tail_program, print_tail)
 
 from .corpus import (
     PILED_WAITERS,
@@ -660,10 +661,31 @@ def _context_sets(space, y):
     return out
 
 
+# guards on inputs that park and emit on a generated name, across two
+# instants
+RELAYED_NAME = """
+(input s1 s2)
+(output s3)
+(run (new x (thread! (present s1 (present x (emit! s3 0) 0) 0)
+                     (present s2 (emit! x 0)
+                              (ite s1 (present s2 (emit! x 0) 0) 0)))))
+"""
+
+
+def _binding_acyclic_programs():
+    """The call-acyclic programs that bind names: exact mode labels their
+    states canonically."""
+    programs = [p for p in map(tp, TAIL_TEXTS.values())
+                if equiv._has_new(p) and not equiv._calls_cyclic(p)]
+    return programs + [tp(FRESH_NAMES), tp(RELAYED_NAME)]
+
+
 def test_one_signal_fold_equals_the_interned_path():
     programs = [p for _, p in finite_corpus()]
     rng = seeded(5)
     programs += [random_finite_program(rng) for _ in range(40)]
+    # their states hold generated names, which the spaces label canonically
+    programs += _binding_acyclic_programs()
     checked = 0
     for p in programs:
         space = space_for(p)
@@ -677,6 +699,11 @@ def test_one_signal_fold_equals_the_interned_path():
                 _walking_settle(space, space.eoi(y)), space.show(y)
             checked += 1
     assert checked > 500
+
+
+def test_only_programs_without_binders_have_ground_spaces():
+    assert all(space_for(p)._ground for _, p in finite_corpus())
+    assert not any(space_for(p)._ground for p in _binding_acyclic_programs())
 
 
 def one_shot_guards(n):
@@ -1028,6 +1055,49 @@ def test_a_raw_intern_prints_each_member_once(monkeypatch):
     printed.clear()
     assert sp._intern_raw(members[::-1]) == sid
     assert sorted(printed.values()) == [1] * len(members)
+
+
+def test_a_move_prints_only_the_members_it_makes(monkeypatch):
+    printed = []
+
+    def counting(t, original=equiv.print_tail):
+        printed.append(t)
+        return original(t)
+
+    monkeypatch.setattr(equiv, "print_tail", counting)
+    p = one_shot_guards(6)
+    sp = space_for(p)
+    seed = sp.settle(sp.intern(p.initial))
+    # the seed parks six guards; i3 wakes one, which emits o: the guard
+    # fires, and only the markers of i3 and o are new
+    printed.clear()
+    y = sp.settle_with(seed, "i3")
+    assert sorted(map(print_tail, printed)) == ["(emit! i3 0)",
+                                                "(emit! o 0)"]
+    # the five guards left are carried over from the seed
+    assert len(sp._items[y]) == 7
+    printed.clear()
+    sp.settle_with(y, "i5")
+    assert list(map(print_tail, printed)) == ["(emit! i5 0)"]
+    printed.clear()
+    assert sp.settle_with(y, "o") == y
+    assert printed == []
+
+
+def test_only_spaces_with_names_to_rename_label_canonically(monkeypatch):
+    calls = []
+    canonical = equiv._canon.canonical_multiset
+
+    def counting(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(equiv._canon, "canonical_multiset", counting)
+    ground = one_shot_guards(6)
+    assert bisim_check(ground, ground, mode=EXACT)
+    assert calls == []
+    assert bisim_check(tp(FRESH_NAMES), tprog("t_nil"), mode=EXACT)
+    assert len(calls) >= 1
 
 
 def letter_game(p1, p2, depth=None):
