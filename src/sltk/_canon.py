@@ -25,10 +25,10 @@ the fields unrolled, the way `Term` writes `__init__`.
 A canonical form fixes the interface names and renames every other name by
 a bijection, to %g0, %g1, ..., so that two multisets are equal after
 canonicalization exactly when such a bijection between them exists, at any
-size. Its work follows the names to rename: a multiset with none is printed
-once and sorted, and names shared between items are labelled by colour
-refinement and individualization (`_label`), whose search has one budget,
-LEAF_LIMIT.
+size. Its work follows the names to rename: a multiset with none is sorted
+by printed form, which a tail node keeps (`tailcore.print_tail`), and names
+shared between items are labelled by colour refinement and individualization
+(`_label`), whose search has one budget, LEAF_LIMIT.
 """
 
 from .errors import LabellingLimitError
@@ -328,24 +328,13 @@ def has_binder(t):
 LEAF_LIMIT = 10_000
 
 
-class Printed(tuple):
-    """A tuple of terms whose `printed` holds their printed forms, in the
-    same order."""
-
-    def __new__(cls, terms, printed):
-        form = super().__new__(cls, terms)
-        form.printed = printed
-        return form
-
-
 def canonical_multiset(items, interface, show):
     """Return (canonical tuple, renaming) for a multiset of terms.
 
     The renamable names are the names outside the interface: the free
     ones and the binders, which are freshened apart first in the items
     that have them. An item with no renamable name is ground: it is its
-    own canonical form and is printed once, or not at all when `items` is
-    a `Printed` that brings its printed forms. The other items split into
+    own canonical form and is shown once. The other items split into
     components, the classes of items linked by shared renamable names,
     and `_label` names each component %g0, %g1, ... canonically.
     Components are sorted by their printed items under those local names
@@ -353,20 +342,19 @@ def canonical_multiset(items, interface, show):
     get equal tuples exactly when a bijection of renamable names maps one
     onto the other.
 
-    `show` is the family's printer. The canonical tuple is a `Printed`
-    sorted by printed form. The renaming maps the original
-    free non-interface names to their %gN replacements (binder renamings
-    are internal and omitted).
+    `show` is the family's printer. The canonical tuple is a plain tuple
+    sorted by printed form. The renaming maps the original free
+    non-interface names to their %gN replacements (binder renamings are
+    internal and omitted).
     """
     interface = set(interface)
-    printed = items.printed if isinstance(items, Printed) else None
     shown, pending, bound = [], [], []
-    for k, it in enumerate(items):
+    for it in items:
         names = []
         if _collect(it, names):
             bound.append(it)
         elif interface.issuperset(names):
-            shown.append((show(it) if printed is None else printed[k], it))
+            shown.append((show(it), it))
         else:
             pending.append((it, _renamable(names, interface)))
     binders = set()
@@ -394,8 +382,7 @@ def canonical_multiset(items, interface, show):
     for n in binders:
         del renaming[n]
     shown.sort(key=lambda pair: pair[0])
-    return (Printed([t for _, t in shown], tuple(s for s, _ in shown)),
-            renaming)
+    return tuple(t for _, t in shown), renaming
 
 
 def _renamable(names, interface):

@@ -92,10 +92,14 @@ def _lift(t, members, marks, supply):
 
 
 def _lifted(items, supply):
-    """The items in lifted normal form, each marker once."""
+    """The items in lifted normal form. Guards, calls and markers
+    `(emit! s 0)` are lifted already and come back as they are."""
     members, marks = [], set()
     for t in items:
-        _lift(t, members, marks, supply)
+        if t.__class__ is TEmit and t.next.__class__ is TNil:
+            members.append(t)
+        else:
+            _lift(t, members, marks, supply)
     return members + [TEmit(s, TNIL) for s in marks]
 
 
@@ -162,30 +166,26 @@ def _select(waiting, marks, decided, universe):
 
 
 class _Parked:
-    """A suspended state taken apart for its moves, from its canonical
-    `_canon.Printed` tuple: `guards` holds its guards parked by signal and
-    `shown` their printed forms in the same order; `marks` holds its
-    marked signals, `markers` their markers and `marked` the markers'
-    printed forms, in the same order."""
+    """A suspended state taken apart for its moves: `guards` holds its
+    guards parked by signal, `markers` its markers and `marks` their
+    signals. The members are the state's own nodes, which keep their
+    printed forms."""
 
-    __slots__ = ("guards", "shown", "marks", "markers", "marked")
+    __slots__ = ("guards", "marks", "markers")
 
     def __init__(self, items):
-        guards, shown, self.markers, self.marked = {}, {}, [], []
-        for t, p in zip(items, items.printed):
+        guards, self.markers = {}, []
+        for t in items:
             if isinstance(t, TEmit):
                 self.markers.append(t)
-                self.marked.append(p)
             else:
                 guards.setdefault(t.signal, []).append(t)
-                shown.setdefault(t.signal, []).append(p)
         self.guards = {s: tuple(g) for s, g in guards.items()}
-        self.shown = {s: tuple(p) for s, p in shown.items()}
         self.marks = frozenset(t.signal for t in self.markers)
 
 
 # nothing parked: the start of `settle` and `settle_eoi`
-_Parked.EMPTY = _Parked(_canon.Printed((), ()))
+_Parked.EMPTY = _Parked(())
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +209,10 @@ class Space:
     after one more emission, and `settle_eoi(sid)` for the settled state
     after the end of the instant. What is cached is each state taken
     apart for its `settle_with` moves (`_Parked`): its guards parked by
-    signal, its marks and the printed forms of its members, so that a
-    move runs only the guards it wakes and prints only the members it
-    makes. Trace mode asks `instant(sid, S)`,
-    which interns instant boundaries only; per state it grows, in one
+    signal and its markers, so that a move runs only the guards it wakes
+    and, as the nodes it keeps hold their text (`print_tail`), renders
+    only the members it makes. Trace mode asks `instant(sid, S)`, which
+    interns instant boundaries only; per state it grows, in one
     forking run, a decision tree whose leaves hold the outputs and the
     next state of one class of input sets, and the trace game walks two
     such trees together (`_tree`, `_reach`).
@@ -244,43 +244,32 @@ class Space:
         self._parked = {}
 
     def intern(self, items):
-        """The id of the state of `items`. Items given as a
-        `_canon.Printed` must be lifted already, and their printed forms
-        are not computed again.
+        """The id of the state of `items`, lifted here; members lifted
+        already pass through as they are (`_lifted`).
 
         A state keeps one member per printed form: equal threads have the
         same moves, and emission is idempotent, so P | P behaves as P. It
         is keyed by the set of those printed forms. In a ground space no
         member has a name to rename, so the members sorted by printed form
         are the canonical tuple, with no call to `canonical_multiset`."""
-        if not isinstance(items, _canon.Printed):
-            items = _lifted(items, _canon.name_supply("%l", self._taken))
-            if self._ground:
-                items = _canon.Printed(items, tuple(map(print_tail, items)))
+        items = _lifted(items, _canon.name_supply("%l", self._taken))
         if self._ground:
-            distinct = dict(zip(items.printed, items))
-            printed = sorted(distinct)
-            canonical = _canon.Printed([distinct[p] for p in printed],
-                                       tuple(printed))
+            canonical = sorted(items, key=print_tail)
         else:
             canonical, _ = _canon.canonical_multiset(items, self.interface,
                                                      print_tail)
-            if len(set(canonical.printed)) < len(canonical):
-                distinct = dict(zip(canonical.printed, canonical))
-                canonical = _canon.Printed(distinct.values(),
-                                           tuple(distinct))
-        key = frozenset(canonical.printed)
+        distinct = {print_tail(t): t for t in canonical}
+        key = frozenset(distinct)
         sid = self._ids.get(key)
         if sid is None:
             if len(self._items) >= self.state_limit:
                 raise StateExplosionError(self.state_limit)
-            sid = len(self._items)
-            self._ids[key] = sid
-            self._items.append(canonical)
+            sid = self._ids[key] = len(self._items)
+            self._items.append(tuple(distinct.values()))
         return sid
 
     def show(self, sid):
-        return " | ".join(self._items[sid].printed) or "0"
+        return " | ".join(map(print_tail, self._items[sid])) or "0"
 
     def _steps(self, sid):
         """(action, replacement threads) for every move of a state."""
@@ -288,9 +277,8 @@ class Space:
         marked = _marked(items)
         out = []
         for i, t in enumerate(items):
-            # markers have no moves; equal members are adjacent and have
-            # the same moves
-            if isinstance(t, TEmit) or (i and t == items[i - 1]):
+            # markers have no moves, and a state holds no member twice
+            if isinstance(t, TEmit):
                 continue
             rest = items[:i] + items[i + 1:]
             if isinstance(t, TCall):
@@ -528,15 +516,12 @@ class Space:
         return steps
 
     def _intern_raw(self, members):
-        """Intern lifted members, printed here unless they come as a
-        `_canon.Printed`. States are keyed by the set of the printed forms
-        of their canonical tuple, and printing is injective: so members
-        whose printed forms make up a key are that state, whatever _canon
-        makes of them. A miss becomes another key of its state, and its
-        members are not printed again."""
-        if not isinstance(members, _canon.Printed):
-            members = _canon.Printed(members, tuple(map(print_tail, members)))
-        key = frozenset(members.printed)
+        """Intern lifted members. States are keyed by the set of the
+        printed forms of their canonical tuple, and printing is injective:
+        so members whose printed forms make up a key are that state,
+        whatever _canon makes of them. A miss becomes another key of its
+        state, and `intern` reads the members' kept text."""
+        key = frozenset(map(print_tail, members))
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = self.intern(members)
@@ -546,9 +531,9 @@ class Space:
         """Intern the suspended state that internal moves reach from the
         raw `threads` with the signals `marks` and those of `parked`
         marked and the guards of `parked` parked, those on a marked signal
-        woken. Only what the run made is printed: the printed forms of the
-        guards that stay parked and of the markers of `parked` are carried
-        over."""
+        woken. The guards that stay parked and the markers of `parked` are
+        the state's own nodes and keep their text, so only what the run
+        made is rendered."""
         supply = _canon.name_supply("%i", self._taken)
         marks |= parked.marks
         work, waiting = [], dict(parked.guards)
@@ -557,20 +542,11 @@ class Space:
         for s in marks & waiting.keys():
             work += waiting.pop(s)
         self._saturate(work, marks, waiting, supply, 0, FUEL)
-        members, printed = list(parked.markers), list(parked.marked)
-        for s in marks - parked.marks:
-            marker = TEmit(s, TNIL)
-            members.append(marker)
-            printed.append(print_tail(marker))
-        for s, guards in waiting.items():
+        members = list(parked.markers)
+        members += [TEmit(s, TNIL) for s in marks - parked.marks]
+        for guards in waiting.values():
             members += guards
-            # guards only join the tuple of their signal, which leaves
-            # `waiting` once the signal is marked
-            kept = parked.shown.get(s, ())
-            printed += kept
-            if len(kept) < len(guards):
-                printed += map(print_tail, guards[len(kept):])
-        return self._intern_raw(_canon.Printed(members, printed))
+        return self._intern_raw(members)
 
     def settle(self, sid):
         """The suspended state that internal moves reach from sid. Where
@@ -588,7 +564,7 @@ class Space:
         The move starts from the state's parked guards (`_Parked`, taken
         apart once per state): it wakes the guards on `signal` and leaves
         the others parked, so only the guards and markers it makes are
-        printed."""
+        rendered."""
         parked = self._parked.get(sid)
         if parked is None:
             parked = self._parked[sid] = _Parked(self._items[sid])

@@ -75,7 +75,7 @@ PAUSE_SIGNAL = "%pause"
 
 
 class Tail(_canon.Term):
-    __slots__ = ()
+    __slots__ = ("_text",)  # kept by `print_tail`; not a field
 
 
 class TNil(Tail):
@@ -140,20 +140,34 @@ def tail_substitute(t, mapping):
 
 
 def print_tail(t):
+    """The printed form of a tail thread. The first call renders the node
+    (its subterms through `print_tail`) and keeps the text in its `_text`
+    slot, through the slot descriptor as `_canon` writes fields; ==, hash,
+    repr, copy and pickle ignore it. A `Branch` keeps no text of its own."""
+    try:
+        return t._text
+    except AttributeError:
+        pass
     if isinstance(t, TNil):
-        return "0"
-    if isinstance(t, TEmit):
-        return f"(emit! {t.signal} {print_tail(t.next)})"
-    if isinstance(t, TNew):
-        return f"(new {t.bound} {print_tail(t.body)})"
-    if isinstance(t, TSpawn):
-        return f"(thread! {print_tail(t.spawned)} {print_tail(t.next)})"
-    if isinstance(t, TPresent):
-        return (f"(present {t.signal} {print_tail(t.then)}"
+        text = "0"
+    elif isinstance(t, TEmit):
+        text = f"(emit! {t.signal} {print_tail(t.next)})"
+    elif isinstance(t, TNew):
+        text = f"(new {t.bound} {print_tail(t.body)})"
+    elif isinstance(t, TSpawn):
+        text = f"(thread! {print_tail(t.spawned)} {print_tail(t.next)})"
+    elif isinstance(t, TPresent):
+        text = (f"(present {t.signal} {print_tail(t.then)}"
                 f" {print_branch(t.branch)})")
-    if isinstance(t, TCall):
-        return "(call " + " ".join((t.ident,) + t.args) + ")"
-    raise TypeError(f"not a tail thread: {t!r}")
+    elif isinstance(t, TCall):
+        text = "(call " + " ".join((t.ident,) + t.args) + ")"
+    else:
+        raise TypeError(f"not a tail thread: {t!r}")
+    _set_text(t, text)
+    return text
+
+
+_set_text = Tail._text.__set__
 
 
 def print_branch(b):

@@ -1038,50 +1038,61 @@ def test_trace_mode_interns_only_instant_boundaries(monkeypatch):
     assert all(len(sp._items) <= 2 for sp in spaces)
 
 
-def test_a_raw_intern_prints_each_member_once(monkeypatch):
-    printed = Counter()
+def record_renders(monkeypatch):
+    """The nodes `equiv` prints that have no printed form yet, in order:
+    a node keeps its text once printed, so a later print renders
+    nothing."""
+    rendered = []
 
     def counting(t, original=equiv.print_tail):
-        printed[t] += 1
+        if not hasattr(t, "_text"):
+            rendered.append(t)
         return original(t)
 
     monkeypatch.setattr(equiv, "print_tail", counting)
+    return rendered
+
+
+def test_a_raw_intern_prints_each_member_once(monkeypatch):
+    rendered = record_renders(monkeypatch)
     sp = space_for(guard_loop(3))
-    members = [TPresent(f"i{k}", TEmit("o1", TNIL), BLeaf(TNIL))
-               for k in (1, 2, 3)] + [TEmit("i2", TNIL)]
-    # a miss prints the members for its key, and _canon prints none again
-    sid = sp._intern_raw(members)
-    assert sorted(printed.values()) == [1] * len(members)
-    printed.clear()
-    assert sp._intern_raw(members[::-1]) == sid
-    assert sorted(printed.values()) == [1] * len(members)
+
+    def members():
+        return [TPresent(f"i{k}", TEmit("o1", TNIL), BLeaf(TNIL))
+                for k in (1, 2, 3)] + [TEmit("i2", TNIL)]
+
+    # a miss renders the members for its key, and `intern` renders none again
+    first = members()
+    sid = sp._intern_raw(first)
+    assert sorted(map(id, rendered)) == sorted(map(id, first))
+    # the same nodes again render nothing; equal new nodes render once each
+    rendered.clear()
+    assert sp._intern_raw(first[::-1]) == sid
+    assert rendered == []
+    again = members()
+    assert sp._intern_raw(again) == sid
+    assert sorted(map(id, rendered)) == sorted(map(id, again))
 
 
 def test_a_move_prints_only_the_members_it_makes(monkeypatch):
-    printed = []
-
-    def counting(t, original=equiv.print_tail):
-        printed.append(t)
-        return original(t)
-
-    monkeypatch.setattr(equiv, "print_tail", counting)
+    rendered = record_renders(monkeypatch)
     p = one_shot_guards(6)
     sp = space_for(p)
     seed = sp.settle(sp.intern(p.initial))
     # the seed parks six guards; i3 wakes one, which emits o: the guard
     # fires, and only the markers of i3 and o are new
-    printed.clear()
+    rendered.clear()
     y = sp.settle_with(seed, "i3")
-    assert sorted(map(print_tail, printed)) == ["(emit! i3 0)",
-                                                "(emit! o 0)"]
-    # the five guards left are carried over from the seed
+    assert sorted(map(print_tail, rendered)) == ["(emit! i3 0)",
+                                                 "(emit! o 0)"]
+    # the five guards left are the seed's own nodes, with their text
     assert len(sp._items[y]) == 7
-    printed.clear()
+    rendered.clear()
     sp.settle_with(y, "i5")
-    assert list(map(print_tail, printed)) == ["(emit! i5 0)"]
-    printed.clear()
+    assert list(map(print_tail, rendered)) == ["(emit! i5 0)"]
+    rendered.clear()
     assert sp.settle_with(y, "o") == y
-    assert printed == []
+    assert rendered == []
 
 
 def test_only_spaces_with_names_to_rename_label_canonically(monkeypatch):

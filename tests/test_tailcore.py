@@ -251,3 +251,12 @@ def test_print_tail_is_stable():
         "c", BLeaf(TNIL), BLeaf(TCall("D", ("a",))))))
     text = print_tail(t)
     assert text == "(thread! (emit! a 0) (present b 0 (ite c 0 (call D a))))"
+
+
+def test_print_tail_takes_one_frame_per_level():
+    # keeping the text must not add a call per node: an 800-deep chain
+    # prints under the default recursion limit of 1,000
+    t = TNIL
+    for _ in range(800):
+        t = TEmit("a", t)
+    assert print_tail(t) == "(emit! a " * 800 + "0" + ")" * 800

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sltk import _canon
+from sltk import _canon, tailcore
 from sltk._canon import BIND, KEEP, SIG, SIGS, SUB
 from sltk.errors import LabellingLimitError
 from sltk.syntax import (
@@ -376,6 +376,105 @@ def test_equality_and_hash_follow_printed_forms(s, t):
 
 
 # ---------------------------------------------------------------------------
+# the printed form a tail node keeps
+
+
+def reference_print(t):
+    """`print_tail` and `print_branch` rendered afresh from the fields at
+    every node, with no kept text."""
+    if isinstance(t, BLeaf):
+        return reference_print(t.tail)
+    if isinstance(t, BIte):
+        return (f"(ite {t.signal} {reference_print(t.then)}"
+                f" {reference_print(t.other)})")
+    if isinstance(t, TEmit):
+        return f"(emit! {t.signal} {reference_print(t.next)})"
+    if isinstance(t, TNew):
+        return f"(new {t.bound} {reference_print(t.body)})"
+    if isinstance(t, TSpawn):
+        return (f"(thread! {reference_print(t.spawned)}"
+                f" {reference_print(t.next)})")
+    if isinstance(t, TPresent):
+        return (f"(present {t.signal} {reference_print(t.then)}"
+                f" {reference_print(t.branch)})")
+    if isinstance(t, TCall):
+        return "(call " + " ".join((t.ident,) + t.args) + ")"
+    return "0"
+
+
+def counting_renders(monkeypatch):
+    """The tail nodes that `tailcore.print_tail` renders from here on,
+    subterms included: those it is called on before they have a text."""
+    rendered = []
+
+    def counting(t, original=tailcore.print_tail):
+        if not hasattr(t, "_text"):
+            rendered.append(t)
+        return original(t)
+
+    monkeypatch.setattr(tailcore, "print_tail", counting)
+    return rendered
+
+
+SAMPLE = TSpawn(TEmit("a", TNIL), TPresent("b", TCall("K", ("a",)), BIte(
+    "c", BLeaf(TNIL), BLeaf(TNew("x", TEmit("x", TNIL))))))
+
+
+def test_a_tail_node_renders_once(monkeypatch):
+    t = copy.copy(SAMPLE)
+    rendered = counting_renders(monkeypatch)
+    text = tailcore.print_tail(t)
+    assert text == reference_print(t)
+    assert rendered[0] is t
+    rendered.clear()
+    assert tailcore.print_tail(t) is text
+    assert rendered == []
+
+
+def test_the_kept_text_is_not_part_of_the_node(monkeypatch):
+    fresh = copy.copy(SAMPLE)
+    text = print_tail(SAMPLE)
+    # equal to a node that has no text yet, in every way a field shows
+    assert not hasattr(fresh, "_text")
+    assert fresh == SAMPLE and hash(fresh) == hash(SAMPLE)
+    assert repr(fresh) == repr(SAMPLE)
+    # a copy or a pickle round trip starts without text and prints the same
+    rendered = counting_renders(monkeypatch)
+    for other in (copy.copy(SAMPLE), pickle.loads(pickle.dumps(SAMPLE))):
+        assert other is not SAMPLE and other == SAMPLE
+        assert not hasattr(other, "_text")
+        rendered.clear()
+        assert tailcore.print_tail(other) == text
+        assert rendered[0] is other
+
+
+def test_the_kept_text_refuses_assignment():
+    t = TCall("K", ("a",))
+    text = print_tail(t)
+    for name in ("_text", "ident", "args"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert print_tail(t) == text and t == TCall("K", ("a",))
+
+
+@LAWS
+@given(tail_terms(DEPTH), st.dictionaries(NAMES, NAMES, max_size=3),
+       st.dictionaries(NAMES, NAMES, max_size=3))
+def test_walked_tail_terms_print_afresh(t, sub, m):
+    # every node of t keeps its text before the walkers run, so a walker
+    # that gave a changed node an old node's text would print it here
+    print_tail(t)
+    supply = _canon.name_supply("%u", set(_canon.occurrences(t)))
+    for walked in (_canon.substitute(t, sub), _canon.rename_all(t, m),
+                   _canon.freshen_apart(t, supply)):
+        for node in nodes(walked):
+            if isinstance(node, Tail):
+                assert print_tail(node) == reference_print(node)
+
+
+# ---------------------------------------------------------------------------
 # canonical forms of multisets
 
 
@@ -494,7 +593,7 @@ def test_ground_items_are_printed_once_each():
     canonical, renaming = _canon.canonical_multiset(items, INTERFACE, show)
     assert show.calls == 7
     assert canonical == tuple(items) and renaming == {}
-    assert canonical.printed == ("(call K a)",) * 7
+    assert tuple(map(print_tail, canonical)) == ("(call K a)",) * 7
 
 
 @pytest.mark.parametrize("n", range(7, 13))
