@@ -16,11 +16,12 @@ class's constructor, equality, hash and repr from them and sets
 Because constructor order is SHAPE order, a walker rebuilds a node as
 `type(t)(*fields)`. The six walkers below serve both families:
 `occurrences`, `free_signals`, `rename_all`, `substitute`, `freshen_apart`
-and `has_binder`. `substitute` and `freshen_apart` return a node itself
-when nothing below it changes. The runners substitute at every call and
-every `new`, so `substitute` does not read the field table at each node:
-it is compiled once per node class from its SHAPE into a function with
-the fields unrolled, the way `Term` writes `__init__`.
+and `scan`, which walks without recursion for `free_signals` and for a
+program's facts (`syntax.Program`). `substitute` and `freshen_apart` return
+a node itself when nothing below it changes. The runners substitute at
+every call and every `new`, so `substitute` does not read the field table
+at each node: it is compiled once per node class from its SHAPE into a
+function with the fields unrolled, the way `Term` writes `__init__`.
 
 A canonical form fixes the interface names and renames every other name by
 a bijection, to %g0, %g1, ..., so that two multisets are equal after
@@ -169,25 +170,9 @@ def _collect(t, out):
 
 def free_signals(t):
     """The signal names free in t."""
-    out = set()
-    _free(t, frozenset(), out)
-    return frozenset(out)
-
-
-def _free(t, bound, out):
-    scope = bound
-    for name, kind in _FIELDS[type(t)]:
-        v = getattr(t, name)
-        if kind is SUB:
-            _free(v, scope, out)
-            scope = bound
-        elif kind is BIND:
-            scope = bound | {v}
-        elif kind is SIG:
-            if v not in scope:
-                out.add(v)
-        elif kind is SIGS:
-            out.update(a for a in v if a not in scope)
+    free = set()
+    scan(t, set(), free)
+    return frozenset(free)
 
 
 def rename_all(t, m):
@@ -309,12 +294,37 @@ def freshen_apart(t, supply):
     return type(t)(*out) if changed else t
 
 
-def has_binder(t):
-    """Whether t contains a binder."""
-    for name, kind in _FIELDS[type(t)]:
-        if kind is BIND or (kind is SUB and has_binder(getattr(t, name))):
-            return True
-    return False
+def scan(t, names, free):
+    """Add the names of t to `names` and its free names to `free`, and
+    return whether t has a binder. A stack of its own replaces recursion:
+    `scopes` counts the binders of each name around the node at hand, and
+    a pair (name, 1) or (name, -1) on the stack enters or leaves one."""
+    bound = False
+    scopes = {}
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is tuple:
+            scopes[t[0]] = scopes.get(t[0], 0) + t[1]
+            continue
+        fields = iter(_FIELDS[t.__class__])
+        for name, kind in fields:
+            v = getattr(t, name)
+            if kind is SUB:
+                stack.append(v)
+            elif kind is SIG:
+                names.add(v)
+                if not scopes.get(v):
+                    free.add(v)
+            elif kind is BIND:
+                body_name, _ = next(fields)
+                stack += ((v, -1), getattr(t, body_name), (v, 1))
+                names.add(v)
+                bound = True
+            elif kind is SIGS:
+                names.update(v)
+                free.update(a for a in v if not scopes.get(a))
+    return bound
 
 
 # ---------------------------------------------------------------------------

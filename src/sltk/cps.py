@@ -37,7 +37,6 @@ from .syntax import (
     Spawn,
     Watch,
     expand_pause_table1,
-    program_names,
     substitute,
 )
 from .tailcore import (
@@ -93,7 +92,7 @@ class CpsTranslator:
         self.memo = {}
         self.notes = []
         self._id_counters = {}
-        self._sig_supply = _canon.name_supply("%n", program_names(program))
+        self._sig_supply = _canon.name_supply("%n", program.names)
         self._worklist = deque()
 
     # -- naming ------------------------------------------------------------

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _canon
-from .analysis import _find_cycle
 from .errors import (
     FuelExhaustedError,
     NotFiniteStateError,
@@ -49,7 +48,6 @@ from .errors import (
 )
 from .mealy import shortest_separating_word
 from .semantics import check_enumerable, diamond_walk
-from .syntax import program_names
 from .tailcore import (
     BIte,
     TCall,
@@ -59,9 +57,9 @@ from .tailcore import (
     TNil,
     TPresent,
     TSpawn,
+    calls_cyclic,
     print_tail,
     select_branch,
-    tail_calls,
     tail_substitute,
     PAUSE_SIGNAL,
 )
@@ -195,12 +193,13 @@ _Parked.EMPTY = _Parked(())
 class Space:
     """Canonical reachable states of one tail program.
 
-    States are interned canonical multisets of lifted threads. Transitions,
-    weak closures and barbs are computed on demand and cached by state id,
-    and so are the two moves of a context: `eoi(sid)` ends the instant and
-    is cached by state id; `with_emits(sid, S)` emits the signals S into
-    the instant and is cached by state id and signal set. Every state they
-    reach is interned.
+    States are interned canonical multisets of lifted threads. Building a
+    space walks no thread: it reads the program's facts (`syntax.Program`).
+    Transitions, weak closures and barbs are computed on demand and cached
+    by state id, and so are the two moves of a context: `eoi(sid)` ends the
+    instant and is cached by state id; `with_emits(sid, S)` emits the
+    signals S into the instant and is cached by state id and signal set.
+    Every state they reach is interned.
 
     The checking modes use none of these. They run `_saturate` on raw
     lifted threads and intern only the state where it stops. Exact mode
@@ -224,13 +223,11 @@ class Space:
         self._universe = frozenset(universe)
         self.interface = set(universe) | {PAUSE_SIGNAL}
         self.state_limit = state_limit
-        self._taken = self.interface | program_names(program)
-        self._binds = _has_new(program)
+        self._taken = self.interface | program.names
         # without binders every name a state holds is an interface name or
         # a parameter's argument, so no state has a name to rename
-        params = {x for d in self.defs.values() for x in d.params}
-        self._ground = (not self._binds and
-                        self._taken - params <= self.interface)
+        self._ground = (not program.has_binder and
+                        program.names - program.params <= self.interface)
         self._ids = {}
         self._items = []
         self._tau = {}
@@ -590,17 +587,7 @@ class Space:
 
 
 def space_for(program, state_limit=50_000):
-    return Space(program, program_universe(program), state_limit)
-
-
-def program_universe(program):
-    names = set(program.inputs) | set(program.outputs)
-    for t in program.initial:
-        names |= _canon.free_signals(t)
-    for d in program.defs.values():
-        names |= _canon.free_signals(d.body) - set(d.params)
-    names.discard(PAUSE_SIGNAL)
-    return frozenset(n for n in names if not n.startswith("%"))
+    return Space(program, program.universe, state_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -880,18 +867,6 @@ def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
 # entry point
 
 
-def _calls_cyclic(program):
-    edges = {}
-    for name, d in program.defs.items():
-        edges[name] = set()
-        tail_calls(d.body, edges[name], branches=True)
-    return _find_cycle(edges) is not None
-
-
-def _has_new(program):
-    return any(_canon.has_binder(t) for t in program.all_threads())
-
-
 EXACT = "exact"
 TRACE = "trace"
 BOUNDED = "bounded"
@@ -908,11 +883,12 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     it falls back to trace comparison, which coincides with the labelled
     relation for this language; with both it refuses. trace compares
     instant machines directly. bounded plays the trace game for `depth`
-    instants and never certifies equivalence.
+    instants and never certifies equivalence. What it reads of a program is
+    kept on it (`syntax.Program`), so a program met again is not walked.
     """
     if mode not in (EXACT, TRACE, BOUNDED):
         raise ValueError(f"unknown mode: {mode}")
-    universe = sorted(program_universe(p1) | program_universe(p2))
+    universe = sorted(p1.universe | p2.universe)
     sp1 = Space(p1, universe, state_limit)
     sp2 = Space(p2, universe, state_limit)
     seed1 = sp1.intern(p1.initial)
@@ -921,10 +897,9 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
         return _trace_game(sp1, seed1, sp2, seed2, universe, depth=depth)
     if mode == TRACE:
         return _trace_game(sp1, seed1, sp2, seed2, universe)
-    acyclic = not _calls_cyclic(p1) and not _calls_cyclic(p2)
-    if acyclic:
+    if not p1.fact(calls_cyclic) and not p2.fact(calls_cyclic):
         return _Refinement(sp1, sp2, universe).run(seed1, seed2)
-    if not sp1._binds and not sp2._binds:
+    if not p1.has_binder and not p2.has_binder:
         return _trace_game(sp1, seed1, sp2, seed2, universe)
     raise NotFiniteStateError(
         "definitions are recursive and generate signals; "

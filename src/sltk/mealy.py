@@ -24,7 +24,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
-from . import _canon
 from .errors import (
     ArityTooLargeError,
     HasSignalGenerationError,
@@ -300,7 +299,7 @@ def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
     n + 1 runs are alive at a time. States are named in the order of their
     first transition, input sets in `input_subsets` order.
     """
-    if any(_canon.has_binder(t) for t in program.all_threads()):
+    if program.has_binder:
         raise HasSignalGenerationError()
     unfold = _call_bodies(program.defs)
     n = len(program.inputs)

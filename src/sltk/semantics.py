@@ -53,7 +53,6 @@ from .syntax import (
     Spawn,
     Watch,
     canonicalize_with_renaming,
-    next_gen_index,
     print_thread,
     seq_of,
     substitute,
@@ -654,18 +653,6 @@ class InstantResult:
     steps: int
 
 
-def _env_domain(program, threads):
-    """The interface, the names free in the threads and the generated names
-    free in the definition bodies."""
-    dom = set(program.inputs) | set(program.outputs)
-    for t in threads:
-        dom |= _canon.free_signals(t)
-    for d in program.defs.values():
-        dom |= {s for s in _canon.free_signals(d.body) - set(d.params)
-                if s.startswith("%")}
-    return dom
-
-
 def _checked_inputs(program, inputs):
     """The inputs as a frozenset; UndeclaredSignalError names any that is
     not an input of the program."""
@@ -682,7 +669,7 @@ class Runner:
 
     Each instant is driven by `run_threads`; the threads left after the
     end-of-instant rewrite, less the terminated ones, are the next instant's
-    program. One `Env`, whose domain is computed here, and one `CallBodies`
+    program. One `Env`, over the program's `env_domain`, and one `CallBodies`
     serve every instant, so an instant costs the threads that run in it and
     not the whole population.
 
@@ -711,10 +698,9 @@ class Runner:
         self.policy = policy
         self.rng = random.Random(seed)
         self.fuel = fuel
-        self._gen_counter = next_gen_index(program)
+        self._gen_counter = program.next_gen_index
         self.threads = program.initial
-        self.env = Env(_env_domain(program, program.initial),
-                       self._gen_counter)
+        self.env = Env(program.env_domain, self._gen_counter)
         # substitute is looked up at each call, so that a wrapper put on
         # the module attribute (bench/layers.py counts calls) sees them all
         self.unfold = CallBodies(program.defs,
@@ -821,12 +807,12 @@ def check_strong_confluence(program, max_states=5000, max_instants=2):
         raise ValueError("max_instants must be at least 1")
     unfold = CallBodies(program.defs, lambda body, m: substitute(body, m))
     input_subsets = subsets(program.inputs)
-    start_counter = next_gen_index(program)
+    start_counter = program.next_gen_index
 
     def boundary_states(threads, instants_left):
         # generated names free in the threads join the domain, so that
         # fresh() restarting from start_counter steps over them
-        dom = _env_domain(program, threads)
+        dom = program.env_domain.union(*map(_canon.free_signals, threads))
         out = []
         for inputs in input_subsets:
             env = Env(dom, start_counter)

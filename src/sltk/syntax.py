@@ -1,8 +1,8 @@
 """Source language: syntax trees, parser, printer, desugaring, canonical forms.
 
-The program record, the declaration reader, the program printer and the
-program's name set serve the tail core too. Concrete syntax is
-s-expressions, one declaration per top-level form:
+The program record with its facts, the declaration reader and the program
+printer serve the tail core too. Concrete syntax is s-expressions, one
+declaration per top-level form:
 
     (input a b)
     (output o)
@@ -21,6 +21,8 @@ constructor seq_of maintains that invariant everywhere trees are rebuilt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
 
 from . import _canon
 from ._canon import BIND, KEEP, SIG, SIGS, SUB
@@ -158,7 +160,7 @@ def print_thread(t):
     raise TypeError(f"not a thread: {t!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Definition:
     """A recursive definition A(params) = body of either language: a source
     `Thread`, whose free signals are among the params, or a `tailcore.Tail`,
@@ -172,13 +174,46 @@ class Definition:
 @dataclass
 class Program:
     """A program of either language: interface, definitions by name and
-    initial threads, all `Thread` terms or all `tailcore.Tail` terms. The
-    declaration reader, the printer and `program_names` serve both."""
+    initial threads, all `Thread` terms or all `tailcore.Tail` terms.
+
+    `defs` is read-only and a `Definition` is frozen. Facts of the fields
+    are computed by one walk on first read and kept (`_signals`): `names`,
+    every name the program mentions, bound or free, with the interface and
+    the parameters; `next_gen_index`; `universe`, the names outside `%` in
+    the interface or free in a thread; `env_domain`, the runners' `Env`
+    domain: the interface, the names free in the initial threads and the
+    `%` names free in definitions; `has_binder`; and `params`. A later
+    layer keeps its own through `fact`. `==`, `repr`, copy and pickle
+    ignore facts, and assigning a field drops them."""
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    defs: dict[str, Definition]
+    defs: MappingProxyType[str, Definition]
     initial: tuple[Thread, ...]
+
+    def __setattr__(self, name, value):
+        if name == "defs":
+            value = MappingProxyType(dict(value))
+        object.__setattr__(self, name, value)
+        self.__dict__.pop("_facts", None)
+
+    def __reduce__(self):
+        return Program, (self.inputs, self.outputs, dict(self.defs),
+                         self.initial)
+
+    def fact(self, compute):
+        """compute(self), computed on the first call and kept."""
+        facts = self.__dict__.setdefault("_facts", {})
+        if compute not in facts:
+            facts[compute] = compute(self)
+        return facts[compute]
+
+    names = property(lambda self: self.fact(_signals)["names"])
+    next_gen_index = property(lambda self: self.fact(_signals)["gen_index"])
+    universe = property(lambda self: self.fact(_signals)["universe"])
+    env_domain = property(lambda self: self.fact(_signals)["env_domain"])
+    has_binder = property(lambda self: self.fact(_signals)["has_binder"])
+    params = property(lambda self: self.fact(_signals)["params"])
 
     @property
     def interface(self):
@@ -188,6 +223,29 @@ class Program:
         for d in self.defs.values():
             yield d.body
         yield from self.initial
+
+
+def _signals(p):
+    """The facts of `Program` by name, from one walk of p's threads."""
+    names, free, binds, params = set(p.interface), set(), False, set()
+    for t in p.initial:
+        binds |= _canon.scan(t, names, free)
+    domain = free | p.interface
+    for d in p.defs.values():
+        body_free = set()
+        binds |= _canon.scan(d.body, names, body_free)
+        free |= body_free.difference(d.params)
+        params.update(d.params)
+    names |= params
+    domain.update(s for s in free if s.startswith("%"))
+    digits = [n[len(GENERATED_PREFIX):] for n in names
+              if n.startswith(GENERATED_PREFIX)]
+    return dict(
+        names=frozenset(names), has_binder=binds, params=frozenset(params),
+        gen_index=max((int(k) + 1 for k in digits if k.isdigit()), default=0),
+        universe=frozenset(n for n in free | p.interface
+                           if not n.startswith("%")),
+        env_domain=frozenset(domain))
 
 
 def _print_program(p, print_term, notes=()):
@@ -206,27 +264,9 @@ def print_program(p):
     return _print_program(p, print_thread)
 
 
-def program_names(p):
-    """Every signal name the program mentions: its interface, the names in
-    its threads, bound or free, and its definitions' parameters. Supplies
-    of fresh names draw outside this set."""
-    names = set(p.interface)
-    for t in p.all_threads():
-        names.update(_canon.occurrences(t))
-    for d in p.defs.values():
-        names.update(d.params)
-    return names
-
-
-def next_gen_index(p):
-    """First %g index not used anywhere in the program."""
-    best = 0
-    for name in program_names(p):
-        if name.startswith(GENERATED_PREFIX):
-            digits = name[len(GENERATED_PREFIX):]
-            if digits.isdigit():
-                best = max(best, int(digits) + 1)
-    return best
+# two facts of `Program` as functions of a program
+program_names = attrgetter("names")
+next_gen_index = attrgetter("next_gen_index")
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +497,9 @@ class _ProgramBuilder:
     def define_loop(self, body):
         params = tuple(sorted(_canon.free_signals(body)))
         name = self.fresh_def_name("L")
-        self.defs[name] = Definition(name, params, None)
-        self.defs[name].body = seq_of(body, Call(name, params))
-        return Call(name, params)
+        call = Call(name, params)
+        self.defs[name] = Definition(name, params, seq_of(body, call))
+        return call
 
 
 def _parse_thread(form, builder, scope, def_arities):

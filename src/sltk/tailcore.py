@@ -2,9 +2,9 @@
 reactivity check.
 
 A tail program is a `syntax.Program` whose threads are `Tail` terms. The
-declaration reader, the program printer and the program's name set are
-the ones of the source language in `syntax`; this module adds only the
-term grammar that reads and prints the bodies and initial threads.
+program record with its facts, the declaration reader and the program
+printer are the ones of the source language in `syntax`; this module adds
+the term grammar that reads and prints the bodies and initial threads.
 
 Threads here never sequence arbitrary statements. Each constructor carries
 its continuation directly (prefix form), recursion happens only through
@@ -56,7 +56,6 @@ from .semantics import (
     InstantResult,
     Parking,
     _checked_inputs,
-    _env_domain,
     _trace,
     run_threads,
 )
@@ -68,7 +67,6 @@ from .syntax import (
     _atom,
     _print_program,
     _read_declarations,
-    next_gen_index,
 )
 
 PAUSE_SIGNAL = "%pause"
@@ -351,10 +349,9 @@ class TailRunner:
         self.policy = policy
         self.rng = random.Random(seed)
         self.fuel = fuel
-        self.gen_counter = next_gen_index(program)
+        self.gen_counter = program.next_gen_index
         self.threads = list(program.initial)
-        self.env = Env(_env_domain(program, program.initial)
-                       | {PAUSE_SIGNAL}, self.gen_counter)
+        self.env = Env(program.env_domain | {PAUSE_SIGNAL}, self.gen_counter)
         self.unfold = CallBodies(program.defs,
                                  lambda body, m: tail_substitute(body, m))
 
@@ -403,29 +400,33 @@ def tail_alpha_key(t):
 # reactivity for tail programs
 
 def tail_calls(t, acc, branches=False):
-    """Identifiers t calls. Without `branches`, only those reachable
-    without crossing an instant boundary."""
-    if isinstance(t, TEmit):
-        tail_calls(t.next, acc, branches)
-    elif isinstance(t, TNew):
-        tail_calls(t.body, acc, branches)
-    elif isinstance(t, TSpawn):
-        tail_calls(t.spawned, acc, branches)
-        tail_calls(t.next, acc, branches)
-    elif isinstance(t, TPresent):
-        tail_calls(t.then, acc, branches)
-        if branches:
-            _branch_calls(t.branch, acc)
-    elif isinstance(t, TCall):
-        acc.add(t.ident)
+    """Add the identifiers t calls to acc and return acc. Without
+    `branches`, only those reachable without crossing an instant boundary."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, TCall):
+            acc.add(t.ident)
+        elif isinstance(t, TPresent) and not branches:
+            stack.append(t.then)
+        else:
+            stack += [getattr(t, name) for name, kind in
+                      _canon._FIELDS[t.__class__] if kind is SUB]
+    return acc
 
 
-def _branch_calls(b, acc):
-    if isinstance(b, BLeaf):
-        tail_calls(b.tail, acc, True)
-    else:
-        _branch_calls(b.then, acc)
-        _branch_calls(b.other, acc)
+def instant_calls(program):
+    """Each definition of a tail program mapped to the identifiers it calls
+    within an instant, kept on the program (`Program.fact`)."""
+    return {name: tail_calls(d.body, set())
+            for name, d in program.defs.items()}
+
+
+def calls_cyclic(program):
+    """Whether the calls of a tail program's definitions, in branches too,
+    close a cycle, kept on the program (`Program.fact`)."""
+    return _find_cycle({name: tail_calls(d.body, set(), branches=True)
+                        for name, d in program.defs.items()}) is not None
 
 
 def check_reactivity_tail(program):
@@ -434,17 +435,7 @@ def check_reactivity_tail(program):
     Branches of present run only after the instant ends, so they never
     contribute; everything else may unfold in the same instant.
     """
-    edges = {}
-    for name, d in program.defs.items():
-        acc = set()
-        tail_calls(d.body, acc)
-        edges[name] = acc
-    roots = set()
-    for t in program.initial:
-        tail_calls(t, roots)
-    for r in roots - set(edges):
-        edges[r] = set()
-    cycle = _find_cycle(edges)
+    cycle = _find_cycle(program.fact(instant_calls))
     if cycle:
         return Reject(tuple(cycle))
     return Accept()

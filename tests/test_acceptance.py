@@ -29,7 +29,6 @@ from sltk.equiv import (
     EXACT,
     TRACE,
     Distinguished,
-    _has_new,
     bisim_check,
     space_for,
 )
@@ -455,7 +454,7 @@ def test_criterion_8_suspension_collapse():
         states += _sweep_states(p)
         swept += 1
     for name, p in tail_corpus():
-        if _has_new(p):
+        if p.has_binder:
             continue
         states += _sweep_states(p)
         swept += 1

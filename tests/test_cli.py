@@ -358,11 +358,18 @@ DEEP = 3000
 
 
 def test_run_reports_deep_nesting_as_a_limit(tmp_path, capsys):
-    prog = put(tmp_path, "deep.sl", "(input s1) (output o) (run (seq"
-               + " (emit o)" * DEEP + "))")
+    # the parser reads nested forms by recursion
+    prog = put(tmp_path, "deep.sl", "(input s1) (output o) (run"
+               + " (thread" * DEEP + " (emit o)" + ")" * DEEP + ")")
     code, out, err = invoke(capsys, "run", prog)
     assert (code, out) == (5, "")
     assert err.startswith("limit: program nested too deeply")
+
+
+def test_run_runs_a_long_straight_line_program(tmp_path, capsys):
+    prog = put(tmp_path, "long.sl", "(input s1) (output o) (run (seq"
+               + " (emit o)" * DEEP + "))")
+    assert invoke(capsys, "run", prog) == (0, "I={} O={o}\n", "")
 
 
 def test_equiv_reports_deep_nesting_as_a_limit(tmp_path, capsys):

@@ -34,7 +34,7 @@ from sltk.mealy import (
 from sltk.semantics import ConfluenceOk, subsets
 from sltk.syntax import parse_program
 from sltk.tailcore import (
-    BLeaf, TEmit, TNIL, TPresent, parse_tail_program, print_tail)
+    BLeaf, TEmit, TNIL, TPresent, calls_cyclic, parse_tail_program, print_tail)
 
 from .corpus import (
     PILED_WAITERS,
@@ -267,7 +267,7 @@ def test_equal_members_are_one_member_of_a_state():
     verdict = bisim_check(image, image, mode=TRACE, state_limit=500)
     assert isinstance(verdict, Equivalent)
     assert len(program_to_mealy(image).states) == 4
-    space = equiv.Space(image, sorted(equiv.program_universe(image)))
+    space = equiv.Space(image, sorted(image.universe))
     waiter = TPresent("i2", TNIL, BLeaf(TNIL))
     assert space.intern([waiter, waiter]) == space.intern([waiter])
     assert space.show(space.intern([waiter] * 3)) == \
@@ -676,7 +676,7 @@ def _binding_acyclic_programs():
     """The call-acyclic programs that bind names: exact mode labels their
     states canonically."""
     programs = [p for p in map(tp, TAIL_TEXTS.values())
-                if equiv._has_new(p) and not equiv._calls_cyclic(p)]
+                if p.has_binder and not p.fact(calls_cyclic)]
     return programs + [tp(FRESH_NAMES), tp(RELAYED_NAME)]
 
 
@@ -828,7 +828,7 @@ BOUNDARY_ITE = """
 
 def _instant_programs():
     programs = [p for _, p in finite_corpus()]
-    programs += [p for p in map(tp, TAIL_TEXTS.values()) if equiv._has_new(p)]
+    programs += [p for p in map(tp, TAIL_TEXTS.values()) if p.has_binder]
     return programs + [tp(FRESH_NAMES), tp(SELF_EMITTED), tp(BOUNDARY_ITE)]
 
 
@@ -1114,7 +1114,7 @@ def test_only_spaces_with_names_to_rename_label_canonically(monkeypatch):
 def letter_game(p1, p2, depth=None):
     """The trace game over letters: every input set, in `subsets` order,
     goes through `Space.instant` into the one product search."""
-    universe = sorted(equiv.program_universe(p1) | equiv.program_universe(p2))
+    universe = sorted(p1.universe | p2.universe)
     sp1, sp2 = equiv.Space(p1, universe), equiv.Space(p2, universe)
     letters = subsets(universe)
 

@@ -3,7 +3,6 @@ from collections import deque
 import pytest
 
 from sltk import mealy
-from sltk._canon import has_binder
 from sltk.errors import (
     HasSignalGenerationError,
     ParseError,
@@ -25,7 +24,6 @@ from sltk.mealy import (
     validate_mealy,
 )
 from sltk.cps import cps_program
-from sltk.equiv import _has_new
 from sltk.syntax import Program
 from sltk.tailcore import (
     TCall,
@@ -170,7 +168,7 @@ def test_extraction_agrees_with_the_interpreter():
                            for _ in range(8)]))
     # CPS images also call definitions with signal parameters
     images = [cps_program(p).program for _, p in source_corpus()]
-    images = [p for p in images if not _has_new(p)]
+    images = [p for p in images if not p.has_binder]
     assert len(images) == 17
     rng = seeded(17)
     for p in images:
@@ -298,7 +296,7 @@ def reference_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
     """Extraction as first written: every state's guards closed afresh
     under every input set, `select_branch` on every guard left, and
     boundaries keyed by the identity of their threads."""
-    if any(has_binder(t) for t in program.all_threads()):
+    if program.has_binder:
         raise HasSignalGenerationError()
     unfold = mealy._call_bodies(program.defs)
     n = len(program.inputs)

@@ -135,7 +135,7 @@ def test_freshening_keeps_free_signals_and_canonical_form(t):
 @given(BINDER_FREE)
 def test_freshening_a_binder_free_term_changes_nothing(t):
     supply = _canon.name_supply("%u", set())
-    assert not _canon.has_binder(t)
+    assert not reference_has_binder(t)
     assert _canon.freshen_apart(t, supply) is t
     assert next(supply) == "%u0"
 
@@ -238,6 +238,30 @@ def binder_names(t):
     return out
 
 
+def reference_free_signals(t, bound=frozenset()):
+    """The names free in t, by recursion with the names bound around t."""
+    out = set()
+    scope = bound
+    for name, kind in _canon._FIELDS[type(t)]:
+        v = getattr(t, name)
+        if kind is SUB:
+            out |= reference_free_signals(v, scope)
+            scope = bound
+        elif kind is BIND:
+            scope = bound | {v}
+        elif kind is SIG and v not in scope:
+            out.add(v)
+        elif kind is SIGS:
+            out.update(a for a in v if a not in scope)
+    return out
+
+
+def reference_has_binder(t):
+    return any(kind is BIND or (kind is SUB and
+                                reference_has_binder(getattr(t, name)))
+               for name, kind in _canon._FIELDS[type(t)])
+
+
 # Terms whose binders nest at the root, besides the general ones, so that
 # a map can meet a binder inside another binder's body.
 NESTED = st.one_of(
@@ -256,6 +280,16 @@ def test_lazy_binder_check_equals_the_eager_one(t, data):
     values = st.sampled_from(binders) if binders else NAMES
     sub = data.draw(st.dictionaries(NAMES, values, max_size=3))
     assert _canon.substitute(t, sub) == eager_substitute(t, sub)
+
+
+@LAWS
+@given(NESTED)
+def test_one_scan_gathers_names_free_names_and_binders(t):
+    names, free = set(), set()
+    bound = _canon.scan(t, names, free)
+    assert names == set(_canon.occurrences(t))
+    assert free == reference_free_signals(t) == _canon.free_signals(t)
+    assert bound == reference_has_binder(t)
 
 
 def assert_shares_alike(got, want, t):
