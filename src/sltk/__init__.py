@@ -11,7 +11,6 @@ programs.
 
 from .errors import (
     ArityMismatchError,
-    ArityTooLargeError,
     FuelExhaustedError,
     HasSignalGenerationError,
     IndexExplosionError,

@@ -14,7 +14,6 @@ import sys
 
 from . import analysis, cps, encodings, equiv, mealy, semantics
 from .errors import (
-    ArityTooLargeError,
     FuelExhaustedError,
     HasSignalGenerationError,
     IndexExplosionError,
@@ -388,8 +387,7 @@ def main(argv=None):
         print(f"limit: program nested too deeply for the recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 5
-    except (HasSignalGenerationError, NotFiniteStateError,
-            ArityTooLargeError) as e:
+    except (HasSignalGenerationError, NotFiniteStateError) as e:
         print(f"not applicable: {e}", file=sys.stderr)
         return 2
     except SLError as e:

@@ -97,9 +97,5 @@ class InputSetExplosionError(SLError):
                          f"exceeds the bound of {limit} signals")
 
 
-class ArityTooLargeError(SLError):
-    """Machine arity beyond the exhaustive-validation bound."""
-
-
 class NotFiniteStateError(SLError):
     """Exact equivalence asked of a program outside the finite fragment."""

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
-    ArityTooLargeError,
     HasSignalGenerationError,
     ParseError,
     SLError,
@@ -48,7 +47,6 @@ from .tailcore import (
     tail_substitute,
 )
 
-MAX_VALIDATE_ARITY = 12
 DEFAULT_STATE_LIMIT = 2 ** 16
 
 
@@ -82,10 +80,8 @@ def validate_mealy(machine):
 
     A row is monotone when every covering pair X < X | {x} is, so a state
     costs n 2^n checks; only a state that fails them is scanned pair by
-    pair for its first witness."""
-    if machine.n > MAX_VALIDATE_ARITY:
-        raise ArityTooLargeError(
-            f"cannot validate tables over {machine.n} inputs")
+    pair for its first witness. More than MAX_ENUMERATED_SIGNALS inputs
+    raise InputSetExplosionError, as in every input-set enumeration."""
     subsets = input_subsets(machine.n)
     for q in machine.states:
         for X in subsets:

@@ -15,16 +15,16 @@ RS-04-26, 2004), so a step costs the redex, not the whole thread, and the
 end-of-instant rewrite works on the focus too. `decompose` and the focused
 step share one descent.
 
-Two drivers serve both languages: `run_threads` runs an instant under a
-scheduling policy, and `diamond_walk` checks the one-step diamond over a
-`moves` function, here for source programs in `check_strong_confluence`
-and in `equiv.confluence_check` for tail programs.
+Two drivers serve both languages: `run_threads` runs an instant in one
+scheduling loop, in which a policy only chooses which runnable thread
+steps next, and `diamond_walk` checks the one-step diamond over a `moves`
+function, here for source programs in `check_strong_confluence` and in
+`equiv.confluence_check` for tail programs.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -60,6 +60,7 @@ from .syntax import (
 
 DETERMINISTIC = "deterministic"
 RANDOM = "random"
+_PICKS = {DETERMINISTIC: lambda rng, n: 0, RANDOM: random.Random.randrange}
 DEFAULT_FUEL = 10 ** 6
 _PREFIX_LENGTH = len(GENERATED_PREFIX)
 
@@ -460,20 +461,29 @@ def _discard(index, signal, key):
             del index[signal]
 
 
+def check_policy(policy):
+    """The policy, if it is DETERMINISTIC or RANDOM; else ValueError."""
+    if policy not in _PICKS:
+        raise ValueError(f"unknown policy: {policy}")
+    return policy
+
+
 def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
                 can_step_fn, env):
     """Drive threads to suspension under a scheduling policy.
 
     `threads` maps keys to threads in the order of their keys and is
-    updated in place; a spawned thread is added under the next key. The
-    deterministic policy always steps the runnable thread of the lowest
-    key; the random policy draws uniformly among runnable threads.
+    updated in place; a spawned thread is added under the next key. One
+    loop serves both policies: the keys of the runnable threads are kept
+    sorted, and a policy only picks the index that steps next (`_PICKS`),
+    the deterministic one the lowest key, the random one a uniform draw.
 
     Scheduling is event-driven. `ready` lists the keys of the threads not
     parked in `parking`; a parked thread awaits a signal absent when it
-    was parked. It probes the ready threads and the parked ones
-    that the signals logged in `env.emitted` wake, the inputs first. A
-    failed probe reports what blocks the thread (`Blocked`): a thread that
+    was parked. It probes (`can_step_fn`) the ready threads and the parked
+    ones that the signals logged in `env.emitted` wake, the inputs first,
+    and each thread after it steps or is spawned; `try_step_fn` only steps.
+    A failed probe reports what blocks the thread (`Blocked`): a thread that
     awaits an absent signal is parked on it, and any other, paused or
     terminated, is set aside until the instant ends. After a step that
     logged signals, the threads parked on them are woken.
@@ -504,61 +514,38 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
         logged = len(emitted)
         return out
 
-    if policy == DETERMINISTIC:
-        heap = [*ready, *woken()]
-        heapq.heapify(heap)
-        while heap:
-            key = heapq.heappop(heap)
-            out = try_step_fn(threads[key])
-            if not out:
-                stop(key, out)
-                continue
-            if steps >= fuel:
-                raise FuelExhaustedError(steps)
-            threads[key], spawned = out
-            heapq.heappush(heap, key)
-            for t in spawned:
-                threads[next_key] = t
-                heapq.heappush(heap, next_key)
-                next_key += 1
-            if len(emitted) != logged:
-                for j in woken():
-                    heapq.heappush(heap, j)
-            steps += 1
-        return steps, stopped
-    if policy == RANDOM:
-        runnable = []
-        for key in sorted([*ready, *woken()]):
-            probe = can_step_fn(threads[key])
+    pick = _PICKS[policy]
+    runnable = []
+    for key in sorted([*ready, *woken()]):
+        probe = can_step_fn(threads[key])
+        if probe:
+            runnable.append(key)
+        else:
+            stop(key, probe)
+    while runnable:
+        if steps >= fuel:
+            raise FuelExhaustedError(steps)
+        k = pick(rng, len(runnable))
+        key = runnable[k]
+        t2, spawned = try_step_fn(threads[key])
+        threads[key] = t2
+        probe = can_step_fn(t2)
+        if not probe:
+            del runnable[k]
+            stop(key, probe)
+        for t in spawned:
+            threads[next_key] = t
+            probe = can_step_fn(t)
             if probe:
-                runnable.append(key)
+                runnable.append(next_key)
             else:
-                stop(key, probe)
-        while runnable:
-            if steps >= fuel:
-                raise FuelExhaustedError(steps)
-            k = rng.randrange(len(runnable))
-            key = runnable[k]
-            t2, spawned = try_step_fn(threads[key])
-            threads[key] = t2
-            probe = can_step_fn(t2)
-            if not probe:
-                del runnable[k]
-                stop(key, probe)
-            for t in spawned:
-                threads[next_key] = t
-                probe = can_step_fn(t)
-                if probe:
-                    runnable.append(next_key)
-                else:
-                    stop(next_key, probe)
-                next_key += 1
-            if len(emitted) != logged:
-                for j in woken():
-                    bisect.insort(runnable, j)
-            steps += 1
-        return steps, stopped
-    raise ValueError(f"unknown policy: {policy}")
+                stop(next_key, probe)
+            next_key += 1
+        if len(emitted) != logged:
+            for j in woken():
+                bisect.insort(runnable, j)
+        steps += 1
+    return steps, stopped
 
 
 @dataclass(frozen=True)
@@ -695,7 +682,7 @@ class Runner:
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0, fuel=DEFAULT_FUEL):
         self.program = program
-        self.policy = policy
+        self.policy = check_policy(policy)
         self.rng = random.Random(seed)
         self.fuel = fuel
         self._gen_counter = program.next_gen_index

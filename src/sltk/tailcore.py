@@ -57,6 +57,7 @@ from .semantics import (
     Parking,
     _checked_inputs,
     _trace,
+    check_policy,
     run_threads,
 )
 from .syntax import (
@@ -346,7 +347,7 @@ class TailRunner:
     def __init__(self, program, policy=DETERMINISTIC, seed=0,
                  fuel=DEFAULT_FUEL):
         self.program = program
-        self.policy = policy
+        self.policy = check_policy(policy)
         self.rng = random.Random(seed)
         self.fuel = fuel
         self.gen_counter = program.next_gen_index

@@ -4,6 +4,7 @@ Source programs stay within two inputs so exhaustive input enumeration is
 affordable. Everything random is seeded by the caller.
 """
 
+import itertools
 import random
 
 from sltk.mealy import MonotonicMealy, input_subsets
@@ -410,6 +411,49 @@ def random_monotone_mealy(rng, n=2, m=2, n_states=3):
                 out |= out_gain[(q, i)]
             output[(q, frozenset(X))] = frozenset(out)
     return MonotonicMealy(states, states[0], n, m, next_state, output)
+
+
+def random_source_program(rng, n_defs=2, depth=3):
+    """A small source program over s1 s2 / s3 s4 that uses every thread
+    form: await, emit, watch, thread, new, pause, present and par. Each
+    definition runs a random statement, pauses and calls a definition, and
+    the run thread runs one and calls the first definition, each call on
+    the four interface signals in a random order: recursion comes only
+    after a pause and in tail position, so both static analyses accept. A
+    bound name joins the signals of the statements inside it."""
+    names = [f"L{k}" for k in range(n_defs)]
+    bound = itertools.count()
+
+    def stmt(d, scope):
+        roll = rng.random()
+        if d <= 0 or roll < 0.15:
+            return rng.choice(("pause", f"(emit {rng.choice(scope)})",
+                               f"(await {rng.choice(scope)})"))
+        if roll < 0.3:
+            return f"(seq {stmt(d - 1, scope)} {stmt(d - 1, scope)})"
+        if roll < 0.45:
+            return f"(watch {rng.choice(scope)} {stmt(d - 1, scope)})"
+        if roll < 0.6:
+            return f"(thread {stmt(d - 1, scope)})"
+        if roll < 0.75:
+            x = f"x{next(bound)}"
+            return f"(new {x} {stmt(d - 1, scope + [x])})"
+        if roll < 0.9:
+            return f"(present {rng.choice(scope)} {stmt(d - 1, scope)} " \
+                   f"{stmt(d - 1, scope)})"
+        return f"(par {stmt(d - 1, scope)} {stmt(d - 1, scope)})"
+
+    signals = ["s1", "s2", "s3", "s4"]
+    params = " ".join(signals)
+
+    def call(name):
+        return f"(call {name} {' '.join(rng.sample(signals, 4))})"
+
+    lines = ["(input s1 s2)", "(output s3 s4)"]
+    lines += [f"(def ({name} {params}) (seq {stmt(depth, signals)} pause "
+              f"{call(rng.choice(names))}))" for name in names]
+    lines.append(f"(run (seq {stmt(depth, signals)} {call(names[0])}))")
+    return parse_program("\n".join(lines))
 
 
 def random_tail_program(rng, n_defs=2, depth=3):

@@ -9,7 +9,7 @@ import pytest
 import sltk
 from sltk import _canon
 from sltk.cli import main
-from sltk.mealy import parse_mealy
+from sltk.mealy import MonotonicMealy, input_subsets, parse_mealy, print_mealy
 from sltk.syntax import parse_program
 from sltk.tailcore import parse_tail_program
 
@@ -352,6 +352,25 @@ def test_wide_input_set_enumeration_is_a_limit(tmp_path, capsys,
                  ("equiv", wide, wide, "--mode", "trace"),
                  ("to-mealy", wide)):
         assert invoke(capsys, *argv) == (5, "", limit)
+
+
+def test_mealy_input_sets_have_one_budget(tmp_path, capsys):
+    # from-mealy enumerates a machine's input sets under the budget that
+    # parsing and comparing use: 13 inputs go through, 18 are a limit
+    n = 13
+    sets = input_subsets(n)
+    machine = MonotonicMealy(
+        ("q0",), "q0", n, 1, {("q0", X): "q0" for X in sets},
+        {("q0", X): frozenset({1} if len(X) == n else ()) for X in sets})
+    wide = put(tmp_path, "wide.mealy", print_mealy(machine))
+    out = tmp_path / "wide.slt"
+    assert invoke(capsys, "from-mealy", wide, "-o", str(out)) == (0, "", "")
+    assert parse_tail_program(out.read_text()).inputs == tuple(
+        f"i{x}" for x in range(1, n + 1))
+    over = put(tmp_path, "over.mealy", "mealy n=18 m=1\nstate q0 init\n")
+    code, _, err = invoke(capsys, "from-mealy", over)
+    assert code == 5
+    assert err.startswith("limit: input-set enumeration over 18 signals")
 
 
 DEEP = 3000

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sltk import semantics, tailcore
+from sltk.analysis import check_bounded, check_reactivity
 from sltk.cps import cps_program
 from sltk.encodings import encode_counter_machine
 from sltk._canon import free_signals
@@ -48,6 +49,7 @@ from sltk.syntax import (
     Watch,
     next_gen_index,
     parse_program,
+    print_program,
     print_thread,
     substitute,
 )
@@ -67,6 +69,8 @@ from .corpus import (
     SOURCE_TEXTS,
     canonical_residual,
     confluence_corpus,
+    random_input_word,
+    random_source_program,
     source_corpus,
     tail_corpus,
 )
@@ -319,6 +323,35 @@ def test_diamond_walk_reports_the_first_move_failing_the_check():
     verdict = _walk(DIAMOND, check=check)
     assert not verdict
     assert verdict == ConfluenceViolation("X", "b to z refused")
+
+
+def test_generated_programs_observe_one_trace_under_every_schedule():
+    # the paper's determinism result on generated programs: the order in
+    # which runnable threads move changes no output, in either runner
+    rng = random.Random(7)
+    for _ in range(60):
+        p = random_source_program(rng)
+        assert check_reactivity(p) and check_bounded(p), print_program(p)
+        image = cps_program(p).program
+        word = random_input_word(rng, p.inputs, 8)
+        want = run_trace(p, word)
+        assert run_trace_tail(image, word) == want, print_program(p)
+        for seed in (3, 17, 42):
+            assert run_trace(p, word, policy=RANDOM, seed=seed) == want, \
+                (print_program(p), seed)
+            assert run_trace_tail(image, word, policy=RANDOM,
+                                  seed=seed) == want, (print_program(p), seed)
+
+
+def test_an_unknown_policy_is_refused_when_the_runner_is_built():
+    p = prog("emit_once")
+    image = cps_program(p).program
+    for build in (lambda: Runner(p, policy="bogus"),
+                  lambda: TailRunner(image, policy="bogus"),
+                  lambda: run_trace(p, [], policy="bogus"),
+                  lambda: run_trace_tail(image, [], policy="bogus")):
+        with pytest.raises(ValueError, match="unknown policy: bogus"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +625,28 @@ def _counting_try_step(counts):
     return counting
 
 
+def _counting_can_step(counts):
+    """A wrapper of semantics.can_step that counts its calls, the
+    scheduler's probes."""
+    def counting(t, env, unfold, original=semantics.can_step):
+        counts["probes"] += 1
+        return original(t, env, unfold)
+    return counting
+
+
 def test_parked_threads_are_not_probed_again():
     # Most of the looping machine's threads await an absent signal inside
     # a watch. They stay parked across instants, so over 400 instants
     # `Runner` probes about once per step and per spawned thread; probing
     # every thread at every instant costs over three times that.
-    counts = dict.fromkeys(("calls", "steps", "spawned"), 0)
+    counts = dict.fromkeys(("calls", "steps", "spawned", "probes"), 0)
     runner = Runner(encode_counter_machine(LOOPING))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "try_step", _counting_try_step(counts))
+        mp.setattr(semantics, "can_step", _counting_can_step(counts))
         steps = sum(runner.run_instant().steps for _ in range(400))
-    assert steps == counts["steps"] > 20_000
-    assert counts["calls"] <= 1.5 * (steps + counts["spawned"]), counts
+    assert steps == counts["steps"] == counts["calls"] > 20_000
+    assert counts["probes"] <= 1.5 * (steps + counts["spawned"]), counts
 
 
 @pytest.mark.parametrize("policy, seed", PROBED_SCHEDULES)
@@ -668,17 +711,16 @@ def test_assigning_the_state_drops_the_parked_index(policy, seed, assign):
     fresh = Runner(p, policy=policy, seed=seed)
     fresh.threads, fresh.gen_counter = threads, counter
     fresh.rng.setstate(runner.rng.getstate())
-    counts = dict.fromkeys(("calls", "steps", "spawned"), 0)
+    counts = {"probes": 0}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "try_step", _counting_try_step(counts))
+        mp.setattr(semantics, "can_step", _counting_can_step(counts))
         got = _records(runner, 1)
     if assign == "rewind":
         assert len(got) == 1 and got[0].startswith("UnboundSignalError")
         assert runner.threads == threads and runner.gen_counter == 0
     else:
         # the first instant probes every thread, parked or not
-        if policy == DETERMINISTIC:
-            assert counts["calls"] >= len(threads) > 50
+        assert counts["probes"] >= len(threads) > 50
         got += _records(runner, 19)
     assert got == _records(fresh, 20)
 
