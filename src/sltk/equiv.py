@@ -30,9 +30,13 @@ input signals the instant tests, in one run that forks wherever an
 input decides how it goes on, so that the instant runs once per state
 rather than once per input set. The game walks the two states' trees
 together and plays the nonempty meets of their classes of input sets,
-each as its smallest member, rather than every input set. The interned
-moves (`tau`, `ins`, `with_emits`, `eoi`) serve the suspension and
-confluence diagnostics.
+each as its smallest member, rather than every input set. Every mode
+explains a distinction the same way, by the game's shortest separating
+input word and the two sides' outputs at its last instant: where exact
+mode's refinement splits two programs, the game finds their word. The
+interned moves `tau` and `ins` serve the suspension and confluence
+diagnostics; `with_emits` and `eoi` are the interned reference that
+tests check the settled moves against.
 """
 
 from __future__ import annotations
@@ -199,22 +203,25 @@ class Space:
     by state id, and so are the two moves of a context: `eoi(sid)` ends the
     instant and is cached by state id; `with_emits(sid, S)` emits the
     signals S into the instant and is cached by state id and signal set.
-    Every state they reach is interned.
+    Every state they reach is interned. The checking modes use none of
+    these: `tau` and `ins` serve the diagnostics, and `with_emits` and
+    `eoi` only the tests.
 
-    The checking modes use none of these. They run `_saturate` on raw
-    lifted threads and intern only the state where it stops. Exact mode
-    asks for settled states, once per state and move, so no move is
-    cached: `settle(sid)`, `settle_with(sid, s)` for the settled state
-    after one more emission, and `settle_eoi(sid)` for the settled state
-    after the end of the instant. What is cached is each state taken
-    apart for its `settle_with` moves (`_Parked`): its guards parked by
-    signal and its markers, so that a move runs only the guards it wakes
-    and, as the nodes it keeps hold their text (`print_tail`), renders
-    only the members it makes. Trace mode asks `instant(sid, S)`, which
-    interns instant boundaries only; per state it grows, in one
-    forking run, a decision tree whose leaves hold the outputs and the
-    next state of one class of input sets, and the trace game walks two
-    such trees together (`_tree`, `_reach`).
+    The checking modes run `_saturate` on raw lifted threads and intern
+    only the state where it stops. Exact mode asks for settled states, once
+    per state and move, so no move is cached: `settle(sid)`,
+    `settle_with(sid, s)` for the settled state after one more emission,
+    and `settle_eoi(sid)` for the settled state after the end of the
+    instant. What is cached is each state taken apart for its `settle_with`
+    moves (`_Parked`): its guards parked by signal and its markers, so that
+    a move runs only the guards it wakes and, as the nodes it keeps hold
+    their text (`print_tail`), renders only the members it makes. Trace
+    mode asks `instant(sid, S)`, which interns instant boundaries only; per
+    state it grows, in one forking run, a decision tree whose leaves hold
+    the outputs and the next state of one class of input sets, and the
+    trace game walks two such trees together (`_tree`, `_reach`). Exact
+    mode asks for them too, on the same space, once its refinement has
+    split the two seeds: the game's word is the witness of every mode.
     """
 
     def __init__(self, program, universe, state_limit=50_000):
@@ -618,15 +625,29 @@ class Equivalent:
         return True
 
 
+def _show_set(S):
+    return "{" + ",".join(sorted(S)) + "}"
+
+
 @dataclass(frozen=True)
 class Distinguished:
-    witness: tuple
+    """A separating input word: `word` holds the input set of each
+    instant, and `outputs` the universe signals present on each side at
+    its last instant, where they differ. Before it the sides agree."""
+
+    word: tuple
+    outputs: tuple
 
     def __bool__(self):
         return False
 
     def render(self):
-        return " then ".join(self.witness)
+        *before, last = self.word
+        labels = [f"inputs {_show_set(X)}" for X in before]
+        o1, o2 = self.outputs
+        labels.append(f"inputs {_show_set(last)} emit {_show_set(o1)} "
+                      f"versus {_show_set(o2)}")
+        return " then ".join(labels)
 
 
 @dataclass(frozen=True)
@@ -635,10 +656,6 @@ class Inconclusive:
 
     def __bool__(self):
         return False
-
-
-def _show_set(S):
-    return "{" + ",".join(sorted(S)) + "}"
 
 
 class _Refinement:
@@ -667,14 +684,6 @@ class _Refinement:
     signal s, whose input move settles to y_s. States with equal
     signatures share the next block, and the rounds stop when the number
     of blocks stops growing.
-
-    A pair first split in round k differs in a part of its round-k
-    signature. In round 1 that part is a barb, an observable fact. Later
-    it names a pair split in an earlier round. The witness is the chain
-    of such steps from the two seeds whose ranks come first in a fixed
-    order (a barb, then the end of the instant, then a signal), so it
-    does not depend on the order in which states were numbered, and it
-    has fewer steps than the refinement has rounds.
     """
 
     def __init__(self, sp1, sp2, universe):
@@ -685,9 +694,10 @@ class _Refinement:
         self.universe = tuple(sorted(universe))
 
     def run(self, seed1, seed2):
+        """Whether the settled states of the two seeds share a block of the
+        coarsest stable partition."""
         u, v = self._union(seed1, seed2)
         block = [0] * len(self.states)
-        self.partitions = [block]
         self.rounds = 0
         while True:
             self.rounds += 1
@@ -697,12 +707,8 @@ class _Refinement:
                 len(ids))
                 for x, moves in enumerate(self.moves)]
             if len(ids) == len(set(block)):
-                break
+                return block[u] == block[v]
             block = nxt
-            self.partitions.append(block)
-        if block[u] == block[v]:
-            return Equivalent()
-        return Distinguished(tuple(label for label, _ in self.explain(u, v)))
 
     def _union(self, seed1, seed2):
         """Number the settled states of both spaces apart, as `states`, in
@@ -731,63 +737,6 @@ class _Refinement:
                 [number(k, sp.settle_eoi(sid))] +
                 [number(k, sp.settle_with(sid, s)) for s in self.universe])
         return seeds
-
-    def explain(self, u, v):
-        """The chain of (label, pair) steps that explains why the states
-        u and v are split and whose ranks come first in lexicographic
-        order. A run of signal steps up to an end of instant or a barb is
-        one step `context emits S`, with `, instant ends` where the end of
-        the instant closes it."""
-        reasons = {}
-        best = {}
-        stack = [(u, v)]
-        while stack:
-            pair = stack[-1]
-            if pair in best:
-                stack.pop()
-                continue
-            if pair not in reasons:
-                reasons[pair] = self._reasons(*pair)
-            todo = [nxt for _, nxt in reasons[pair]
-                    if nxt is not None and nxt not in best]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            best[pair] = min((((rank, pair),) + (best[nxt] if nxt else ())
-                              for rank, nxt in reasons[pair]),
-                             key=lambda chain: [rank for rank, _ in chain])
-        steps, emitted = [], []
-        for (kind, s), pair in best[u, v]:
-            if not emitted:
-                start = pair
-            if kind == 3:
-                emitted.append(s)
-                continue
-            context = f"context emits {_show_set(emitted)}"
-            if kind == 2:
-                steps.append((f"{context}, instant ends", start))
-            else:
-                if emitted:
-                    steps.append((context, start))
-                steps.append((f"emitted {s} observable", pair))
-            emitted = []
-        return tuple(steps)
-
-    def _reasons(self, u, v):
-        """Every (rank, next pair) in which the signatures of u and v
-        differ in the round that first splits them. The next pair is None
-        for an observable fact. A rank is (1, s) for a barb s, (2, "") for
-        the end of the instant and (3, s) for a universe signal s."""
-        k = next(k for k, block in enumerate(self.partitions)
-                 if block[u] != block[v])
-        block = self.partitions[k - 1]
-        out = {((1, s), None) for s in self.barbs[u] ^ self.barbs[v]}
-        for i, (x, y) in enumerate(zip(self.moves[u], self.moves[v])):
-            if block[x] != block[y]:
-                rank = (3, self.universe[i - 1]) if i else (2, "")
-                out.add((rank, (x, y)))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +779,7 @@ def _trace_verdict(found, depth):
     found."""
     if found is not None:
         word, o1, o2 = found
-        labels = tuple(f"inputs {_show_set(X)}" for X in word[:-1])
-        labels += (f"inputs {_show_set(word[-1])} emit "
-                   f"{_show_set(o1)} versus {_show_set(o2)}",)
-        return Distinguished(labels)
+        return Distinguished(word, (o1, o2))
     if depth is not None:
         return Inconclusive(depth)
     return Equivalent()
@@ -877,13 +823,17 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
 
     exact refines a partition of the settled states of both programs by
     signatures when the definition tables are call-acyclic, where every
-    instant terminates and each state settles into one suspended state,
-    and explains a split by the shortest chain of refinement rounds that
-    leads to an observable fact; with recursion but no signal generation
-    it falls back to trace comparison, which coincides with the labelled
-    relation for this language; with both it refuses. trace compares
-    instant machines directly. bounded plays the trace game for `depth`
-    instants and never certifies equivalence. What it reads of a program is
+    instant terminates and each state settles into one suspended state;
+    with recursion but no signal generation it falls back to trace
+    comparison, which coincides with the labelled relation for this
+    language; with both it refuses. trace compares instant machines
+    directly. bounded plays the trace game for `depth` instants and never
+    certifies equivalence. Every distinguished verdict is the trace
+    game's shortest separating input word: where the refinement splits
+    the two seeds, the game is played on the same two spaces, and the
+    states it interns count against the same `state_limit`. A split that
+    the game cannot separate would contradict the coincidence of the two
+    relations, and raises RuntimeError. What it reads of a program is
     kept on it (`syntax.Program`), so a program met again is not walked.
     """
     if mode not in (EXACT, TRACE, BOUNDED):
@@ -893,17 +843,21 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
     sp2 = Space(p2, universe, state_limit)
     seed1 = sp1.intern(p1.initial)
     seed2 = sp2.intern(p2.initial)
-    if mode == BOUNDED:
-        return _trace_game(sp1, seed1, sp2, seed2, universe, depth=depth)
-    if mode == TRACE:
-        return _trace_game(sp1, seed1, sp2, seed2, universe)
-    if not p1.fact(calls_cyclic) and not p2.fact(calls_cyclic):
-        return _Refinement(sp1, sp2, universe).run(seed1, seed2)
-    if not p1.has_binder and not p2.has_binder:
-        return _trace_game(sp1, seed1, sp2, seed2, universe)
-    raise NotFiniteStateError(
-        "definitions are recursive and generate signals; "
-        "use trace or bounded mode")
+    if mode == EXACT and not (p1.fact(calls_cyclic) or
+                              p2.fact(calls_cyclic)):
+        if _Refinement(sp1, sp2, universe).run(seed1, seed2):
+            return Equivalent()
+        verdict = _trace_game(sp1, seed1, sp2, seed2, universe)
+        if verdict:
+            raise RuntimeError("the refinement split two programs that no "
+                               "input word separates")
+        return verdict
+    if mode == EXACT and (p1.has_binder or p2.has_binder):
+        raise NotFiniteStateError(
+            "definitions are recursive and generate signals; "
+            "use trace or bounded mode")
+    return _trace_game(sp1, seed1, sp2, seed2, universe,
+                       depth=depth if mode == BOUNDED else None)
 
 
 # ---------------------------------------------------------------------------
