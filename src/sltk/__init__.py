@@ -60,6 +60,9 @@ from .tailcore import (
 )
 from .cps import cps_program
 from .mealy import (
+    Distinguished,
+    Equivalent,
+    Inconclusive,
     mealy_to_program,
     mealy_trace_equiv,
     MonotonicMealy,
@@ -71,9 +74,6 @@ from .mealy import (
 from .equiv import (
     bisim_check,
     confluence_check,
-    Distinguished,
-    Equivalent,
-    Inconclusive,
     suspension,
 )
 from .encodings import (

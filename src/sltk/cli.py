@@ -73,10 +73,6 @@ def _input_sets(args):
     return [frozenset()] * (args.instants if args.instants is not None else 1)
 
 
-def _show_set(s):
-    return "{" + ",".join(sorted(s)) + "}"
-
-
 def _emit_trace(trace, fmt):
     if fmt == "json":
         payload = [{"inputs": sorted(i), "outputs": sorted(o)}
@@ -84,7 +80,7 @@ def _emit_trace(trace, fmt):
         print(json.dumps(payload, indent=2))
     else:
         for i, o in trace:
-            print(f"I={_show_set(i)} O={_show_set(o)}")
+            print(f"I={mealy.show_set(i)} O={mealy.show_set(o)}")
 
 
 def _note_seed(args):
@@ -152,7 +148,7 @@ def _cmd_step(args):
             print()
             return 0
         res = runner.run_instant(frozenset(line.split()))
-        print(f"O={_show_set(res.outputs)}")
+        print(f"O={mealy.show_set(res.outputs)}")
         for t in canonicalize(runner.threads, program.interface):
             print(f"  {print_thread(t)}")
 
@@ -204,31 +200,30 @@ def _cmd_from_mealy(args):
     return 0
 
 
-def _cmd_mealy_equiv(args):
-    a = mealy.parse_mealy(_read(args.left))
-    b = mealy.parse_mealy(_read(args.right))
-    verdict = mealy.mealy_trace_equiv(a, b)
+def _report_equivalence(verdict):
+    """Print a verdict of the product search; return its exit code."""
     if verdict:
         print("equivalent")
         return 0
+    if isinstance(verdict, mealy.Inconclusive):
+        print(f"inconclusive at depth {verdict.depth}")
+        return 4
     print(f"distinguished: {verdict.render()}")
     return 3
+
+
+def _cmd_mealy_equiv(args):
+    a = mealy.parse_mealy(_read(args.left))
+    b = mealy.parse_mealy(_read(args.right))
+    return _report_equivalence(mealy.mealy_trace_equiv(a, b))
 
 
 def _cmd_equiv(args):
     left = _load_tail_any(args.left)
     right = _load_tail_any(args.right)
-    verdict = equiv.bisim_check(left, right, mode=args.mode,
-                                depth=args.depth,
-                                state_limit=args.state_limit)
-    if verdict:
-        print("equivalent")
-        return 0
-    if isinstance(verdict, equiv.Inconclusive):
-        print(f"inconclusive at depth {verdict.depth}")
-        return 4
-    print(f"distinguished: {verdict.render()}")
-    return 3
+    return _report_equivalence(equiv.bisim_check(
+        left, right, mode=args.mode, depth=args.depth,
+        state_limit=args.state_limit))
 
 
 def _cmd_encode_cm(args):
@@ -340,7 +335,8 @@ def _build_parser():
     eq.add_argument("--mode", choices=[equiv.EXACT, equiv.TRACE,
                                        equiv.BOUNDED], default=equiv.EXACT)
     eq.add_argument("--depth", type=_count, default=8)
-    eq.add_argument("--state-limit", type=_count, default=50_000)
+    eq.add_argument("--state-limit", type=_count,
+                    default=equiv.DEFAULT_STATE_LIMIT)
     eq.set_defaults(fn=_cmd_equiv)
 
     ec = subs.add_parser("encode-cm",
@@ -357,7 +353,8 @@ def _build_parser():
     cf.add_argument("file")
     cf.add_argument("--depth", type=_count, default=4,
                     help="instants for a .sl file, moves for a .slt file")
-    cf.add_argument("--max-states", type=_count, default=5000)
+    cf.add_argument("--max-states", type=_count,
+                    default=semantics.DEFAULT_MAX_STATES)
     cf.set_defaults(fn=_cmd_confluence)
 
     return parser

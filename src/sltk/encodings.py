@@ -21,12 +21,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import _canon
 from .errors import ParseError, SLError
 from .syntax import (
     Await,
     Call,
     Definition,
     Emit,
+    GENERATED_PREFIX,
     New,
     NIL,
     Pause,
@@ -212,16 +214,6 @@ def _spawn_all(threads):
     return seq_all([Spawn(t) for t in threads] + [NIL])
 
 
-class _Gen:
-    def __init__(self):
-        self.n = 0
-
-    def __call__(self):
-        name = f"%g{self.n}"
-        self.n += 1
-        return name
-
-
 def _present(gen, signal, then_branch, else_branch):
     return expand_present(signal, then_branch, else_branch, gen,
                           lambda: Pause())
@@ -324,7 +316,7 @@ def _control_defs(machine, vectors, gen):
 
 def _encode(machine, halt_signal, n_counters):
     machine.validate()
-    gen = _Gen()
+    gen = _canon.name_supply(GENERATED_PREFIX, ()).__next__
     vectors = [_bundle(f"c{k + 1}") for k in range(n_counters)]
     defs = {}
     for d in stack_definitions(gen):

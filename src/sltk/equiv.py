@@ -34,9 +34,11 @@ each as its smallest member, rather than every input set. Every mode
 explains a distinction the same way, by the game's shortest separating
 input word and the two sides' outputs at its last instant: where exact
 mode's refinement splits two programs, the game finds their word. The
-interned moves `tau` and `ins` serve the suspension and confluence
-diagnostics; `with_emits` and `eoi` are the interned reference that
-tests check the settled moves against.
+game is the product search `mealy.shortest_separating_word`, which also
+compares Mealy tables and builds the verdict it returns. The interned
+moves `tau` and `ins` serve the suspension and confluence diagnostics;
+`with_emits` and `eoi` are the interned reference that tests check the
+settled moves against.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     NotSuspendedError,
     StateExplosionError,
 )
-from .mealy import shortest_separating_word
+from .mealy import Equivalent, shortest_separating_word
 from .semantics import check_enumerable, diamond_walk
 from .tailcore import (
     BIte,
@@ -72,6 +74,9 @@ TAU = ("tau", None)
 
 # steps one run of raw threads may take before FuelExhaustedError
 FUEL = 100_000
+
+# states one space may intern before StateExplosionError
+DEFAULT_STATE_LIMIT = 50_000
 
 
 def _lift(t, members, marks, supply):
@@ -224,7 +229,7 @@ class Space:
     split the two seeds: the game's word is the witness of every mode.
     """
 
-    def __init__(self, program, universe, state_limit=50_000):
+    def __init__(self, program, universe, state_limit=DEFAULT_STATE_LIMIT):
         self.defs = program.defs
         self.universe = tuple(sorted(universe))
         self._universe = frozenset(universe)
@@ -593,7 +598,7 @@ class Space:
         return frozenset(out)
 
 
-def space_for(program, state_limit=50_000):
+def space_for(program, state_limit=DEFAULT_STATE_LIMIT):
     return Space(program, program.universe, state_limit)
 
 
@@ -608,7 +613,7 @@ class SuspensionReport:
     labelled: bool
 
 
-def suspension(program, state_limit=50_000):
+def suspension(program, state_limit=DEFAULT_STATE_LIMIT):
     sp = space_for(program, state_limit=state_limit)
     seed = sp.intern(program.initial)
     return SuspensionReport(sp.suspended(seed), sp.converges(seed),
@@ -617,45 +622,6 @@ def suspension(program, state_limit=50_000):
 
 # ---------------------------------------------------------------------------
 # equivalence checking
-
-
-@dataclass(frozen=True)
-class Equivalent:
-    def __bool__(self):
-        return True
-
-
-def _show_set(S):
-    return "{" + ",".join(sorted(S)) + "}"
-
-
-@dataclass(frozen=True)
-class Distinguished:
-    """A separating input word: `word` holds the input set of each
-    instant, and `outputs` the universe signals present on each side at
-    its last instant, where they differ. Before it the sides agree."""
-
-    word: tuple
-    outputs: tuple
-
-    def __bool__(self):
-        return False
-
-    def render(self):
-        *before, last = self.word
-        labels = [f"inputs {_show_set(X)}" for X in before]
-        o1, o2 = self.outputs
-        labels.append(f"inputs {_show_set(last)} emit {_show_set(o1)} "
-                      f"versus {_show_set(o2)}")
-        return " then ".join(labels)
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    depth: int
-
-    def __bool__(self):
-        return False
 
 
 class _Refinement:
@@ -774,17 +740,6 @@ def _meets(tree1, tree2):
     return out
 
 
-def _trace_verdict(found, depth):
-    """The verdict of a trace game from what `shortest_separating_word`
-    found."""
-    if found is not None:
-        word, o1, o2 = found
-        return Distinguished(word, (o1, o2))
-    if depth is not None:
-        return Inconclusive(depth)
-    return Equivalent()
-
-
 def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
     """Compare the instant machines of two spaces breadth first.
 
@@ -805,8 +760,7 @@ def _trace_game(sp1, seed1, sp2, seed2, universe, depth=None):
             marks2, n2 = sp2._reach(leaf2)
             yield P, marks1 | P, marks2 | P, (n1, n2)
 
-    return _trace_verdict(
-        shortest_separating_word((seed1, seed2), moves, depth), depth)
+    return shortest_separating_word((seed1, seed2), moves, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +772,7 @@ TRACE = "trace"
 BOUNDED = "bounded"
 
 
-def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
+def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=DEFAULT_STATE_LIMIT):
     """Decide equivalence of two tail programs.
 
     exact refines a partition of the settled states of both programs by
@@ -864,7 +818,7 @@ def bisim_check(p1, p2, mode=EXACT, depth=8, state_limit=50_000):
 # diamond property of the transition system
 
 
-def confluence_check(program, depth=6, state_limit=50_000):
+def confluence_check(program, depth=6, state_limit=DEFAULT_STATE_LIMIT):
     """Check the transition system's one-step diamond on every state within
     `depth` moves of the initial one, and at every move that barbs persist
     and that an input leaves the received signal observable. Emissions are

@@ -15,7 +15,10 @@ resumes its instant under the set without its largest wire: one run per
 added signal, visited depth first over the subset lattice. Extraction
 keeps this instant loop of its own, apart from `equiv.Space.instant`, so
 that it stays an independent reference for the trace mode of the
-equivalence checker.
+equivalence checker. Tables and programs (`equiv`) are compared by one
+product search, `shortest_separating_word`, which builds the verdict:
+`Equivalent`, `Distinguished` with its word and the outputs of its last
+letter, or `Inconclusive` at a depth bound.
 """
 
 from __future__ import annotations
@@ -114,11 +117,22 @@ def _state_branch(machine, q, x, chosen):
                 _state_branch(machine, q, x + 1, chosen))
 
 
+def _spawn_tree(threads):
+    """One thread that spawns all of `threads`, from a balanced tree of
+    spawns about log2 of their number deep."""
+    if len(threads) == 1:
+        return threads[0]
+    half = len(threads) // 2
+    return TSpawn(_spawn_tree(threads[:half]), _spawn_tree(threads[half:]))
+
+
 def mealy_to_program(machine):
     """One definition per state. Each instant the state spawns a watcher per
     (input subset, output) table entry; a watcher emits its output wire only
     if every wire of its subset is present. Monotonicity makes the union of
-    fired watchers equal the table row of the actual input."""
+    fired watchers equal the table row of the actual input. The watchers
+    come from a balanced tree of spawns, so a wide table does not nest
+    deeper than the printer and parser can follow."""
     bad = validate_mealy(machine)
     if bad is not None:
         raise ValueError(f"machine is not monotone: {bad}")
@@ -134,8 +148,8 @@ def mealy_to_program(machine):
                     guard = TPresent(f"i{x}", guard, BLeaf(TNIL))
                 spawns.append(guard)
         body = pause_prefix(_state_branch(machine, q, 1, frozenset()))
-        for g in reversed(spawns):
-            body = TSpawn(g, body)
+        if spawns:
+            body = TSpawn(_spawn_tree(spawns), body)
         defs[q] = Definition(q, (), body)
     return Program(inputs, outputs, defs, (TCall(machine.init, ()),))
 
@@ -357,21 +371,42 @@ def program_to_mealy(program, state_limit=DEFAULT_STATE_LIMIT):
 
 
 @dataclass(frozen=True)
-class MealyEquivalent:
-    def __bool__(self):
-        return True
+class Equivalent:
+    """No input word separates the two machines; the verdict is true."""
+
+
+def show_set(S):
+    """A set as `{a,b}`: its members sorted, each printed through str."""
+    return "{" + ",".join(map(str, sorted(S))) + "}"
 
 
 @dataclass(frozen=True)
-class MealyWitness:
+class Distinguished:
+    """A separating input word: `word` holds the input set of each
+    instant, and `outputs` what each side emits at its last instant, where
+    they differ. Before it the sides agree."""
+
     word: tuple
+    outputs: tuple
 
     def __bool__(self):
         return False
 
     def render(self):
-        return " ".join("{" + ",".join(str(x) for x in sorted(X)) + "}"
-                        for X in self.word)
+        *before, last = self.word
+        labels = [f"inputs {show_set(X)}" for X in before]
+        o1, o2 = self.outputs
+        labels.append(f"inputs {show_set(last)} emit {show_set(o1)} "
+                      f"versus {show_set(o2)}")
+        return " then ".join(labels)
+
+
+@dataclass(frozen=True)
+class Inconclusive:
+    depth: int
+
+    def __bool__(self):
+        return False
 
 
 def shortest_separating_word(start, moves, depth=None):
@@ -379,10 +414,11 @@ def shortest_separating_word(start, moves, depth=None):
 
     `moves(pair)` yields (letter, out1, out2, next pair) for the letters
     to try from `pair`, in order; the search stops reading it at the
-    first letter whose outputs differ. Returns (word, out1, out2) for a
-    shortest word on whose last letter the outputs differ, or None when
-    no word of at most `depth` letters (any length when depth is None)
-    separates the machines.
+    first letter whose outputs differ. Returns Distinguished for a
+    shortest word on whose last letter the outputs differ, with those
+    outputs. When no word of at most `depth` letters separates the
+    machines it returns Inconclusive(depth), and Equivalent when depth is
+    None and no word of any length does.
     """
     seen = {start}
     queue = deque([(start, ())])
@@ -392,16 +428,17 @@ def shortest_separating_word(start, moves, depth=None):
             continue
         for X, out1, out2, nxt in moves(pair):
             if out1 != out2:
-                return word + (X,), out1, out2
+                return Distinguished(word + (X,), (out1, out2))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, word + (X,)))
-    return None
+    return Equivalent() if depth is None else Inconclusive(depth)
 
 
 def mealy_trace_equiv(m1, m2):
     """Product reachability; the witness, when any, is a shortest input word
-    on which the two machines emit different output sets."""
+    on which the two machines emit different output sets, and the two sets
+    at its last letter."""
     if (m1.n, m1.m) != (m2.n, m2.m):
         raise ValueError("machines have different interfaces")
     letters = input_subsets(m1.n)
@@ -412,10 +449,7 @@ def mealy_trace_equiv(m1, m2):
             yield (X, m1.output[(s1, X)], m2.output[(s2, X)],
                    (m1.next_state[(s1, X)], m2.next_state[(s2, X)]))
 
-    found = shortest_separating_word((m1.init, m2.init), moves)
-    if found is None:
-        return MealyEquivalent()
-    return MealyWitness(found[0])
+    return shortest_separating_word((m1.init, m2.init), moves)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +531,7 @@ def parse_mealy(text):
     for q in states:
         for X in input_subsets(n):
             if (q, X) not in next_state:
-                raise ParseError(
-                    f"missing trans for {q} {{{','.join(map(str, sorted(X)))}}}",
-                    0, 0)
+                raise ParseError(f"missing trans for {q} {show_set(X)}", 0, 0)
     return MonotonicMealy(tuple(states), init, n, m_arity, next_state, output)
 
 
@@ -509,9 +541,7 @@ def print_mealy(machine):
         lines.append(f"state {q} init" if q == machine.init else f"state {q}")
     for q in machine.states:
         for X in input_subsets(machine.n):
-            ins = ",".join(str(x) for x in sorted(X))
-            outs = ",".join(str(j) for j in sorted(machine.output[(q, X)]))
-            lines.append(
-                f"trans {q} {{{ins}}} -> {machine.next_state[(q, X)]} "
-                f"{{{outs}}}")
+            lines.append(f"trans {q} {show_set(X)} -> "
+                         f"{machine.next_state[(q, X)]} "
+                         f"{show_set(machine.output[(q, X)])}")
     return "\n".join(lines) + "\n"

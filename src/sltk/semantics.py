@@ -62,6 +62,8 @@ DETERMINISTIC = "deterministic"
 RANDOM = "random"
 _PICKS = {DETERMINISTIC: lambda rng, n: 0, RANDOM: random.Random.randrange}
 DEFAULT_FUEL = 10 ** 6
+# distinct states the diamond check explores before StateExplosionError
+DEFAULT_MAX_STATES = 5000
 _PREFIX_LENGTH = len(GENERATED_PREFIX)
 
 
@@ -781,7 +783,8 @@ def _state_key(program, threads, env):
     return tuple(print_thread(t) for t in canon), items
 
 
-def check_strong_confluence(program, max_states=5000, max_instants=2):
+def check_strong_confluence(program, max_states=DEFAULT_MAX_STATES,
+                            max_instants=2):
     """Check the one-step diamond on every state reachable in max_instants
     instants, over every scheduling choice within an instant and every
     input subset at each instant boundary.

@@ -473,13 +473,8 @@ class _ProgramBuilder:
     def __init__(self, pause_mode, reserved_names):
         self.defs = {}
         self.reserved_names = set(reserved_names)
-        self.gen_counter = 0
+        self.gensym = _canon.name_supply(GENERATED_PREFIX, ()).__next__
         self.pause_mode = pause_mode
-
-    def gensym(self):
-        name = f"{GENERATED_PREFIX}{self.gen_counter}"
-        self.gen_counter += 1
-        return name
 
     def pause(self):
         if self.pause_mode == "table1":

@@ -28,11 +28,15 @@ from sltk.encodings import (
 from sltk.equiv import (
     EXACT,
     TRACE,
-    Distinguished,
     bisim_check,
     space_for,
 )
-from sltk.mealy import mealy_to_program, mealy_trace_equiv, program_to_mealy
+from sltk.mealy import (
+    Distinguished,
+    mealy_to_program,
+    mealy_trace_equiv,
+    program_to_mealy,
+)
 from sltk.semantics import (
     RANDOM,
     Runner,

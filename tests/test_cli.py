@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import sltk
-from sltk import _canon
+from sltk import _canon, errors
 from sltk.cli import main
 from sltk.mealy import MonotonicMealy, input_subsets, parse_mealy, print_mealy
 from sltk.syntax import parse_program
@@ -291,8 +292,8 @@ def test_mealy_equiv_distinguished_exits_3(tmp_path, capsys):
     invoke(capsys, "to-mealy", copy, "-o", str(a))
     invoke(capsys, "to-mealy", silent, "-o", str(b))
     code, out, _ = invoke(capsys, "mealy-equiv", str(a), str(b))
-    assert code == 3
-    assert out.startswith("distinguished:")
+    # the witness text of `equiv`, with wires as numbers
+    assert (code, out) == (3, "distinguished: inputs {1} emit {1} versus {}\n")
 
 
 def test_to_mealy_refuses_signal_generation(tmp_path, capsys):
@@ -371,6 +372,26 @@ def test_mealy_input_sets_have_one_budget(tmp_path, capsys):
     code, _, err = invoke(capsys, "from-mealy", over)
     assert code == 5
     assert err.startswith("limit: input-set enumeration over 18 signals")
+
+
+def test_from_mealy_compiles_a_table_with_a_thousand_watchers(tmp_path,
+                                                              capsys):
+    # one state of 11 inputs whose output is {1} on the 1,024 input sets
+    # that hold wire 1: one watcher per entry, more than the printer could
+    # follow as a chain of spawns
+    n = 11
+    sets = input_subsets(n)
+    machine = MonotonicMealy(
+        ("q0",), "q0", n, 1, {("q0", X): "q0" for X in sets},
+        {("q0", X): frozenset({1} if 1 in X else ()) for X in sets})
+    wide = put(tmp_path, "wide.mealy", print_mealy(machine))
+    program = tmp_path / "wide.slt"
+    assert invoke(capsys, "from-mealy", wide, "-o", str(program)) == (
+        0, "", "")
+    back = tmp_path / "back.mealy"
+    assert invoke(capsys, "to-mealy", str(program), "-o", str(back))[0] == 0
+    assert invoke(capsys, "mealy-equiv", wide, str(back)) == (
+        0, "equivalent\n", "")
 
 
 DEEP = 3000
@@ -488,3 +509,43 @@ def test_unusable_mealy_table_exits_1(tmp_path, capsys):
     for argv in (("mealy-equiv", bad, bad), ("from-mealy", bad)):
         assert invoke(capsys, *argv) == (
             1, "", "error: 3:0: undeclared state q9\n")
+
+
+# every error type, the arguments that build one, and the exit code and
+# standard-error prefix that `sl` answers it with
+ERROR_EXITS = {
+    errors.SLError: (("x",), 1, "error:"),
+    errors.ParseError: (("x", 1, 0), 1, "error:"),
+    errors.UnboundIdentifierError: (("x",), 1, "error:"),
+    errors.ArityMismatchError: (("x",), 1, "error:"),
+    errors.UndeclaredSignalError: (("x",), 1, "error:"),
+    errors.UnboundSignalError: (("x",), 1, "error:"),
+    errors.NotSuspendedError: (("x",), 1, "error:"),
+    errors.HasSignalGenerationError: ((), 2, "not applicable:"),
+    errors.NotFiniteStateError: (("x",), 2, "not applicable:"),
+    errors.FuelExhaustedError: ((7,), 5, "limit:"),
+    errors.IndexExplosionError: ((7,), 5, "limit:"),
+    errors.StateExplosionError: ((7,), 5, "limit:"),
+    errors.LabellingLimitError: ((7,), 5, "limit:"),
+    errors.InputSetExplosionError: ((7, 9), 5, "limit:"),
+}
+
+
+def test_every_error_type_has_an_exit_code():
+    defined = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.SLError)}
+    assert defined == set(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("error", ERROR_EXITS, ids=lambda cls: cls.__name__)
+def test_an_error_type_exits_with_its_code(tmp_path, capsys, monkeypatch,
+                                           error):
+    args, code, prefix = ERROR_EXITS[error]
+
+    def fail(_):
+        raise error(*args)
+
+    monkeypatch.setattr(sltk.cli, "_cmd_run", fail)
+    got, out, err = invoke(capsys, "run", put(tmp_path, "p.sl", PROG_SL))
+    assert (got, out) == (code, "")
+    assert err.startswith(f"{prefix} ")

@@ -10,9 +10,6 @@ from sltk.equiv import (
     BOUNDED,
     EXACT,
     TRACE,
-    Distinguished,
-    Equivalent,
-    Inconclusive,
     NotFiniteStateError,
     StateExplosionError,
     bisim_check,
@@ -26,6 +23,9 @@ from sltk.errors import (
     NotSuspendedError,
 )
 from sltk.mealy import (
+    Distinguished,
+    Equivalent,
+    Inconclusive,
     mealy_trace_equiv,
     program_to_mealy,
     shortest_separating_word,
@@ -1127,8 +1127,7 @@ def letter_game(p1, p2, depth=None):
             yield X, o1, o2, (n1, n2)
 
     start = (sp1.intern(p1.initial), sp2.intern(p2.initial))
-    return equiv._trace_verdict(
-        shortest_separating_word(start, moves, depth), depth)
+    return shortest_separating_word(start, moves, depth)
 
 
 def _ring_pairs():

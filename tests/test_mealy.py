@@ -11,8 +11,8 @@ from sltk.errors import (
 )
 from sltk.mealy import (
     DEFAULT_STATE_LIMIT,
-    MealyEquivalent,
-    MealyWitness,
+    Distinguished,
+    Equivalent,
     MonotonicMealy,
     MonotonicityViolation,
     input_subsets,
@@ -156,7 +156,7 @@ def test_round_trip_small_family():
         assert validate_mealy(machine) is None
         back = program_to_mealy(mealy_to_program(machine))
         verdict = mealy_trace_equiv(machine, back)
-        assert isinstance(verdict, MealyEquivalent), seed
+        assert isinstance(verdict, Equivalent), seed
 
 
 def test_extraction_agrees_with_the_interpreter():
@@ -187,12 +187,35 @@ def test_extraction_agrees_with_the_interpreter():
 
 def test_trace_equiv_finds_a_separating_word():
     verdict = mealy_trace_equiv(copier(), latch())
-    assert isinstance(verdict, MealyWitness)
+    assert isinstance(verdict, Distinguished)
     assert not verdict
     # both agree until the latch remembers a pulse
     assert verdict.word[-1] == frozenset()
     assert frozenset({1}) in verdict.word
     assert "{" in verdict.render()
+
+
+def test_machine_witnesses_replay():
+    # the word of each distinguished verdict, walked through both tables,
+    # agrees on every letter but the last, where it gives the two outputs
+    pairs = [(copier(), latch())]
+    for seed in range(40):
+        for n, m in ((1, 1), (2, 2), (3, 2)):
+            rng = seeded(seed)
+            pairs.append((random_monotone_mealy(rng, n=n, m=m),
+                          random_monotone_mealy(rng, n=n, m=m)))
+    longer = 0
+    for a, b in pairs:
+        verdict = mealy_trace_equiv(a, b)
+        if verdict:
+            continue
+        *same_a, last_a = drive(a, verdict.word)
+        *same_b, last_b = drive(b, verdict.word)
+        assert same_a == same_b
+        assert (last_a, last_b) == verdict.outputs
+        assert last_a != last_b
+        longer += len(verdict.word) > 1
+    assert longer >= 10
 
 
 def test_trace_equiv_requires_matching_arity():
@@ -411,7 +434,7 @@ def test_a_round_trip_closes_each_state_once(monkeypatch):
     back = program_to_mealy(program)
     assert len(back.states) == 2
     assert len(calls) == 2
-    assert isinstance(mealy_trace_equiv(machine, back), MealyEquivalent)
+    assert isinstance(mealy_trace_equiv(machine, back), Equivalent)
 
 
 def test_at_most_one_run_per_wire_is_alive(monkeypatch):
