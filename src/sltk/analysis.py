@@ -24,7 +24,6 @@ inside the component.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .syntax import (
@@ -56,11 +55,8 @@ class CallResult:
     suspends: bool
 
     @staticmethod
-    def of(counter, suspends):
-        return CallResult(tuple(sorted(counter.items())), suspends)
-
-    def counter(self):
-        return Counter(dict(self.ids))
+    def of(counts, suspends):
+        return CallResult(tuple(sorted(counts.items())), suspends)
 
     def support(self):
         return frozenset(name for name, _ in self.ids)
@@ -68,7 +64,12 @@ class CallResult:
     def then(self, other):
         if self.suspends:
             return self
-        return CallResult.of(self.counter() + other.counter(), other.suspends)
+        if not self.ids:
+            return other
+        counts = dict(self.ids)
+        for name, n in other.ids:
+            counts[name] = counts.get(name, 0) + n
+        return CallResult.of(counts, other.suspends)
 
 
 EMPTY = CallResult((), False)
@@ -84,7 +85,7 @@ def call_of(t):
     if isinstance(t, (New, Watch)):
         return call_of(t.body)
     if isinstance(t, Call):
-        return CallResult.of(Counter((t.ident,)), False)
+        return CallResult(((t.ident, 1),), False)
     if isinstance(t, Spawn):
         inner = call_of(t.body)
         return CallResult(inner.ids, False)

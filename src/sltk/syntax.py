@@ -1,8 +1,10 @@
 """Source language: syntax trees, parser, printer, desugaring, canonical forms.
 
-The program record with its facts, the declaration reader and the program
-printer serve the tail core too. Concrete syntax is s-expressions, one
-declaration per top-level form:
+The program record with its facts, the reader, the declaration reader and
+the program printer serve the tail core too. One regular-expression scan
+reads the text of either language into lists of atom strings; a line and
+column are computed only for an error. Concrete syntax is s-expressions,
+one declaration per top-level form:
 
     (input a b)
     (output o)
@@ -20,6 +22,7 @@ constructor seq_of maintains that invariant everywhere trees are rebuilt.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
@@ -334,7 +337,7 @@ def expand_par(left, right, gensym, pause, define_loop):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer and reader
+# reader
 
 
 KEYWORDS = {"seq", "emit", "new", "thread", "await", "watch", "call", "pause",
@@ -342,124 +345,127 @@ KEYWORDS = {"seq", "emit", "new", "thread", "await", "watch", "call", "pause",
 DECL_KEYWORDS = {"input", "output", "def", "run"}
 
 
-@dataclass
-class SAtom:
-    value: str
-    line: int
-    col: int
+def _scan(blanks):
+    """The reader's patterns for `blanks`: the blanks and comments (; to the
+    end of the line) that lead a text, and a token with those after it."""
+    skip = rf"(?:{blanks}|;[^\n]*)*"
+    return re.compile(skip), re.compile(r"([()]|[^ \t\r\n();]+)" + skip)
 
 
-@dataclass
-class SList:
-    items: list
-    line: int
-    col: int
+class SList(list):
+    """A list read from a text, of atoms (`str`) and lists, with the text and
+    the offset of its `(` (-1 for the top-level forms). Blanks are space,
+    tab, CR and LF; a character that is no blank, parenthesis or ; is an
+    atom's. A subclass reads another language by its `LEAD` and `TOKEN`."""
+
+    __slots__ = ("text", "at")
+    LEAD, TOKEN = _scan(r"[ \t\r\n]+")
 
 
-def _tokenize(text):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield ("atom", text[start:i], line, start_col)
-
-
-def _read_forms(text):
-    forms = []
+def _read_forms(text, kind=SList):
+    """The top-level forms of text, as one `kind` list."""
+    root = top = kind()
+    root.text, root.at = text, -1
     stack = []
-    for kind, value, line, col in _tokenize(text):
-        if kind == "(":
-            stack.append(SList([], line, col))
-        elif kind == ")":
+    for m in kind.TOKEN.finditer(text, kind.LEAD.match(text).end()):
+        token = m[1]
+        if token == "(":
+            form = kind()
+            form.text, form.at = text, m.start()
+            top.append(form)
+            stack.append(top)
+            top = form
+        elif token == ")":
             if not stack:
-                raise ParseError("unmatched )", line, col)
-            done = stack.pop()
-            (stack[-1].items if stack else forms).append(done)
+                raise ParseError("unmatched )", *_line_col(text, m.start()))
+            top = stack.pop()
         else:
-            node = SAtom(value, line, col)
-            (stack[-1].items if stack else forms).append(node)
+            top.append(token)
     if stack:
-        raise ParseError("unclosed (", stack[-1].line, stack[-1].col)
-    return forms
+        raise ParseError("unclosed (", *_at(top))
+    return root
 
 
-def _atom(form, what):
-    if not isinstance(form, SAtom):
-        raise ParseError(f"expected {what}", form.line, form.col)
-    return form.value
+def _line_col(text, at):
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def _name(form, what="signal"):
+def _at(form, index=None):
+    """The line and column of form's `(` or, given an index, of its item
+    there, found for an error by scanning form's text again."""
+    text, at = form.text, form.at
+    if index is not None:
+        # items of the top-level list follow the leading blanks, those of
+        # any other list its own (
+        start, depth = ((at, -1) if at >= 0
+                        else (form.LEAD.match(text).end(), 0))
+        for m in form.TOKEN.finditer(text, start):
+            if depth == 0:
+                if index == 0:
+                    at = m.start()
+                    break
+                index -= 1
+            depth += (m[1] == "(") - (m[1] == ")")
+    return _line_col(text, at)
+
+
+def _atom(form, index, what):
+    """Item index of form, which must be an atom."""
+    item = form[index]
+    if not isinstance(item, str):
+        raise ParseError(f"expected {what}", *_at(item))
+    return item
+
+
+def _name(form, index, what="signal"):
     """A source name: an atom that is not a keyword."""
-    name = _atom(form, what)
+    name = _atom(form, index, what)
     if name in KEYWORDS or name in DECL_KEYWORDS:
-        raise ParseError(f"keyword used as {what}: {name}", form.line, form.col)
+        raise ParseError(f"keyword used as {what}: {name}", *_at(form, index))
     return name
 
 
-def _read_declarations(text, read_name):
-    """The checked declarations of a program text of either language: the
-    inputs, the outputs, `{name: (params, body form)}` and the run forms,
-    whose terms each language parses itself. `read_name(form, what)` reads
-    a name. A repeated interface signal is rejected where it repeats, a
+def _read_declarations(forms, read_name):
+    """The checked declarations of a program of either language, from its
+    top-level forms: the inputs, the outputs, `{name: (params, body)}` and
+    the run threads, where a body or thread is a (form, index) pair that
+    each language parses itself. `read_name(form, index, what)` reads a
+    name. A repeated interface signal is rejected where it repeats, a
     repeated parameter or definition at the header that repeats it."""
     inputs, outputs, headers, runs = [], [], {}, []
     declared = set()
-    for form in _read_forms(text):
-        if not isinstance(form, SList) or not form.items:
-            raise ParseError("expected a declaration", form.line, form.col)
-        head = _atom(form.items[0], "declaration keyword")
+    for i, form in enumerate(forms):
+        if isinstance(form, str) or not form:
+            raise ParseError("expected a declaration", *_at(forms, i))
+        head = _atom(form, 0, "declaration keyword")
         if head == "input" or head == "output":
             target = inputs if head == "input" else outputs
-            for f in form.items[1:]:
-                signal = read_name(f, "signal")
+            for k in range(1, len(form)):
+                signal = read_name(form, k, "signal")
                 if signal in declared:
                     raise ParseError("duplicate interface signal",
-                                     f.line, f.col)
+                                     *_at(form, k))
                 declared.add(signal)
                 target.append(signal)
         elif head == "def":
-            if len(form.items) != 3 or not isinstance(form.items[1], SList) \
-                    or not form.items[1].items:
+            if len(form) != 3 or isinstance(form[1], str) or not form[1]:
                 raise ParseError("def takes (name params...) and a body",
-                                 form.line, form.col)
-            sig = form.items[1]
-            name = read_name(sig.items[0], "identifier")
-            params = tuple(read_name(f, "signal") for f in sig.items[1:])
+                                 *_at(form))
+            sig = form[1]
+            name = read_name(sig, 0, "identifier")
+            params = tuple(read_name(sig, k, "signal")
+                           for k in range(1, len(sig)))
             if len(set(params)) != len(params):
-                raise ParseError(f"duplicate parameter in {name}",
-                                 sig.line, sig.col)
+                raise ParseError(f"duplicate parameter in {name}", *_at(sig))
             if name in headers:
-                raise ParseError(f"duplicate definition: {name}",
-                                 sig.line, sig.col)
-            headers[name] = (params, form.items[2])
+                raise ParseError(f"duplicate definition: {name}", *_at(sig))
+            headers[name] = (params, (form, 2))
         elif head == "run":
-            if len(form.items) != 2:
-                raise ParseError("run takes one thread", form.line, form.col)
-            runs.append(form.items[1])
+            if len(form) != 2:
+                raise ParseError("run takes one thread", *_at(form))
+            runs.append((form, 1))
         else:
-            raise ParseError(f"unknown declaration: {head}", form.line, form.col)
+            raise ParseError(f"unknown declaration: {head}", *_at(form))
     if not runs:
         raise ParseError("program has no (run ...) declaration", 1, 1)
     return tuple(inputs), tuple(outputs), headers, runs
@@ -497,90 +503,91 @@ class _ProgramBuilder:
         return call
 
 
-def _parse_thread(form, builder, scope, def_arities):
-    if isinstance(form, SAtom):
-        if form.value == "0":
+def _parse_thread(parent, index, builder, scope, def_arities):
+    """The thread at item index of parent."""
+    form = parent[index]
+    if isinstance(form, str):
+        if form == "0":
             return NIL
-        if form.value == "pause":
+        if form == "pause":
             return builder.pause()
-        raise ParseError(f"unknown thread: {form.value}", form.line, form.col)
-    if not form.items:
-        raise ParseError("empty form", form.line, form.col)
-    head = _atom(form.items[0], "keyword")
-    args = form.items[1:]
+        raise ParseError(f"unknown thread: {form}", *_at(parent, index))
+    if not form:
+        raise ParseError("empty form", *_at(form))
+    head = _atom(form, 0, "keyword")
+    n = len(form) - 1
 
-    def sub(f, extra=frozenset()):
-        return _parse_thread(f, builder, scope | extra, def_arities)
+    def sub(k, inner=scope):
+        return _parse_thread(form, k, builder, inner, def_arities)
 
-    def signal(f):
-        name = _name(f)
+    def signal(k):
+        name = _name(form, k)
         if name not in scope:
-            raise UndeclaredSignalError(
-                f"{f.line}:{f.col}: signal {name} is not declared or bound")
+            raise UndeclaredSignalError("%d:%d: signal %s is not declared "
+                                        "or bound" % (*_at(form, k), name))
         return name
 
     if head == "seq":
-        if len(args) < 2:
-            raise ParseError("seq needs at least two threads", form.line, form.col)
-        return seq_all([sub(f) for f in args])
+        if n < 2:
+            raise ParseError("seq needs at least two threads", *_at(form))
+        return seq_all([sub(k) for k in range(1, n + 1)])
     if head == "emit":
-        if len(args) != 1:
-            raise ParseError("emit takes one signal", form.line, form.col)
-        return Emit(signal(args[0]))
+        if n != 1:
+            raise ParseError("emit takes one signal", *_at(form))
+        return Emit(signal(1))
     if head == "await":
-        if len(args) != 1:
-            raise ParseError("await takes one signal", form.line, form.col)
-        return Await(signal(args[0]))
+        if n != 1:
+            raise ParseError("await takes one signal", *_at(form))
+        return Await(signal(1))
     if head == "new":
-        if len(args) < 2:
-            raise ParseError("new takes signals and a body", form.line, form.col)
-        names = [_name(f) for f in args[:-1]]
-        body = sub(args[-1], frozenset(names))
+        if n < 2:
+            raise ParseError("new takes signals and a body", *_at(form))
+        names = [_name(form, k) for k in range(1, n)]
+        body = sub(n, scope.union(names))
         for name in reversed(names):
             body = New(name, body)
         return body
     if head == "thread":
-        if not args:
-            raise ParseError("thread takes at least one body", form.line, form.col)
-        spawns = [Spawn(sub(f)) for f in args]
-        return seq_all(spawns) if len(spawns) > 1 else spawns[0]
+        if not n:
+            raise ParseError("thread takes at least one body", *_at(form))
+        spawns = [Spawn(sub(k)) for k in range(1, n + 1)]
+        return seq_all(spawns) if n > 1 else spawns[0]
     if head == "watch":
-        if len(args) != 2:
-            raise ParseError("watch takes a signal and a body", form.line, form.col)
-        return Watch(signal(args[0]), sub(args[1]))
+        if n != 2:
+            raise ParseError("watch takes a signal and a body", *_at(form))
+        return Watch(signal(1), sub(2))
     if head == "call":
-        if not args:
-            raise ParseError("call needs an identifier", form.line, form.col)
-        ident = _name(args[0], "identifier")
+        if not n:
+            raise ParseError("call needs an identifier", *_at(form))
+        ident = _name(form, 1, "identifier")
         if ident not in def_arities:
             raise UnboundIdentifierError(
-                f"{args[0].line}:{args[0].col}: no definition for {ident}")
-        actuals = tuple(signal(f) for f in args[1:])
+                "%d:%d: no definition for %s" % (*_at(form, 1), ident))
+        actuals = tuple(signal(k) for k in range(2, n + 1))
         if len(actuals) != def_arities[ident]:
-            raise ArityMismatchError(
-                f"{args[0].line}:{args[0].col}: {ident} takes "
-                f"{def_arities[ident]} signals, got {len(actuals)}")
+            raise ArityMismatchError("%d:%d: %s takes %d signals, got %d" % (
+                *_at(form, 1), ident, def_arities[ident], len(actuals)))
         return Call(ident, actuals)
     if head == "loop":
-        if len(args) != 1:
-            raise ParseError("loop takes one body", form.line, form.col)
-        return builder.define_loop(sub(args[0]))
+        if n != 1:
+            raise ParseError("loop takes one body", *_at(form))
+        return builder.define_loop(sub(1))
     if head == "now":
-        if len(args) != 1:
-            raise ParseError("now takes one body", form.line, form.col)
-        return expand_now(sub(args[0]), builder.gensym)
+        if n != 1:
+            raise ParseError("now takes one body", *_at(form))
+        return expand_now(sub(1), builder.gensym)
     if head == "present":
-        if len(args) != 3:
+        if n != 3:
             raise ParseError("present takes a signal and two branches",
-                             form.line, form.col)
-        return expand_present(signal(args[0]), sub(args[1]), sub(args[2]),
+                             *_at(form))
+        return expand_present(signal(1), sub(2), sub(3),
                               builder.gensym, builder.pause)
     if head == "par":
-        if len(args) != 2:
-            raise ParseError("par takes two threads", form.line, form.col)
-        return expand_par(sub(args[0]), sub(args[1]), builder.gensym,
+        if n != 2:
+            raise ParseError("par takes two threads", *_at(form))
+        return expand_par(sub(1), sub(2), builder.gensym,
                           builder.pause, builder.define_loop)
-    raise ParseError(f"unknown thread form: {head}", form.line, form.col)
+    raise ParseError(f"unknown thread form: {head}", *_at(form))
 
 
 def parse_program(text, pause_mode="primitive"):
@@ -591,16 +598,17 @@ def parse_program(text, pause_mode="primitive"):
     """
     if pause_mode not in ("primitive", "table1"):
         raise ValueError(f"unknown pause mode: {pause_mode}")
-    inputs, outputs, headers, runs = _read_declarations(text, _name)
+    inputs, outputs, headers, runs = _read_declarations(_read_forms(text),
+                                                        _name)
     builder = _ProgramBuilder(pause_mode, headers)
     # only declared names are callable: a generated loop is called by the
     # term that generated it, never by name from the text
     arities = {name: len(params) for name, (params, _) in headers.items()}
     parsed_defs = {}
-    for name, (params, body_form) in headers.items():
-        body = _parse_thread(body_form, builder, frozenset(params), arities)
-        parsed_defs[name] = Definition(name, params, body)
+    for name, (params, body) in headers.items():
+        thread = _parse_thread(*body, builder, frozenset(params), arities)
+        parsed_defs[name] = Definition(name, params, thread)
     interface = frozenset(inputs + outputs)
-    initial = tuple(_parse_thread(f, builder, interface, arities)
-                    for f in runs)
+    initial = tuple(_parse_thread(*run, builder, interface, arities)
+                    for run in runs)
     return Program(inputs, outputs, {**parsed_defs, **builder.defs}, initial)

@@ -25,6 +25,9 @@ Concrete syntax mirrors the source language:
                | (call ident sig*)
     branch    := texpr | (ite sig branch branch)
 
+A line whose first non-blank character is `#` is a comment, as is the rest
+of a line after `;`; the printer writes compilation notes that way.
+
 `pause` is a library constructor over this grammar, `pause_prefix`, not an
 AST node. It guards on the reserved signal `%pause`, which no program may
 emit, so the guard suspends every instant and the branch picks the
@@ -63,11 +66,13 @@ from .semantics import (
 from .syntax import (
     Definition,
     Program,
-    SAtom,
     SList,
+    _at,
     _atom,
     _print_program,
     _read_declarations,
+    _read_forms,
+    _scan,
 )
 
 PAUSE_SIGNAL = "%pause"
@@ -184,96 +189,101 @@ def print_tail_program(p, index_notes=None):
 # parsing
 
 
-def _check_signal(name, form, scope):
+class TailForms(SList):
+    """A list read from a tail text, where a `#` that is the first non-blank
+    character of a line starts a comment to its end: a compilation note."""
+
+    __slots__ = ()
+    LEAD, TOKEN = _scan(r"(?m:^[ \t\r]*#[^\n]*)|[ \t\r]+|\n")
+
+
+def _check_signal(form, index, scope):
+    name = _atom(form, index, "signal")
     if name.startswith("%"):
         return name
     if name not in scope:
-        raise ParseError(f"signal not in scope: {name}", form.line, form.col)
+        raise ParseError(f"signal not in scope: {name}", *_at(form, index))
     return name
 
 
-def _parse_tail(form, scope, def_arities):
-    if isinstance(form, SAtom):
-        if form.value == "0":
+def _parse_tail(parent, index, scope, def_arities):
+    """The tail thread at item index of parent."""
+    form = parent[index]
+    if isinstance(form, str):
+        if form == "0":
             return TNIL
-        raise ParseError(f"expected a tail thread, got {form.value!r}",
-                         form.line, form.col)
-    if not form.items:
-        raise ParseError("empty form", form.line, form.col)
-    head = _atom(form.items[0], "keyword")
-    rest = form.items[1:]
+        raise ParseError(f"expected a tail thread, got {form!r}",
+                         *_at(parent, index))
+    if not form:
+        raise ParseError("empty form", *_at(form))
+    head = _atom(form, 0, "keyword")
+    n = len(form) - 1
     if head == "emit!":
-        if len(rest) != 2:
+        if n != 2:
             raise ParseError("emit! takes a signal and a continuation",
-                             form.line, form.col)
-        s = _check_signal(_atom(rest[0], "signal"), rest[0], scope)
+                             *_at(form))
+        s = _check_signal(form, 1, scope)
         if s == PAUSE_SIGNAL:
             raise ParseError(f"{PAUSE_SIGNAL} is reserved and never emitted",
-                             rest[0].line, rest[0].col)
-        return TEmit(s, _parse_tail(rest[1], scope, def_arities))
+                             *_at(form, 1))
+        return TEmit(s, _parse_tail(form, 2, scope, def_arities))
     if head == "new":
-        if len(rest) != 2:
-            raise ParseError("new takes a signal and a body",
-                             form.line, form.col)
-        s = _atom(rest[0], "signal")
+        if n != 2:
+            raise ParseError("new takes a signal and a body", *_at(form))
+        s = _atom(form, 1, "signal")
         if s == PAUSE_SIGNAL:
-            raise ParseError(f"cannot bind {PAUSE_SIGNAL}",
-                             rest[0].line, rest[0].col)
-        return TNew(s, _parse_tail(rest[1], scope | {s}, def_arities))
+            raise ParseError(f"cannot bind {PAUSE_SIGNAL}", *_at(form, 1))
+        return TNew(s, _parse_tail(form, 2, scope | {s}, def_arities))
     if head == "thread!":
-        if len(rest) != 2:
+        if n != 2:
             raise ParseError("thread! takes a spawned thread and a "
-                             "continuation", form.line, form.col)
-        return TSpawn(_parse_tail(rest[0], scope, def_arities),
-                      _parse_tail(rest[1], scope, def_arities))
+                             "continuation", *_at(form))
+        return TSpawn(_parse_tail(form, 1, scope, def_arities),
+                      _parse_tail(form, 2, scope, def_arities))
     if head == "present":
-        if len(rest) != 3:
+        if n != 3:
             raise ParseError("present takes a signal, a thread and a branch",
-                             form.line, form.col)
-        s = _check_signal(_atom(rest[0], "signal"), rest[0], scope)
-        return TPresent(s, _parse_tail(rest[1], scope, def_arities),
-                        _parse_branch(rest[2], scope, def_arities))
+                             *_at(form))
+        s = _check_signal(form, 1, scope)
+        return TPresent(s, _parse_tail(form, 2, scope, def_arities),
+                        _parse_branch(form, 3, scope, def_arities))
     if head == "call":
-        if not rest:
-            raise ParseError("call needs an identifier", form.line, form.col)
-        ident = _atom(rest[0], "identifier")
-        at = f"{rest[0].line}:{rest[0].col}"
+        if not n:
+            raise ParseError("call needs an identifier", *_at(form))
+        ident = _atom(form, 1, "identifier")
         if ident not in def_arities:
-            raise UnboundIdentifierError(f"{at}: no definition for {ident}")
-        args = tuple(_check_signal(_atom(a, "signal"), a, scope)
-                     for a in rest[1:])
+            raise UnboundIdentifierError(
+                "%d:%d: no definition for %s" % (*_at(form, 1), ident))
+        args = tuple(_check_signal(form, k, scope) for k in range(2, n + 1))
         if len(args) != def_arities[ident]:
-            raise ArityMismatchError(
-                f"{at}: {ident} takes {def_arities[ident]} signals, "
-                f"got {len(args)}")
+            raise ArityMismatchError("%d:%d: %s takes %d signals, got %d" % (
+                *_at(form, 1), ident, def_arities[ident], len(args)))
         return TCall(ident, args)
-    raise ParseError(f"unknown tail form: {head}", form.line, form.col)
+    raise ParseError(f"unknown tail form: {head}", *_at(form))
 
 
-def _parse_branch(form, scope, def_arities):
-    if isinstance(form, SList) and form.items and \
-            isinstance(form.items[0], SAtom) and form.items[0].value == "ite":
-        if len(form.items) != 4:
+def _parse_branch(parent, index, scope, def_arities):
+    form = parent[index]
+    if not isinstance(form, str) and form and form[0] == "ite":
+        if len(form) != 4:
             raise ParseError("ite takes a signal and two branches",
-                             form.line, form.col)
-        s = _check_signal(_atom(form.items[1], "signal"), form.items[1], scope)
-        return BIte(s, _parse_branch(form.items[2], scope, def_arities),
-                    _parse_branch(form.items[3], scope, def_arities))
-    return BLeaf(_parse_tail(form, scope, def_arities))
+                             *_at(form))
+        s = _check_signal(form, 1, scope)
+        return BIte(s, _parse_branch(form, 2, scope, def_arities),
+                    _parse_branch(form, 3, scope, def_arities))
+    return BLeaf(_parse_tail(parent, index, scope, def_arities))
 
 
 def parse_tail_program(text):
-    # lines starting with # carry compilation notes; they are comments here
-    text = "\n".join("" if line.lstrip().startswith("#") else line
-                     for line in text.splitlines())
-    inputs, outputs, headers, runs = _read_declarations(text, _atom)
+    inputs, outputs, headers, runs = _read_declarations(
+        _read_forms(text, TailForms), _atom)
     interface = set(inputs) | set(outputs)
     arities = {name: len(params) for name, (params, _) in headers.items()}
     defs = {name: Definition(name, params,
-                             _parse_tail(body, set(params) | interface,
+                             _parse_tail(*body, set(params) | interface,
                                          arities))
             for name, (params, body) in headers.items()}
-    initial = tuple(_parse_tail(f, interface, arities) for f in runs)
+    initial = tuple(_parse_tail(*run, interface, arities) for run in runs)
     return Program(inputs, outputs, defs, initial)
 
 

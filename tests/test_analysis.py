@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 from collections import Counter
 
 from sltk.analysis import (
@@ -6,6 +8,7 @@ from sltk.analysis import (
     SUSPENDS,
     CallResult,
     _find_cycle,
+    _unfold,
     bounded_call,
     call_of,
     call_of_context,
@@ -23,15 +26,17 @@ from sltk.syntax import (
     New,
     Pause,
     Program,
+    Seq,
     Spawn,
     Watch,
     parse_program,
+    print_program,
     seq_all,
     seq_of,
 )
 from sltk.tailcore import check_reactivity_tail, parse_tail_program
 
-from .corpus import SOURCE_TEXTS, source_corpus
+from .corpus import SOURCE_TEXTS, random_source_program, source_corpus
 
 
 AB_SYSTEM = """
@@ -377,3 +382,66 @@ def test_reactivity_witness_follows_the_walk_not_the_smallest_member():
 (run (call A s1))
 """)
     assert check_reactivity(p, unfold_depth=0).render() == "C > B > C"
+
+
+def counter_call_of(t):
+    """The call analysis over `Counter`s, as `call_of` computed it before it
+    merged sorted pairs: (multiset of identifiers, suspends)."""
+    if isinstance(t, Pause):
+        return Counter(), True
+    if isinstance(t, (New, Watch)):
+        return counter_call_of(t.body)
+    if isinstance(t, Call):
+        return Counter((t.ident,)), False
+    if isinstance(t, Spawn):
+        return counter_call_of(t.body)[0], False
+    if isinstance(t, Seq):
+        first, suspends = counter_call_of(t.first)
+        if suspends:
+            return first, True
+        rest, suspends = counter_call_of(t.rest)
+        return first + rest, suspends
+    return Counter(), False
+
+
+def analysed_programs():
+    """The source corpus and 200 seeded random programs, each followed by
+    its twin with every pause made 0, whose recursion runs within the
+    instant."""
+    programs = [p for _, p in source_corpus()]
+    programs += [random_source_program(random.Random(seed))
+                 for seed in range(200)]
+    for p in programs:
+        yield p
+        yield parse_program(re.sub(r"\bpause\b", "0", print_program(p)))
+
+
+def test_call_of_counts_as_the_counter_reference():
+    """At every subterm of every thread, and at the top of each thread
+    unfolded once and twice, where identifiers repeat."""
+    checked = 0
+    for p in analysed_programs():
+        for body in p.all_threads():
+            stack = [_unfold(body, p.defs, 1), _unfold(body, p.defs, 2)]
+            subterms = [body]
+            while subterms:
+                t = subterms.pop()
+                stack.append(t)
+                subterms += [getattr(t, f) for f in ("first", "rest", "body")
+                             if hasattr(t, f)]
+            for t in stack:
+                assert call_of(t) == CallResult.of(*counter_call_of(t))
+            checked += len(stack)
+    assert checked > 10_000
+
+
+def test_reactivity_verdicts_and_cycles_are_as_recorded():
+    """The digest was recorded while `call_of` still built `Counter`s."""
+    verdicts = []
+    for p in analysed_programs():
+        for depth in (0, 1, 2):
+            v = check_reactivity(p, unfold_depth=depth)
+            verdicts.append("accept" if v else "reject " + v.render())
+    assert sum(v != "accept" for v in verdicts) == 621
+    assert hashlib.sha1("\n".join(verdicts).encode()).hexdigest() == \
+        "3d3c8adaee98d0969cd92e5438e052ea15011777"
