@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -354,9 +355,10 @@ def _scan(blanks):
 
 class SList(list):
     """A list read from a text, of atoms (`str`) and lists, with the text and
-    the offset of its `(` (-1 for the top-level forms). Blanks are space,
-    tab, CR and LF; a character that is no blank, parenthesis or ; is an
-    atom's. A subclass reads another language by its `LEAD` and `TOKEN`."""
+    the number of tokens before its `(` (-1 for the top-level forms). Blanks
+    are space, tab, CR and LF; a character that is no blank, parenthesis or
+    ; is an atom's. A subclass reads another language by its `LEAD` and
+    `TOKEN`."""
 
     __slots__ = ("text", "at")
     LEAD, TOKEN = _scan(r"[ \t\r\n]+")
@@ -367,17 +369,18 @@ def _read_forms(text, kind=SList):
     root = top = kind()
     root.text, root.at = text, -1
     stack = []
-    for m in kind.TOKEN.finditer(text, kind.LEAD.match(text).end()):
-        token = m[1]
+    tokens = kind.TOKEN.findall(text, kind.LEAD.match(text).end())
+    for at, token in enumerate(tokens):
         if token == "(":
             form = kind()
-            form.text, form.at = text, m.start()
+            form.text, form.at = text, at
             top.append(form)
             stack.append(top)
             top = form
         elif token == ")":
             if not stack:
-                raise ParseError("unmatched )", *_line_col(text, m.start()))
+                # the ) stands where a next top-level form would
+                raise ParseError("unmatched )", *_at(root, len(root)))
             top = stack.pop()
         else:
             top.append(token)
@@ -386,27 +389,20 @@ def _read_forms(text, kind=SList):
     return root
 
 
-def _line_col(text, at):
-    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-
-
 def _at(form, index=None):
     """The line and column of form's `(` or, given an index, of its item
-    there, found for an error by scanning form's text again."""
-    text, at = form.text, form.at
-    if index is not None:
-        # items of the top-level list follow the leading blanks, those of
-        # any other list its own (
-        start, depth = ((at, -1) if at >= 0
-                        else (form.LEAD.match(text).end(), 0))
-        for m in form.TOKEN.finditer(text, start):
-            if depth == 0:
-                if index == 0:
-                    at = m.start()
-                    break
-                index -= 1
-            depth += (m[1] == "(") - (m[1] == ")")
-    return _line_col(text, at)
+    there, found for an error by scanning form's text again: the items are
+    the tokens met at depth 0 after form's `(`."""
+    text = form.text
+    tokens = form.TOKEN.finditer(text, form.LEAD.match(text).end())
+    depth = 0 if form.at < 0 else -1
+    for m in islice(tokens, max(form.at, 0), None):
+        if index is None or depth == 0 and index == 0:
+            break
+        index -= depth == 0
+        depth += (m[1] == "(") - (m[1] == ")")
+    at = m.start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def _atom(form, index, what):

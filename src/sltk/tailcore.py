@@ -199,11 +199,9 @@ class TailForms(SList):
 
 def _check_signal(form, index, scope):
     name = _atom(form, index, "signal")
-    if name.startswith("%"):
+    if name in scope or name.startswith("%"):
         return name
-    if name not in scope:
-        raise ParseError(f"signal not in scope: {name}", *_at(form, index))
-    return name
+    raise ParseError(f"signal not in scope: {name}", *_at(form, index))
 
 
 def _parse_tail(parent, index, scope, def_arities):

@@ -145,7 +145,7 @@ GOLDEN = [
      "ParseError: 1:1: def takes (name params...) and a body"),
     ("tail", "duplicate-parameter", "(def (A x x) 0)\n(run 0)",
      "ParseError: 1:6: duplicate parameter in A"),
-    ('tail', 'not-a-tail-thread', '(run pause)',
+    ("tail", "not-a-tail-thread", "(run pause)",
      "ParseError: 1:6: expected a tail thread, got 'pause'"),
     ("tail", "empty-form", "(run (thread! 0 ()))",
      "ParseError: 1:17: empty form"),
