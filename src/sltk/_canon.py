@@ -192,6 +192,13 @@ def rename_all(t, m):
     return type(t)(*out)
 
 
+def binding(params, args):
+    """The substitution of args for params, without the pairs that map a
+    parameter to itself: they change nothing, so a call on its own
+    parameters binds nothing and its body needs no walk."""
+    return {p: a for p, a in zip(params, args) if p != a}
+
+
 def substitute(t, sub):
     """Capture-avoiding substitution of names for the free names of t.
 

@@ -292,7 +292,8 @@ class Space:
             rest = items[:i] + items[i + 1:]
             if isinstance(t, TCall):
                 dfn = self.defs[t.ident]
-                body = tail_substitute(dfn.body, dict(zip(dfn.params, t.args)))
+                body = tail_substitute(dfn.body,
+                                       _canon.binding(dfn.params, t.args))
                 out.append((TAU, rest + (body,)))
                 continue
             if t.signal in marked:
@@ -507,7 +508,7 @@ class Space:
                 if body is None:
                     dfn = self.defs[t.ident]
                     body = self._bodies[t] = tail_substitute(
-                        dfn.body, dict(zip(dfn.params, t.args)))
+                        dfn.body, _canon.binding(dfn.params, t.args))
                 t = body
             elif t.signal in marks:
                 t = t.then

@@ -27,6 +27,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
+from . import _canon
 from .errors import (
     HasSignalGenerationError,
     ParseError,
@@ -186,7 +187,8 @@ def _call_bodies(defs):
             dfn = defs[call.ident]
             if len(call.args) != len(dfn.params):
                 raise SLError(f"arity mismatch instantiating {call.ident}")
-            body = tail_substitute(dfn.body, dict(zip(dfn.params, call.args)))
+            body = tail_substitute(dfn.body,
+                                   _canon.binding(dfn.params, call.args))
             if isinstance(body, TCall):
                 call, body = body, memo.get(body)
         for c in chain:
@@ -199,13 +201,16 @@ def _call_bodies(defs):
 class _Run:
     """One instant's saturation so far: the threads it has seen, by
     identity, a tuple of the guards parked on each signal not yet emitted,
-    and the signals emitted, inputs included."""
+    the same for the parked guards whose branch can leave a thread
+    (`leaving`: a guard whose branch is 0 waits and leaves nothing), and
+    the signals emitted, inputs included."""
 
-    __slots__ = ("seen", "waiting", "emitted")
+    __slots__ = ("seen", "waiting", "leaving", "emitted")
 
-    def __init__(self, seen, waiting, emitted):
+    def __init__(self, seen, waiting, leaving, emitted):
         self.seen = seen
         self.waiting = waiting
+        self.leaving = leaving
         self.emitted = emitted
 
 
@@ -217,7 +222,8 @@ def _saturate(run, work, unfold):
     every thread is a subterm of the program or of a memoized call body, so
     one that comes back within the instant is the same object.
     """
-    seen, waiting, emitted = run.seen, run.waiting, run.emitted
+    seen, waiting, leaving, emitted = (run.seen, run.waiting, run.leaving,
+                                       run.emitted)
     while work:
         t = work.pop()
         if id(t) in seen:
@@ -228,11 +234,15 @@ def _saturate(run, work, unfold):
                 work.append(t.then)
             else:
                 waiting[t.signal] = waiting.get(t.signal, ()) + (t,)
+                b = t.branch
+                if b.__class__ is not BLeaf or b.tail.__class__ is not TNil:
+                    leaving[t.signal] = leaving.get(t.signal, ()) + (t,)
         elif isinstance(t, TCall):
             work.append(unfold(t))
         elif isinstance(t, TEmit):
             if t.signal not in emitted:
                 emitted.add(t.signal)
+                leaving.pop(t.signal, None)
                 work.extend(g.then for g in waiting.pop(t.signal, ()))
             work.append(t.next)
         elif isinstance(t, TSpawn):
@@ -251,7 +261,7 @@ def closure(threads, emitted, unfold):
     a multiset emits the same signals and leaves the same guards, up to
     copies.
     """
-    run = _Run({}, {}, set(emitted))
+    run = _Run({}, {}, {}, set(emitted))
     _saturate(run, list(threads), unfold)
     return run
 
@@ -270,10 +280,12 @@ def _with_signal(run, signal, unfold):
     emitted = run.emitted | {signal}
     woken = run.waiting.get(signal)
     if not woken:
-        return _Run(run.seen, run.waiting, emitted)
+        return _Run(run.seen, run.waiting, run.leaving, emitted)
     waiting = dict(run.waiting)
     del waiting[signal]
-    child = _Run(dict(run.seen), waiting, emitted)
+    leaving = dict(run.leaving)
+    leaving.pop(signal, None)
+    child = _Run(dict(run.seen), waiting, leaving, emitted)
     _saturate(child, [g.then for g in woken], unfold)
     return child
 
@@ -281,10 +293,10 @@ def _with_signal(run, signal, unfold):
 def _boundary(run):
     """The threads a settled run leaves for the next instant: each parked
     guard's branch taken by the instant's emissions, without the ones that
-    have ended."""
+    have ended. The guards whose branch is 0 are not visited."""
     present = run.emitted.__contains__
     threads = []
-    for gs in run.waiting.values():
+    for gs in run.leaving.values():
         for g in gs:
             b = g.branch
             t = b.tail if isinstance(b, BLeaf) else select_branch(b, present)

@@ -172,7 +172,7 @@ class CallBodies:
                     raise ArityMismatchError(
                         f"{ident} takes {len(dfn.params)} signals")
                 body = self.instantiate(dfn.body,
-                                        dict(zip(dfn.params, args)))
+                                        _canon.binding(dfn.params, args))
             self.current[key] = body
         return body
 
@@ -283,14 +283,24 @@ class Focus:
     a frame is the redex that frame makes of its terminated body, 0;rest
     or watch s 0, and reducing it pops the frame. `thread` is the thread
     the focus stands for, or None from a change until `unfocus` plugs it.
+
+    A chain of binders, `new a (new b P)`, reduces one binder a step, and
+    each step substitutes its fresh name. `pending`, when set, maps the
+    binders reduced so far in the chain to their fresh names, and the hole
+    is the next binder with that substitution not yet made. It is made
+    once, on the body that ends the chain, rather than at each binder on
+    the rest of the chain. Fresh names are not binders of the program, so
+    the substitutions made one after another and all at once agree; a
+    binder that is a pending name ends the chain early.
     """
 
-    __slots__ = ("frames", "hole", "thread")
+    __slots__ = ("frames", "hole", "thread", "pending")
 
     def __init__(self, t):
         self.frames = []
         self.hole = _descend(self.frames, t)
         self.thread = t
+        self.pending = None
 
 
 def unfocus(f):
@@ -298,6 +308,9 @@ def unfocus(f):
     the thread kept in `f.thread`; a focus with no frames is its hole."""
     t = f.thread
     if t is None:
+        if f.pending:
+            f.hole = substitute(f.hole, f.pending)
+            f.pending = None
         t = f.thread = plug(f.frames, f.hole) if f.frames else f.hole
     return t
 
@@ -335,8 +348,15 @@ def _step(f, env, unfold):
         f.hole = NIL
         spawned = (Focus(redex.body),)
     elif cls is New:
-        g = env.fresh()
-        f.hole = _descend(frames, substitute(redex.body, {redex.bound: g}))
+        m = {redex.bound: env.fresh()}
+        if f.pending:
+            m = {**f.pending, **m}
+        body = redex.body
+        if body.__class__ is New and body.bound not in m.values():
+            f.hole, f.pending = body, m
+        else:
+            f.pending = None
+            f.hole = _descend(frames, substitute(body, m))
     else:
         raise TypeError(f"not a redex: {redex!r}")
     f.thread = None
@@ -417,23 +437,29 @@ class Parking:
     """The threads of a run that await an absent signal, by key.
 
     `park(key, blocked)` files a thread under the signal it awaits and
-    under the signals of the watches around it. `wake(signals)` takes out
-    the threads that await one of the signals and `unwatch(signals)` those
-    inside a watch on one of them; both return their keys.
+    under the signals of the watches around it, and logs its key in
+    `parked`, which the runner clears at the end of each instant: so the
+    end of an instant finds the threads that parked in it without a walk
+    over those parked before. `wake(signals)` takes out the threads that
+    await one of the signals and `unwatch(signals)` those inside a watch on
+    one of them; both return their keys. `take(keys)` takes out the
+    threads of the given keys.
     """
 
-    __slots__ = ("blocked", "waiting", "watched")
+    __slots__ = ("blocked", "waiting", "watched", "parked")
 
     def __init__(self):
         self.blocked = {}
         self.waiting = {}
         self.watched = {}
+        self.parked = []
 
     def park(self, key, blocked):
         self.blocked[key] = blocked
         self.waiting.setdefault(blocked.signal, set()).add(key)
         for s in blocked.watches:
             self.watched.setdefault(s, set()).add(key)
+        self.parked.append(key)
 
     def wake(self, signals):
         return self._take(self.waiting, signals)
@@ -441,16 +467,19 @@ class Parking:
     def unwatch(self, signals):
         return self._take(self.watched, signals)
 
+    def take(self, keys):
+        for key in keys:
+            blocked = self.blocked.pop(key)
+            _discard(self.waiting, blocked.signal, key)
+            for w in blocked.watches:
+                _discard(self.watched, w, key)
+
     def _take(self, index, signals):
         out = []
         for s in signals:
             keys = index.pop(s, None)
             if keys:
-                for key in keys:
-                    blocked = self.blocked.pop(key)
-                    _discard(self.waiting, blocked.signal, key)
-                    for w in blocked.watches:
-                        _discard(self.watched, w, key)
+                self.take(keys)
                 out.extend(keys)
         return out
 
@@ -471,7 +500,7 @@ def check_policy(policy):
 
 
 def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
-                can_step_fn, env):
+                can_step_fn, env, unfold):
     """Drive threads to suspension under a scheduling policy.
 
     `threads` maps keys to threads in the order of their keys and is
@@ -479,6 +508,10 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
     loop serves both policies: the keys of the runnable threads are kept
     sorted, and a policy only picks the index that steps next (`_PICKS`),
     the deterministic one the lowest key, the random one a uniform draw.
+
+    `try_step_fn` and `can_step_fn` are a language's step and probe,
+    `try_step` and `can_step` here, called with a thread, `env` and the
+    run's call unfolder `unfold`.
 
     Scheduling is event-driven. `ready` lists the keys of the threads not
     parked in `parking`; a parked thread awaits a signal absent when it
@@ -519,7 +552,7 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
     pick = _PICKS[policy]
     runnable = []
     for key in sorted([*ready, *woken()]):
-        probe = can_step_fn(threads[key])
+        probe = can_step_fn(threads[key], env, unfold)
         if probe:
             runnable.append(key)
         else:
@@ -529,15 +562,15 @@ def run_threads(threads, ready, parking, policy, rng, fuel, try_step_fn,
             raise FuelExhaustedError(steps)
         k = pick(rng, len(runnable))
         key = runnable[k]
-        t2, spawned = try_step_fn(threads[key])
+        t2, spawned = try_step_fn(threads[key], env, unfold)
         threads[key] = t2
-        probe = can_step_fn(t2)
+        probe = can_step_fn(t2, env, unfold)
         if not probe:
             del runnable[k]
             stop(key, probe)
         for t in spawned:
             threads[next_key] = t
-            probe = can_step_fn(t)
+            probe = can_step_fn(t, env, unfold)
             if probe:
                 runnable.append(next_key)
             else:
@@ -653,7 +686,56 @@ def _checked_inputs(program, inputs):
     return inputs
 
 
-class Runner:
+def _show(shown, changes):
+    """The residual after an instant: `shown`, the residual threads of the
+    instant before by key, updated in place by `changes`, the new thread or
+    None (ended) of each key that changed. Keys are visited in order, so a
+    new key lands after the old ones; a key that did not change costs
+    nothing."""
+    for key in sorted(changes):
+        t = changes[key]
+        if t is None:
+            shown.pop(key, None)
+        else:
+            shown[key] = t
+    return tuple(shown.values())
+
+
+class _Carried:
+    """What a runner carries between instants: `threads`, the residual of
+    the last instant (reading it gives a new list), and `gen_counter`, the
+    fresh-name counter. Assigning either moves the runner to another state
+    of the same program: the residual's threads are keyed afresh, each
+    kept as `_keep` makes it, and none is parked, so the next instant
+    probes every thread. An instant that raises assigns the residual it
+    started from, so it leaves the runner in that state."""
+
+    @property
+    def threads(self):
+        return list(self._residual)
+
+    @threads.setter
+    def threads(self, threads):
+        self._residual = tuple(threads)
+        self._unpark()
+
+    @property
+    def gen_counter(self):
+        return self._gen_counter
+
+    @gen_counter.setter
+    def gen_counter(self, counter):
+        self._gen_counter = counter
+        self._unpark()
+
+    def _unpark(self):
+        self._threads = dict(enumerate(map(self._keep, self._residual)))
+        self._shown = dict(enumerate(self._residual))
+        self._ready = list(self._threads)
+        self._parking = Parking()
+
+
+class Runner(_Carried):
     """Runs a program instant by instant, carrying the fresh-name counter.
 
     Each instant is driven by `run_threads`; the threads left after the
@@ -674,13 +756,9 @@ class Runner:
     rewrite cuts and fills it in place, and it is plugged once at the end
     of an instant in which it changed, so a thread that runs again, woken
     or in the next instant, does not decompose again.
-
-    `gen_counter` and `threads` are the state carried between instants;
-    reading `threads` gives a new list. Assigning either moves the runner
-    to another state of the same program and drops the parked index, so
-    the next instant probes every thread. An instant that raises leaves
-    the runner in the state it started from.
     """
+
+    _keep = Focus
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0, fuel=DEFAULT_FUEL):
         self.program = program
@@ -695,41 +773,18 @@ class Runner:
         self.unfold = CallBodies(program.defs,
                                  lambda body, m: substitute(body, m))
 
-    @property
-    def threads(self):
-        return list(self._residual)
-
-    @threads.setter
-    def threads(self, threads):
-        self._residual = tuple(threads)
-        self._threads = {k: Focus(t) for k, t in enumerate(self._residual)}
-        self._unpark()
-
-    @property
-    def gen_counter(self):
-        return self._gen_counter
-
-    @gen_counter.setter
-    def gen_counter(self, counter):
-        self._gen_counter = counter
-        self._unpark()
-
-    def _unpark(self):
-        self._ready = list(self._threads)
-        self._parking = Parking()
-
     def run_instant(self, inputs=frozenset()):
         env, unfold, threads = self.env, self.unfold, self._threads
+        parking = self._parking
         env.begin(_checked_inputs(self.program, inputs))
         env.counter = self._gen_counter
         try:
             steps, stopped = run_threads(
-                threads, self._ready, self._parking, self.policy, self.rng,
-                self.fuel, lambda t: try_step(t, env, unfold),
-                lambda t: can_step(t, env, unfold), env)
+                threads, self._ready, parking, self.policy, self.rng,
+                self.fuel, try_step, can_step, env, unfold)
             # a parked thread is its own floor unless a watch around it
             # fires; every signal present now was logged in env.emitted
-            stopped += self._parking.unwatch(env.emitted)
+            stopped += parking.unwatch(env.emitted)
             floors = end_of_instant([threads[key] for key in stopped], env)
         except BaseException:
             self.threads = self._residual
@@ -744,7 +799,13 @@ class Runner:
             else:
                 self._ready.append(key)
         unfold.end_instant()
-        self._residual = tuple(map(unfocus, threads.values()))
+        # only the threads that stopped or parked in the instant changed
+        changes = {}
+        for key in (*stopped, *parking.parked):
+            f = threads.get(key)
+            changes[key] = None if f is None else unfocus(f)
+        parking.parked.clear()
+        self._residual = _show(self._shown, changes)
         return InstantResult(outputs, self._residual, steps)
 
 

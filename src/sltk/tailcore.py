@@ -45,6 +45,7 @@ from ._canon import BIND, KEEP, SIG, SIGS, SUB
 from .analysis import Accept, Reject, _find_cycle
 from .errors import (
     ArityMismatchError,
+    FuelExhaustedError,
     NotSuspendedError,
     ParseError,
     UnboundIdentifierError,
@@ -57,8 +58,9 @@ from .semantics import (
     CallBodies,
     Env,
     InstantResult,
-    Parking,
+    _Carried,
     _checked_inputs,
+    _show,
     _trace,
     check_policy,
     run_threads,
@@ -343,14 +345,30 @@ def end_of_instant_tail(threads, env):
     return tuple(out)
 
 
-class TailRunner:
+class TailRunner(_Carried):
     """Instant-by-instant execution of a tail program, through the same
-    `run_threads` driver as `Runner`, and like it with one `Env` and one
-    `CallBodies` for the whole run. A waiting guard re-enters its loop
-    through a call at every instant, so no thread stays parked across
-    instants: every instant probes and floors every thread. The memo gives
-    a guard the body it had the instant before. The residual omits
-    terminated threads."""
+    `run_threads` driver as `Runner`, and like it with one `Env`, one
+    `CallBodies` and one `Parking` for the whole run, and its threads kept
+    by key from instant to instant.
+
+    The CPS image of a waiting thread is a guard whose branch calls it
+    again, as in `(present s P (ite w Q (call L s w)))`: while s and w stay
+    absent it floors to a call that unfolds back to the same guard. Under
+    the deterministic policy such a guard stays parked across instants,
+    filed under its signal, with the signals its branch tests as its
+    watches. The residual shows its call. Each instant counts its re-entry
+    as a step, charged against fuel before anything runs, without taking
+    it: the unfold neither emits nor generates a name, so skipping it
+    changes no later choice of that policy. The guard wakes when its signal
+    is emitted, and floors as any other guard when a signal its branch
+    tests is. Under the random policy every step is a draw, so no guard
+    stays parked there. An instant thus probes, floors and shows again only
+    the threads that run or wake in it. The residual omits terminated
+    threads. The state carried between instants is `_Carried`'s, so a
+    residual assigned as `threads` runs every call again.
+    """
+
+    _keep = staticmethod(lambda t: t)
 
     def __init__(self, program, policy=DETERMINISTIC, seed=0,
                  fuel=DEFAULT_FUEL):
@@ -358,29 +376,117 @@ class TailRunner:
         self.policy = check_policy(policy)
         self.rng = random.Random(seed)
         self.fuel = fuel
-        self.gen_counter = program.next_gen_index
-        self.threads = list(program.initial)
-        self.env = Env(program.env_domain | {PAUSE_SIGNAL}, self.gen_counter)
+        self._loops = (program.fact(self_loops) if policy == DETERMINISTIC
+                       else {})
+        self._gen_counter = program.next_gen_index
+        self.threads = program.initial
+        self.env = Env(program.env_domain | {PAUSE_SIGNAL}, self._gen_counter)
         self.unfold = CallBodies(program.defs,
                                  lambda body, m: tail_substitute(body, m))
 
     def run_instant(self, inputs=frozenset()):
-        env, unfold = self.env, self.unfold
+        env, unfold, threads = self.env, self.unfold, self._threads
+        parking = self._parking
         env.begin(_checked_inputs(self.program, inputs))
-        env.counter = self.gen_counter
-        threads = dict(enumerate(self.threads))
-        steps, _ = run_threads(
-            threads, list(threads), Parking(), self.policy, self.rng,
-            self.fuel, lambda t: try_step_tail(t, env, unfold),
-            lambda t: can_step_tail(t, env, unfold), env)
-        self.gen_counter = env.counter
-        outputs = frozenset(s for s in self.program.outputs
-                            if env.defined[s])
-        residual = tuple(t for t in end_of_instant_tail(threads.values(), env)
-                         if not isinstance(t, TNil))
+        env.counter = self._gen_counter
+        # each guard parked across the boundary re-enters by one call
+        reentries = len(parking.blocked)
+        try:
+            if reentries > self.fuel:
+                raise FuelExhaustedError(self.fuel)
+            steps, stopped = run_threads(
+                threads, self._ready, parking, self.policy, self.rng,
+                self.fuel - reentries, try_step_tail, can_step_tail, env,
+                unfold)
+            changes = self._end_of_instant(stopped, env.present,
+                                           parking.unwatch(env.emitted))
+        except FuelExhaustedError:
+            # the re-entries were charged first: the instant ran out at
+            # the runner's fuel
+            self.threads = self._residual
+            raise FuelExhaustedError(self.fuel) from None
+        except BaseException:
+            self.threads = self._residual
+            raise
+        self._gen_counter = env.counter
         unfold.end_instant()
-        self.threads = list(residual)
-        return InstantResult(outputs, residual, steps)
+        self._residual = _show(self._shown, changes)
+        return InstantResult(
+            frozenset(s for s in self.program.outputs if env.defined[s]),
+            self._residual, steps + reentries)
+
+    def _end_of_instant(self, stopped, present, floored):
+        """Floor the threads that ended the instant: drop the terminated
+        ones (`stopped`), floor the guards in `floored`, and of the guards
+        parked in the instant keep parked those that `_loop` finds calling
+        themselves back and floor the others. Returns the changes to the
+        residual, a thread or None by key."""
+        threads, parking = self._threads, self._parking
+        changes = dict.fromkeys(stopped)
+        for key in stopped:
+            del threads[key]
+        dropped = []
+        for key in dict.fromkeys(parking.parked):
+            if key not in parking.blocked:
+                continue  # woken later in the instant
+            g = threads[key]
+            loop = self._loop(g, present)
+            if loop is None:
+                dropped.append(key)
+            else:
+                changes[key], watches = loop
+                parking.park(key, Blocked(g.signal, watches))
+        parking.parked.clear()
+        parking.take(dropped)
+        floored += dropped
+        self._ready = []
+        for key in floored:
+            t = select_branch(threads[key].branch, present)
+            if t.__class__ is TNil:
+                del threads[key]
+                changes[key] = None
+            else:
+                threads[key] = changes[key] = t
+                self._ready.append(key)
+        return changes
+
+    def _loop(self, g, present):
+        """(call, watches) when guard g floors to a call that unfolds back
+        to g, and so can stay parked: `watches` are the signals its branch
+        tests on the way to that call, all absent now. Else None, and
+        always None when the policy keeps no guard parked."""
+        if not self._loops:
+            return None
+        b = g.branch
+        watches = []
+        while b.__class__ is BIte:
+            if present(b.signal):
+                return None
+            watches.append(b.signal)
+            b = b.other
+        call = b.tail
+        if (call.__class__ is not TCall
+                or self._loops.get(call.ident) != len(call.args)):
+            return None
+        body = self.unfold(call.ident, call.args)
+        if body is g or body == g:
+            return call, tuple(watches)
+        return None
+
+
+def self_loops(program):
+    """The definitions of a tail program that can re-enter themselves, each
+    mapped to its number of parameters, kept on the program
+    (`Program.fact`): those whose body is a guard that floors, with every
+    signal its branch tests absent, to a call of the definition on its own
+    parameters."""
+    out = {}
+    for name, d in program.defs.items():
+        if isinstance(d.body, TPresent):
+            t = select_branch(d.body.branch, lambda s: False)
+            if isinstance(t, TCall) and t.ident == name and t.args == d.params:
+                out[name] = len(d.params)
+    return out
 
 
 def run_trace_tail(program, input_sets, policy=DETERMINISTIC, seed=0,

@@ -27,6 +27,7 @@ from sltk.cps import cps_program
 from sltk.syntax import Program
 from sltk.tailcore import (
     TCall,
+    TNil,
     parse_tail_program,
     print_tail_program,
     run_trace_tail,
@@ -391,6 +392,41 @@ def test_extraction_prints_what_the_reference_loop_prints():
         assert got == outcome(reference_mealy, p), name
         extracted += isinstance(got, str)
     assert extracted > 100
+
+
+def test_the_boundary_floors_exactly_the_guards_left_waiting():
+    # `_boundary` visits only the guards whose branch can leave a thread;
+    # it must return what flooring every guard left waiting returns, after
+    # a closure and after each input marked on it, over a few instants.
+    # In `woken`, L's guard parks on o2 before the emission wakes it.
+    woken = parse_tail_program(
+        "(input i1)\n(output o1 o2)\n"
+        "(def (L) (present o2 (emit! o1 0) (call L)))\n"
+        "(run (thread! (emit! o2 0) (call L)))")
+    checked = 0
+    for name, p in [("woken", woken), *oracle_programs()]:
+        if p.has_binder:
+            continue
+        unfold = mealy._call_bodies(p.defs)
+        threads = p.initial
+        try:
+            for _ in range(3):
+                runs = [mealy.closure(threads, (), unfold)]
+                for s in p.inputs:
+                    runs.append(mealy._with_signal(runs[-1], s, unfold))
+                for run in runs:
+                    present = run.emitted.__contains__
+                    want = [select_branch(g.branch, present)
+                            for gs in run.waiting.values() for g in gs]
+                    want = [t for t in want if not isinstance(t, TNil)]
+                    got = mealy._boundary(run)
+                    assert sorted(map(id, got)) == sorted(map(id, want)), \
+                        name
+                    checked += 1
+                threads = got
+        except SLError:
+            continue
+    assert checked > 500
 
 
 def arity_mismatch():

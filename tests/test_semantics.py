@@ -516,10 +516,37 @@ def _oracle_cases():
 
 
 # The probe bound is checked over 100 instants under one schedule of each
-# policy; the reference, whose cost grows with every instant, over 60.
+# policy; the reference, whose cost grows with every instant, over 60, and
+# over 200 for TailRunner under the deterministic policy, where guards stay
+# parked across instants.
 PROBED_SCHEDULES = SCHEDULES[:2]
 PROBED_INSTANTS = 100
 ORACLE_INSTANTS = 60
+PARKED_INSTANTS = 200
+
+
+def _looping_instants(runner_cls, policy, seed):
+    """How many instants `looping_runs` runs under a runner and schedule,
+    all of them checked against the reference for the parking TailRunner
+    and the first ORACLE_INSTANTS for the others."""
+    if runner_cls is TailRunner and policy == DETERMINISTIC:
+        return PARKED_INSTANTS
+    if (policy, seed) in PROBED_SCHEDULES:
+        return PROBED_INSTANTS
+    return ORACLE_INSTANTS
+
+
+@pytest.fixture(scope="module")
+def looping_image():
+    return cps_program(encode_counter_machine(LOOPING)).program
+
+
+@pytest.fixture(scope="module")
+def looping_image_reference(looping_image):
+    """The reference's records of the looping machine's CPS image under the
+    deterministic policy, over PARKED_INSTANTS instants."""
+    return _reference_records(looping_image, TAIL_ENGINE, DETERMINISTIC, 0,
+                              [frozenset()] * PARKED_INSTANTS)
 
 
 @pytest.fixture(scope="module")
@@ -545,9 +572,8 @@ def looping_runs():
             mp.setattr(module, name, counting(getattr(module, name)))
         for runner_cls, program, engine, nil in _engines(p):
             for policy, seed in SCHEDULES:
-                probed = (policy, seed) in PROBED_SCHEDULES
-                word = [frozenset()] * (PROBED_INSTANTS if probed
-                                        else ORACLE_INSTANTS)
+                word = [frozenset()] * _looping_instants(runner_cls, policy,
+                                                         seed)
                 probes[0] = 0
                 records, work = _runner_records(
                     runner_cls(program, policy=policy, seed=seed), word, nil)
@@ -556,7 +582,8 @@ def looping_runs():
     return runs
 
 
-def test_scheduler_matches_the_rescanning_reference(looping_runs):
+def test_scheduler_matches_the_rescanning_reference(
+        looping_runs, looping_image_reference):
     rng = random.Random(11)
     for name, runner_cls, program, engine, nil in _oracle_cases():
         inputs = subsets(program.inputs)
@@ -572,16 +599,73 @@ def test_scheduler_matches_the_rescanning_reference(looping_runs):
                                      word)
     word = [frozenset()] * ORACLE_INSTANTS
     for key, (program, engine, records, _, _) in looping_runs.items():
-        _, policy, seed = key
-        want = _reference_records(program, engine, policy, seed, word)
-        assert records[:ORACLE_INSTANTS] == want, key
+        runner_cls, policy, seed = key
+        if len(records) == PARKED_INSTANTS:
+            assert records == looping_image_reference, key
+        else:
+            want = _reference_records(program, engine, policy, seed, word)
+            assert records[:ORACLE_INSTANTS] == want, key
 
 
 def test_probes_stay_within_a_constant_of_the_work(looping_runs):
     for key, (_, _, records, probes, work) in looping_runs.items():
         if key[1:] in PROBED_SCHEDULES:
-            assert len(records) == PROBED_INSTANTS
+            assert len(records) == _looping_instants(*key)
             assert probes <= 3 * work, (key, probes, work)
+
+
+def test_guards_that_call_themselves_back_stay_parked(
+        looping_image, looping_image_reference):
+    # The looping machine's CPS image waits in guards whose branch calls
+    # them back, as (present s P (ite w Q (call L s w))). Under the
+    # deterministic policy such a guard stays parked across instants, so a
+    # late instant probes fewer threads than its residual holds, where
+    # running every call again probes each of them at least once; and it
+    # counts the same steps, each parked guard's re-entry among them.
+    counts = {"probes": 0}
+
+    def counting(t, env, unfold, original=can_step_tail):
+        counts["probes"] += 1
+        return original(t, env, unfold)
+
+    runner = TailRunner(looping_image)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tailcore, "can_step_tail", counting)
+        for k in range(80):
+            counts["probes"] = 0
+            res = runner.run_instant()
+            assert res.steps == looping_image_reference[k][1], k
+    assert len(res.residual) == 60
+    assert counts["probes"] < len(res.residual), counts
+
+
+@pytest.mark.parametrize("short", [1, 50])
+def test_a_tail_instant_out_of_fuel_counts_the_parked_reentries(
+        looping_image, looping_image_reference, short):
+    # Instant 79 of the looping machine's CPS image takes 90 steps, 57 of
+    # them re-entries of parked guards, charged before anything runs. Fuel
+    # one step short raises with the fuel as the step count, as running
+    # every call does, and so does fuel below the number of parked guards;
+    # the runner stays where it was and goes on as the reference does.
+    want = looping_image_reference
+    runners = [TailRunner(looping_image) for _ in range(2)]
+    for _ in range(79):
+        for runner in runners:
+            runner.run_instant()
+    exact, runner = runners
+    exact.fuel = want[79][1]
+    assert _runner_records(exact, [frozenset()], TNil)[0] == want[79:80]
+    threads, counter = runner.threads, runner.gen_counter
+    runner.fuel = want[79][1] - short
+    with pytest.raises(FuelExhaustedError) as e:
+        runner.run_instant()
+    assert e.value.steps == runner.fuel
+    assert runner.threads == threads and runner.gen_counter == counter
+    runner.fuel = want[79][1]
+    got, _ = _runner_records(runner, [frozenset()], TNil)
+    runner.fuel = DEFAULT_FUEL
+    got += _runner_records(runner, [frozenset()] * 19, TNil)[0]
+    assert got == want[79:99]
 
 
 def test_end_of_instant_matches_the_reference_floor():
@@ -676,6 +760,25 @@ def test_a_running_thread_is_decomposed_and_plugged_rarely(policy, seed):
     assert steps > 20_000
     assert counts["plug"] <= 0.15 * steps, counts
     assert counts["decompose"] + counts["Focus"] <= 0.3 * steps, counts
+
+
+def test_a_chain_of_binders_takes_a_step_and_a_fresh_name_each():
+    # A focus makes the substitutions of a chain of binders once, on the
+    # body that ends it; that must read as making them one step at a time,
+    # the inner a hiding the outer one, also when the random policy
+    # interleaves two chains
+    p = parse_program("(input s1)(output o1)"
+                      "(run (new a b a (seq (await a) (await b) (emit o1))))"
+                      "(run (new a b (seq (await b) (await a))))")
+    word = [frozenset()] * 3
+    for policy, seed in SCHEDULES:
+        got, _ = _runner_records(Runner(p, policy=policy, seed=seed), word,
+                                 Nil)
+        assert got == _reference_records(p, SOURCE_ENGINE, policy, seed,
+                                          word), (policy, seed)
+    assert got[0][1] == 5
+    first = Runner(p).run_instant().residual[0]
+    assert print_thread(first) == "(seq (await %g2) (await %g1) (emit o1))"
 
 
 def _records(runner, instants):
